@@ -63,20 +63,15 @@
 // wall-clock time only. The same knob is exposed as the -workers flag
 // of cmd/alic.
 //
-// # Batched, asynchronous evaluation
+// # Batched evaluation
 //
 // Measurement — the §4.3 compile+run cost that dominates real
 // deployments — flows through the evaluator engine
 // (internal/evaluator): each acquisition batch is dispatched whole and
 // measured with up to LearnerOptions.EvalWorkers concurrent workers
-// (-eval-workers in cmd/alic). Synchronous mode is bit-identical to
-// the serial loop at every worker count. LearnerOptions.Async
-// (-async) additionally overlaps each round's measurement with the
-// next round's candidate scoring; async results differ from sync (the
-// selection model lags one round) but remain bit-deterministic across
-// worker counts, with order-free §4.3 cost accounting. See
-// examples/batch-parallel for the pipeline in the measurement-bound
-// regime.
+// (-eval-workers in cmd/alic). Every worker count is bit-identical to
+// the serial loop, with order-free §4.3 cost accounting. See
+// examples/batch-parallel for the measurement-bound regime.
 //
 // The packages behind this facade:
 //
@@ -661,10 +656,9 @@ func LearnLiveContext(ctx context.Context, sp Space, opts LearnOptions) (*LiveRe
 	}
 	eng := evaluator.New(src, evaluator.Options{
 		Workers: opts.Learner.EvalWorkers,
-		Window:  learnerWindow(opts.Learner),
 		Latency: opts.Learner.EvalLatency,
 	})
-	learner, err := core.NewWithEvaluator(opts.Learner, core.SlicePool(poolX), eng, nil)
+	learner, err := core.New(opts.Learner, core.SlicePool(poolX), eng, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -694,10 +688,9 @@ func LearnLiveContext(ctx context.Context, sp Space, opts LearnOptions) (*LiveRe
 // supplies the RMSE curve, and observation costs follow §4.3 through
 // the evaluator engine (internal/evaluator), which measures each
 // acquisition batch with up to LearnerOptions.EvalWorkers concurrent
-// workers — or pipelines rounds entirely when LearnerOptions.Async is
-// set. Drive it with Learner.Step (one acquisition round per call) or
-// Learner.Run (whole loop under a context). Call Learner.Close when
-// abandoning an asynchronous run mid-flight.
+// workers. Drive it with Learner.Step (one acquisition round per call)
+// or Learner.Run (whole loop under a context), and call Learner.Close
+// when done with it.
 func NewLearner(ds *Dataset, opts LearnerOptions) (*Learner, error) {
 	if ds == nil {
 		return nil, ErrNilDataset
@@ -718,7 +711,6 @@ func NewLearner(ds *Dataset, opts LearnerOptions) (*Learner, error) {
 	}
 	eng := evaluator.New(src, evaluator.Options{
 		Workers: opts.EvalWorkers,
-		Window:  learnerWindow(opts),
 		Latency: opts.EvalLatency,
 	})
 	testX := ds.TestFeatures()
@@ -726,25 +718,7 @@ func NewLearner(ds *Dataset, opts LearnerOptions) (*Learner, error) {
 	eval := func(m Model) float64 {
 		return stats.RMSE(m.PredictMeanFastBatch(testX), testY)
 	}
-	return core.NewWithEvaluator(opts, pool, eng, eval)
-}
-
-// learnerWindow sizes the engine's in-flight window so one whole
-// asynchronous acquisition round fits without back-pressure.
-func learnerWindow(opts LearnerOptions) int {
-	plan := opts.Plan
-	if plan == nil {
-		plan = VariablePlan
-	}
-	batch := opts.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	round := batch * plan.AcquireObservations(opts)
-	if round < 32 {
-		round = 32
-	}
-	return 2 * round
+	return core.New(opts, pool, eng, eval)
 }
 
 // ResumeLearner reconstructs a step-wise learner from a snapshot

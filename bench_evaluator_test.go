@@ -8,18 +8,17 @@ import (
 	"time"
 )
 
-// The evaluator-pipeline benchmarks run the learner in the
-// measurement-bound regime the engine is built for: EvalLatency
-// stands in for a real compile+run cycle (the simulator itself
-// measures in microseconds), the model is kept small so profiling
-// dominates, and the dataset is pre-generated outside the timer.
-// BenchmarkLearnSync at workers=1 is the historical serial loop;
-// BenchmarkLearnAsync overlaps each round's measurement with the next
-// round's scoring on top of parallel measurement.
+// The evaluator benchmarks run the learner in the measurement-bound
+// regime the engine is built for: EvalLatency stands in for a real
+// compile+run cycle (the simulator itself measures in microseconds),
+// the model is kept small so profiling dominates, and the dataset is
+// pre-generated outside the timer. BenchmarkLearnSync at workers=1 is
+// the historical serial loop; more workers measure each round's batch
+// in parallel.
 
 const benchEvalLatency = 2 * time.Millisecond
 
-func benchPipelineOptions(workers int, async bool) LearnOptions {
+func benchPipelineOptions(workers int) LearnOptions {
 	opts := DefaultLearnOptions()
 	opts.PoolSize = 400
 	opts.TestSize = 100
@@ -32,7 +31,6 @@ func benchPipelineOptions(workers int, async bool) LearnOptions {
 	opts.Learner.Tree.Particles = 60
 	opts.Learner.Tree.ScoreParticles = 15
 	opts.Learner.EvalWorkers = workers
-	opts.Learner.Async = async
 	opts.Learner.EvalLatency = benchEvalLatency
 	return opts
 }
@@ -55,8 +53,8 @@ func benchPipelineDataset(tb testing.TB, opts LearnOptions) *Dataset {
 	return ds
 }
 
-func benchLearnPipeline(b *testing.B, workers int, async bool) {
-	opts := benchPipelineOptions(workers, async)
+func benchLearnPipeline(b *testing.B, workers int) {
+	opts := benchPipelineOptions(workers)
 	ds := benchPipelineDataset(b, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,23 +68,12 @@ func benchLearnPipeline(b *testing.B, workers int, async bool) {
 	}
 }
 
-// BenchmarkLearnSync measures the synchronous batched pipeline — the
-// mode that is bit-identical to the pre-engine serial loop at every
-// worker count.
+// BenchmarkLearnSync measures the batched learner, which is
+// bit-identical to the pre-engine serial loop at every worker count.
 func BenchmarkLearnSync(b *testing.B) {
 	for _, w := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchLearnPipeline(b, w, false)
-		})
-	}
-}
-
-// BenchmarkLearnAsync measures the pipelined mode: round t measuring
-// while round t+1 scores.
-func BenchmarkLearnAsync(b *testing.B) {
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchLearnPipeline(b, w, true)
+			benchLearnPipeline(b, w)
 		})
 	}
 }
@@ -106,14 +93,14 @@ type benchReport struct {
 	Acquisitions      int           `json:"acquisitions"`
 	BatchWidth        int           `json:"batch_width"`
 	Results           []benchRecord `json:"results"`
-	Async8VsSerial    float64       `json:"async8_speedup_vs_serial"`
+	Sync8VsSerial     float64       `json:"sync8_speedup_vs_serial"`
 	MeetsSpeedupFloor bool          `json:"meets_2x_speedup_floor"`
 }
 
 // TestRecordEvaluatorBenchmark regenerates BENCH_evaluator.json — the
-// measurement-bound sync-vs-async trajectory at 1/4/8 evaluation
-// workers — and enforces the ≥2x wall-clock floor for async at 8
-// workers over the serial loop. It only runs when ALIC_RECORD_BENCH
+// measurement-bound trajectory at 1/4/8 evaluation workers — and
+// enforces the ≥2x wall-clock floor at 8 workers over the serial
+// loop. It only runs when ALIC_RECORD_BENCH
 // is set (CI's benchmark job, or locally:
 //
 //	ALIC_RECORD_BENCH=BENCH_evaluator.json go test -run TestRecordEvaluatorBenchmark .
@@ -122,7 +109,7 @@ func TestRecordEvaluatorBenchmark(t *testing.T) {
 	if out == "" {
 		t.Skip("set ALIC_RECORD_BENCH=<path> to record the evaluator benchmark")
 	}
-	opts := benchPipelineOptions(1, false)
+	opts := benchPipelineOptions(1)
 	rep := benchReport{
 		Name:          "evaluator-pipeline",
 		Kernel:        "gemver",
@@ -131,41 +118,27 @@ func TestRecordEvaluatorBenchmark(t *testing.T) {
 		BatchWidth:    opts.Learner.Batch,
 	}
 	var serial float64
-	for _, cfg := range []struct {
-		name    string
-		workers int
-		async   bool
-	}{
-		{"LearnSync", 1, false},
-		{"LearnSync", 4, false},
-		{"LearnSync", 8, false},
-		{"LearnAsync", 1, true},
-		{"LearnAsync", 4, true},
-		{"LearnAsync", 8, true},
-	} {
-		cfg := cfg
+	for _, workers := range []int{1, 4, 8} {
 		res := testing.Benchmark(func(b *testing.B) {
-			benchLearnPipeline(b, cfg.workers, cfg.async)
+			benchLearnPipeline(b, workers)
 		})
 		ms := float64(res.NsPerOp()) / 1e6
-		if cfg.name == "LearnSync" && cfg.workers == 1 {
+		if workers == 1 {
 			serial = ms
 		}
 		rec := benchRecord{
-			Benchmark:   cfg.name,
-			EvalWorkers: cfg.workers,
-			MsPerOp:     ms,
-		}
-		if serial > 0 {
-			rec.SpeedupVsSerial = serial / ms
+			Benchmark:       "LearnSync",
+			EvalWorkers:     workers,
+			MsPerOp:         ms,
+			SpeedupVsSerial: serial / ms,
 		}
 		rep.Results = append(rep.Results, rec)
-		if cfg.name == "LearnAsync" && cfg.workers == 8 {
-			rep.Async8VsSerial = rec.SpeedupVsSerial
+		if workers == 8 {
+			rep.Sync8VsSerial = rec.SpeedupVsSerial
 		}
-		t.Logf("%s/workers=%d: %.1f ms/op (%.2fx vs serial)", cfg.name, cfg.workers, ms, rec.SpeedupVsSerial)
+		t.Logf("LearnSync/workers=%d: %.1f ms/op (%.2fx vs serial)", workers, ms, rec.SpeedupVsSerial)
 	}
-	rep.MeetsSpeedupFloor = rep.Async8VsSerial >= 2
+	rep.MeetsSpeedupFloor = rep.Sync8VsSerial >= 2
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +147,6 @@ func TestRecordEvaluatorBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.MeetsSpeedupFloor {
-		t.Fatalf("async at 8 workers is %.2fx over serial, want >= 2x on a measurement-bound run", rep.Async8VsSerial)
+		t.Fatalf("8 evaluation workers are %.2fx over serial, want >= 2x on a measurement-bound run", rep.Sync8VsSerial)
 	}
 }

@@ -84,7 +84,7 @@ func benchModelPool() core.SlicePool {
 func newTrainedModelLearner(tb testing.TB, workers int, rowOnly bool) *core.Learner {
 	tb.Helper()
 	pool := benchModelPool()
-	l, err := core.New(benchModelOptions(workers, rowOnly), pool, &benchOracle{pool: pool, r: rng.New(4)}, nil)
+	l, err := newBenchLearner(benchModelOptions(workers, rowOnly), pool)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func benchLearnRounds(b *testing.B, workers int, rowOnly bool) {
 	pool := benchModelPool()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := core.New(opts, pool, &benchOracle{pool: pool, r: rng.New(4)}, nil)
+		l, err := newBenchLearner(opts, pool)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func measureLearnPhases(t *testing.T) learnPhaseSplit {
 	var last core.Progress
 	opts.Progress = func(p core.Progress) { last = p }
 	pool := benchModelPool()
-	l, err := core.New(opts, pool, &benchOracle{pool: pool, r: rng.New(4)}, nil)
+	l, err := newBenchLearner(opts, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"alic/internal/core"
 	"alic/internal/dynatree"
+	"alic/internal/evaluator"
 	"alic/internal/experiment"
 	"alic/internal/gp"
 	"alic/internal/rng"
@@ -520,7 +521,7 @@ func BenchmarkSelectBatch(b *testing.B) {
 			opts.Workers = w
 			opts.Tree.Particles = 300
 			opts.Tree.ScoreParticles = 100
-			l, err := core.New(opts, pool, &benchOracle{pool: pool, r: rng.New(4)}, nil)
+			l, err := newBenchLearner(opts, pool)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -537,22 +538,25 @@ func BenchmarkSelectBatch(b *testing.B) {
 	}
 }
 
-// benchOracle is a deterministic synthetic oracle for selection
-// benchmarks.
-type benchOracle struct {
+// benchSource is a deterministic synthetic source for selection
+// benchmarks: pure in (item, ordinal), with noise drawn from a stream
+// keyed by the item and the ordinal and no compile cost.
+type benchSource struct {
 	pool core.SlicePool
-	r    *rng.Stream
-	cost float64
 }
 
-func (o *benchOracle) Observe(i int) (float64, error) {
-	x := o.pool[i]
-	y := x[0] + 2*x[1]*x[2] + x[3]*x[3] + o.r.NormMS(0, 0.05)
+func (s benchSource) Measure(i, ord int) (evaluator.Sample, error) {
+	x := s.pool[i]
+	r := rng.NewStream(4^uint64(i)*0x9e3779b97f4a7c15, uint64(ord)+1)
+	y := x[0] + 2*x[1]*x[2] + x[3]*x[3] + r.NormMS(0, 0.05)
 	if y < 0.001 {
 		y = 0.001
 	}
-	o.cost += y
-	return y, nil
+	return evaluator.Sample{Value: y}, nil
 }
 
-func (o *benchOracle) Cost() float64 { return o.cost }
+// newBenchLearner builds a learner over benchSource, measured serially.
+func newBenchLearner(opts core.Options, pool core.SlicePool) (*core.Learner, error) {
+	eng := evaluator.New(benchSource{pool: pool}, evaluator.Options{Workers: 1})
+	return core.New(opts, pool, eng, nil)
+}

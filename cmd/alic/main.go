@@ -63,7 +63,6 @@ func main() {
 		verify     = flag.Int("verify", 10, "configurations to verify during tuning")
 		workers    = flag.Int("workers", 0, "candidate-scoring goroutines (0 = all cores); results are identical for every value")
 		evalWork   = flag.Int("eval-workers", 0, "concurrent profiling measurements (0 = all cores); results are identical for every value")
-		async      = flag.Bool("async", false, "pipeline evaluation: overlap each round's measurement with the next round's scoring (results stay deterministic, but differ from sync: selection uses a one-round-stale model)")
 		progress   = flag.Bool("progress", false, "print acquisition progress while learning")
 		cpuprof    = flag.String("cpuprofile", "", "write a pprof CPU profile of the learn loop to this file")
 		memprof    = flag.String("memprofile", "", "write a pprof heap profile taken after the learn loop to this file")
@@ -143,7 +142,6 @@ func main() {
 	}
 	opts.Learner.Workers = *workers
 	opts.Learner.EvalWorkers = *evalWork
-	opts.Learner.Async = *async
 	opts.Learner.PlanObs = *planObs
 
 	if opts.Learner.Plan, err = alic.PlanByName(*plan); err != nil {
@@ -167,12 +165,8 @@ func main() {
 		}
 	}
 
-	mode := "sync"
-	if *async {
-		mode = "async"
-	}
-	fmt.Printf("learning %s: model=%s plan=%s scorer=%s nmax=%d mode=%s (space %.3g)\n",
-		sp.Name(), *modelName, *plan, *scorer, *nmax, mode, sp.Size())
+	fmt.Printf("learning %s: model=%s plan=%s scorer=%s nmax=%d (space %.3g)\n",
+		sp.Name(), *modelName, *plan, *scorer, *nmax, sp.Size())
 
 	if alic.IsLiveSpace(sp) {
 		if *snapPath != "" || *resPath != "" || *exportWarm != "" {

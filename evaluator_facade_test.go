@@ -1,12 +1,9 @@
 package alic
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // goldenLearnOptions is the exact configuration the pre-refactor
@@ -114,89 +111,5 @@ func TestTunerByteIdenticalToPrePipelineGolden(t *testing.T) {
 		"baseline=1.9067693150852072 verifycost=55.091979105070301"
 	if got != want {
 		t.Fatalf("tuner diverged from the pre-refactor golden:\ngot  %s\nwant %s", got, want)
-	}
-}
-
-// TestAsyncLearnDeterministicThroughFacade drives the pipelined mode
-// end to end through Learn: it completes the budget and is
-// bit-deterministic across evaluator worker counts.
-func TestAsyncLearnDeterministicThroughFacade(t *testing.T) {
-	k, err := KernelByName("mvt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) *LearnResult {
-		opts := quickLearnOptions()
-		opts.Learner.Batch = 4
-		opts.Learner.Async = true
-		opts.Learner.EvalWorkers = workers
-		res, err := Learn(k, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(1)
-	if base.StoppedBy != StopBudget || base.Acquired != 60 {
-		t.Fatalf("async run ended %v after %d acquisitions", base.StoppedBy, base.Acquired)
-	}
-	if math.IsNaN(base.FinalError) || base.Cost <= 0 {
-		t.Fatalf("async run produced unusable result: %+v", base.LearnerResult)
-	}
-	for _, workers := range []int{4, 8} {
-		res := run(workers)
-		if res.Cost != base.Cost || res.FinalError != base.FinalError ||
-			res.Observations != base.Observations || res.Unique != base.Unique {
-			t.Fatalf("async evalWorkers=%d diverged: cost %v vs %v, err %v vs %v",
-				workers, res.Cost, base.Cost, res.FinalError, base.FinalError)
-		}
-	}
-}
-
-// TestAsyncStepwiseCancellation exercises the facade's step-wise
-// surface with the pipeline on: cancel mid-run, inspect the snapshot,
-// resume, close.
-func TestAsyncStepwiseCancellation(t *testing.T) {
-	k, err := KernelByName("mm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := quickLearnOptions()
-	opts.Learner.Batch = 4
-	opts.Learner.Async = true
-	opts.Learner.EvalWorkers = 4
-	opts.Learner.EvalLatency = time.Millisecond
-	ds, err := GenerateDataset(k, DatasetOptions{
-		NConfigs:   opts.PoolSize + opts.TestSize,
-		NObs:       opts.Learner.NObs,
-		TrainCount: opts.PoolSize,
-		Seed:       opts.DatasetSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLearner(ds, opts.Learner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	res, err := l.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StoppedBy != StopCancelled {
-		t.Fatalf("StoppedBy = %v, want StopCancelled", res.StoppedBy)
-	}
-	res2, err := l.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.StoppedBy != StopBudget {
-		t.Fatalf("resumed run ended %v", res2.StoppedBy)
 	}
 }

@@ -5,15 +5,13 @@
 // bottleneck. This example drives the evaluator engine through that
 // regime: a per-measurement latency (-latency) stands in for a real
 // compile+run cycle, and each batch measures on -eval-workers
-// concurrent workers, optionally with the asynchronous pipeline
-// (round t measuring while round t+1 is scored) enabled.
+// concurrent workers.
 //
 // Measured wall-clock is real; the "cost" column is the paper's §4.3
-// simulated profiling seconds. Serial sync at batch=1 reproduces the
-// classic loop; the other rows show how the same budget scales with
-// cores. Sync rows are bit-identical to serial at every worker count;
-// async rows differ (selection sees a one-round-stale model) but are
-// themselves deterministic for every worker count.
+// simulated profiling seconds. The serial row at batch=1 reproduces
+// the classic loop; the other rows show how the same budget scales
+// with cores. Rows of the same batch width are bit-identical at every
+// worker count.
 //
 //	go run ./examples/batch-parallel
 //	go run ./examples/batch-parallel -kernel atax -batch 16 -eval-workers 16
@@ -42,20 +40,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("batched evaluation pipeline on %s: %d acquisitions, %v per measurement\n\n",
+	fmt.Printf("batched evaluation on %s: %d acquisitions, %v per measurement\n\n",
 		k.Name, *nmax, *latency)
 
 	type mode struct {
 		name    string
 		batch   int
 		workers int
-		async   bool
 	}
 	modes := []mode{
-		{"serial sync", 1, 1, false},
-		{fmt.Sprintf("batch=%d sync w=1", *batch), *batch, 1, false},
-		{fmt.Sprintf("batch=%d sync w=%d", *batch, *workers), *batch, *workers, false},
-		{fmt.Sprintf("batch=%d async w=%d", *batch, *workers), *batch, *workers, true},
+		{"serial", 1, 1},
+		{fmt.Sprintf("batch=%d w=1", *batch), *batch, 1},
+		{fmt.Sprintf("batch=%d w=%d", *batch, *workers), *batch, *workers},
 	}
 
 	// Generate the corpus once, outside the timers, so the wall-clock
@@ -78,14 +74,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tab := report.NewTable("evaluation pipeline comparison",
+	tab := report.NewTable("batched evaluation comparison",
 		"mode", "wall clock", "speedup", "final RMSE (s)", "sim cost (s)", "unique", "revisits")
 	var serialWall time.Duration
 	for _, m := range modes {
 		lopts := opts.Learner
 		lopts.Batch = m.batch
 		lopts.EvalWorkers = m.workers
-		lopts.Async = m.async
 
 		start := time.Now()
 		res, err := alic.RunOnDataset(ds, lopts)
@@ -105,6 +100,5 @@ func main() {
 	if err := tab.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nsync rows select identical configurations at every worker count;")
-	fmt.Println("the async row trades one round of model staleness for pipeline overlap.")
+	fmt.Println("\nrows of the same batch width select identical configurations at every worker count.")
 }

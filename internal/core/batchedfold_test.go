@@ -47,8 +47,8 @@ func TestBatchedFoldMatchesSerialLoop(t *testing.T) {
 			o.Model = serialFoldBuilder{inner: model.DynatreeBuilder{Config: o.Tree}}
 		}
 		pool := gridPool(400)
-		oracle := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.2 }, 0.5, 99)
-		l, err := New(o, pool, oracle, nil)
+		src := newFuncSource(pool, stepFn, constSigma(0.2), 0.5, 99)
+		l, err := New(o, pool, newEngine(src, o), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +109,8 @@ func TestProgressPhaseSplit(t *testing.T) {
 		lastScore, lastUpdate = p.ScoreSeconds, p.UpdateSeconds
 	}
 	pool := gridPool(300)
-	oracle := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.1 }, 0.5, 3)
-	l, err := New(o, pool, oracle, nil)
+	src := newFuncSource(pool, stepFn, constSigma(0.1), 0.5, 3)
+	l, err := New(o, pool, newEngine(src, o), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

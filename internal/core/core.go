@@ -12,20 +12,18 @@
 // backend behind it (model.Model, selected via Options.Model), the
 // acquisition heuristic (Acquisition — alc, alm, random, or a custom
 // registration), and the observation schedule (SamplingPlan — variable,
-// fixed, or custom). Execution is step-wise: Step advances one
-// acquisition round, and Run drives Step to completion under a
-// context.Context with an optional progress callback — the shape a
-// long-running tuning service needs.
+// fixed, or custom). Execution is step-wise: every round is a
+// selection (BeginRound) followed by an observation (FinishRound).
+// Step runs the two back to back, Run drives Step to completion under
+// a context.Context with an optional progress callback, and a serving
+// scheduler may call the two phases separately — all three share one
+// code path.
 //
 // Measurement flows through the evaluator engine
 // (internal/evaluator): each round's whole acquisition batch is
-// dispatched as one ObserveBatch (or one asynchronous Submit) and the
-// results are folded into the model in scheduling order. Synchronous
-// mode is bit-identical to the historical serial loop at every
-// evaluator worker count; Options.Async additionally overlaps round
-// t's measurement with round t+1's candidate scoring, trading
-// one-round model staleness for wall-clock — results then differ from
-// synchronous mode but remain bit-deterministic across worker counts.
+// dispatched as one ObserveBatch and the results are folded into the
+// model in scheduling order, bit-identical to the historical serial
+// loop at every evaluator worker count.
 //
 //alic:deterministic
 package core
@@ -35,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,11 +50,6 @@ import (
 // the failure mode a serving layer multiplexing many learners makes
 // reachable.
 var ErrClosed = errors.New("core: learner closed")
-
-// Oracle is the legacy per-observation measurement interface, kept as
-// an alias of the evaluator package's definition so synthetic oracles
-// plug straight into New.
-type Oracle = evaluator.Oracle
 
 // Pool is the set F of all configurations the learner may sample.
 type Pool interface {
@@ -119,21 +111,10 @@ type Options struct {
 	// same configurations and yields bit-identical results; Workers
 	// changes wall-clock time only.
 	Workers int
-	// Async pipelines evaluation: round t's batch measures on the
-	// evaluator engine while round t+1's candidates are scored with
-	// the current (one round stale) model, and results are folded in
-	// scheduling order once scoring completes. Results differ from
-	// synchronous mode (the selection model lags one round) but are
-	// bit-deterministic across evaluator worker counts. An async
-	// round may re-select a configuration whose measurements are
-	// still in flight; the engine's scheduling-time ordinal ledger
-	// guarantees its compile cost is still charged only once.
-	Async bool
 	// EvalWorkers bounds concurrent measurements inside the evaluator
 	// engine (0 = GOMAXPROCS, 1 = serial). It is consumed by whoever
 	// constructs the engine (the alic facade, the experiment harness);
-	// results are bit-identical for every value in both sync and
-	// async modes.
+	// results are bit-identical for every value.
 	EvalWorkers int
 	// EvalLatency simulates per-measurement profiling latency in the
 	// evaluator engine — the knob that reproduces the
@@ -186,9 +167,6 @@ type Progress struct {
 	Observations int
 	// Cost is the cumulative evaluation cost in seconds.
 	Cost float64
-	// InFlight counts acquisitions submitted to the evaluator but not
-	// yet folded into the model (asynchronous mode only).
-	InFlight int
 	// ScoreSeconds and UpdateSeconds split the learner's cumulative
 	// model-side wall clock between candidate scoring (selection) and
 	// folding observed rounds into the model, excluding measurement
@@ -253,7 +231,7 @@ func (o Options) validate(poolLen int, plan SamplingPlan) error {
 }
 
 // ModelEvaluator measures model quality (e.g. RMSE on a held-out test
-// set). Distinct from evaluator.Evaluator, the measurement engine.
+// set). Distinct from evaluator.Engine, the measurement engine.
 type ModelEvaluator func(m model.Model) float64
 
 // CurvePoint is one sample of the learning curve.
@@ -331,14 +309,8 @@ func (r StopReason) String() string {
 	}
 }
 
-// inflight is one submitted-but-unfolded asynchronous round.
-type inflight struct {
-	chosen []int
-	n      int // observations per acquisition
-}
-
-// round is one begun-but-unobserved synchronous round (the split-phase
-// BeginRound/FinishRound path a serving scheduler drives).
+// round is one begun-but-unobserved round, parked by BeginRound until
+// FinishRound observes it.
 type round struct {
 	chosen  []int
 	n       int  // observations per acquisition
@@ -353,15 +325,15 @@ type round struct {
 // BeginRound, FinishRound and Result serialise on an internal mutex,
 // and every entry point after Close reports ErrClosed instead of
 // racing the torn-down engine. Close itself never waits for an
-// in-progress Step — it tears down the engine, which unblocks a Step
-// parked on measurement results.
+// in-progress Step: a batch already measuring completes, and the next
+// entry point reports ErrClosed.
 type Learner struct {
 	opts    Options
 	plan    SamplingPlan
 	acq     Acquisition
 	builder model.Builder
 	pool    Pool
-	ev      evaluator.Evaluator
+	ev      *evaluator.Engine
 	eval    ModelEvaluator
 	r       *rng.Stream
 
@@ -406,14 +378,10 @@ type Learner struct {
 	acquired     int
 	observations int
 	revisits     int
-	// scheduled counts acquisitions handed to the evaluator, including
-	// the in-flight round of asynchronous mode (== acquired in sync).
-	scheduled int
-	pending   *inflight
-	// begun is the split-phase round selected by BeginRound and not yet
-	// observed by FinishRound (nil otherwise). Step drives the same two
-	// phases back to back, so the sync loop and a split-phase scheduler
-	// are bit-identical by construction.
+	// begun is the round selected by BeginRound and not yet observed
+	// by FinishRound (nil otherwise). Step drives the same two phases
+	// back to back, so the Step loop and a split-phase scheduler are
+	// bit-identical by construction.
 	begun *round
 	// lastRoundCost is the §4.3 ledger delta of the last folded round
 	// (seed or acquisition) — the per-step cost accounting a serving
@@ -421,38 +389,16 @@ type Learner struct {
 	lastRoundCost float64
 	// lastSeq is the evaluator sequence number of the last folded
 	// observation; cost checkpoints are read through it so they are
-	// bit-identical to the serial accumulator (and deterministic while
-	// an async round is still completing).
+	// bit-identical to the serial accumulator.
 	lastSeq   int
 	curve     []CurvePoint
 	preq      *prequential
 	stoppedBy StopReason
 }
 
-// New constructs a learner over a legacy per-observation oracle,
-// wrapping it in a strictly serial evaluator engine that reproduces
-// the historical call sequence exactly. The evaluator may be nil.
-func New(opts Options, pool Pool, oracle Oracle, eval ModelEvaluator) (*Learner, error) {
-	if oracle == nil {
-		return nil, fmt.Errorf("core: nil oracle")
-	}
-	if opts.Async {
-		// A legacy oracle accounts its own cost with no per-observation
-		// ledger, so the async mode's cost checkpoints (stop criteria
-		// and curve points read through the last folded observation)
-		// cannot be honoured: the oracle's total would already include
-		// the in-flight round. Async needs an engine over a Source.
-		return nil, fmt.Errorf("core: Async requires an evaluator engine with per-observation cost accounting (use NewWithEvaluator); legacy oracles are serial-only")
-	}
-	return NewWithEvaluator(opts, pool, evaluator.FromOracle(oracle, evaluator.Options{
-		Latency: opts.EvalLatency,
-	}), eval)
-}
-
-// NewWithEvaluator constructs a learner over an evaluation engine —
-// the path that unlocks parallel and asynchronous measurement (see
-// internal/evaluator). The model evaluator may be nil.
-func NewWithEvaluator(opts Options, pool Pool, ev evaluator.Evaluator, eval ModelEvaluator) (*Learner, error) {
+// New constructs a learner over a pool and the evaluator engine that
+// measures it (see internal/evaluator). The model evaluator may be nil.
+func New(opts Options, pool Pool, ev *evaluator.Engine, eval ModelEvaluator) (*Learner, error) {
 	if pool == nil || ev == nil {
 		return nil, fmt.Errorf("core: nil pool or evaluator")
 	}
@@ -518,34 +464,26 @@ func (l *Learner) Model() model.Model {
 	return l.model
 }
 
-// Evaluator returns the measurement engine the learner drives.
-func (l *Learner) Evaluator() evaluator.Evaluator { return l.ev }
-
 // costNow returns the evaluation cost through the last folded
 // observation — the serial accumulator's value at this point of the
-// run. Engines expose the checkpoint via CostThrough; other
-// evaluators fall back to their running total.
+// run. Before anything has folded it is the engine's running total
+// (non-zero only after a failed seed round).
 func (l *Learner) costNow() float64 {
-	if ct, ok := l.ev.(interface{ CostThrough(seq int) float64 }); ok && l.lastSeq >= 0 {
-		return ct.CostThrough(l.lastSeq)
+	if l.lastSeq < 0 {
+		return l.ev.Cost()
 	}
-	return l.ev.Cost()
+	return l.ev.CostThrough(l.lastSeq)
 }
 
-// Close releases the learner's evaluator engine, if it is closeable.
-// In-flight asynchronous measurements are unblocked and discarded; a
-// closed learner cannot continue a run — every later entry point
-// (including a second Close) reports ErrClosed. Close deliberately
-// does not wait for an in-progress Step: tearing down the engine is
-// what unblocks a Step parked on measurement results.
+// Close releases the learner's evaluator engine. A closed learner
+// cannot continue a run — every later entry point (including a second
+// Close) reports ErrClosed. Close deliberately does not wait for an
+// in-progress Step.
 func (l *Learner) Close() error {
 	if l.closed.Swap(true) {
 		return ErrClosed
 	}
-	if c, ok := l.ev.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
+	return l.ev.Close()
 }
 
 // closedErr maps an error surfaced mid-step after a concurrent Close
@@ -562,11 +500,10 @@ func (l *Learner) closedErr(err error) error {
 // Step advances the learner by one acquisition round: the first call
 // seeds the model with NInit random configurations; each later call
 // selects one batch with the acquisition heuristic and dispatches it
-// to the evaluator per the sampling plan (in asynchronous mode the
-// previous round's results are folded while the new one measures).
-// It returns false once a completion criterion has fired (inspect
-// Result().StoppedBy for which), after which further calls are
-// no-ops. After Close, Step reports ErrClosed.
+// to the evaluator per the sampling plan. It returns false once a
+// completion criterion has fired (inspect Result().StoppedBy for
+// which), after which further calls are no-ops. After Close, Step
+// reports ErrClosed.
 func (l *Learner) Step() (more bool, err error) {
 	if l.closed.Load() {
 		return false, ErrClosed
@@ -577,16 +514,13 @@ func (l *Learner) Step() (more bool, err error) {
 	return more, l.closedErr(err)
 }
 
-// step is Step under the mutex: one synchronous round is a BeginRound
-// (selection) immediately followed by a FinishRound (observation), so
-// the sync loop and a split-phase external scheduler are bit-identical
-// by construction.
+// step is Step under the mutex: one round is a BeginRound (selection)
+// immediately followed by a FinishRound (observation), so the Step
+// loop and a split-phase external scheduler are bit-identical by
+// construction.
 func (l *Learner) step() (bool, error) {
 	if l.done() {
 		return false, nil
-	}
-	if l.opts.Async && l.model != nil {
-		return l.stepAsync()
 	}
 	if l.begun == nil {
 		if err := l.beginRound(); err != nil {
@@ -639,14 +573,13 @@ func (l *Learner) finishRound() (bool, error) {
 	if rd.seeding {
 		err = l.seedObserve(rd.chosen, rd.n)
 	} else {
-		err = l.observeSync(rd.chosen, rd.n)
+		err = l.observeRound(rd.chosen, rd.n)
 	}
 	l.begun = nil
 	if err != nil {
 		return false, err
 	}
 	l.lastRoundCost = l.costNow() - costBefore
-	l.scheduled = l.acquired
 	l.checkStop()
 	return !l.done(), nil
 }
@@ -658,8 +591,7 @@ func (l *Learner) finishRound() (bool, error) {
 type PendingObservation struct {
 	// Item is the pool index to observe.
 	Item int
-	// First is the first observation ordinal this round consumes (-1
-	// when the engine does not expose per-item scheduling counts).
+	// First is the first observation ordinal this round consumes.
 	First int
 	// Count is how many consecutive ordinals the round takes.
 	Count int
@@ -674,17 +606,12 @@ type PendingObservation struct {
 // PendingObservations (the non-blocking ready check) and FinishRound
 // it lets an external scheduler gate the possibly-remote, slow
 // measurement phase without blocking a scheduler thread inside Step.
-// Asynchronous learners (Options.Async) pipeline rounds internally and
-// reject BeginRound.
 func (l *Learner) BeginRound() ([]int, error) {
 	if l.closed.Load() {
 		return nil, ErrClosed
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.opts.Async {
-		return nil, fmt.Errorf("core: BeginRound on an asynchronous learner (Options.Async pipelines rounds internally)")
-	}
 	if l.done() {
 		return nil, nil
 	}
@@ -719,14 +646,9 @@ func (l *Learner) PendingObservations() []PendingObservation {
 	if l.begun == nil {
 		return nil
 	}
-	sched, ok := l.ev.(interface{ Scheduled(i int) int })
 	out := make([]PendingObservation, len(l.begun.chosen))
 	for j, idx := range l.begun.chosen {
-		first := -1
-		if ok {
-			first = sched.Scheduled(idx)
-		}
-		out[j] = PendingObservation{Item: idx, First: first, Count: l.begun.n}
+		out[j] = PendingObservation{Item: idx, First: l.ev.Scheduled(idx), Count: l.begun.n}
 	}
 	return out
 }
@@ -752,8 +674,7 @@ func (l *Learner) FinishRound() (more bool, err error) {
 }
 
 // Cost returns the §4.3 evaluation cost through the last folded
-// observation — deterministic mid-run even while an asynchronous
-// round is still measuring.
+// observation.
 func (l *Learner) Cost() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -769,145 +690,9 @@ func (l *Learner) LastRoundCost() float64 {
 	return l.lastRoundCost
 }
 
-// stepAsync advances one pipelined round: score the next batch with
-// the current (one round stale) model while the previous batch
-// measures, fold the previous batch in scheduling order, then submit
-// the new one.
-func (l *Learner) stepAsync() (bool, error) {
-	hadInflight := l.pending != nil
-	var next []int
-	if l.scheduled < l.opts.NMax {
-		batch := l.opts.Batch
-		if rem := l.opts.NMax - l.scheduled; batch > rem {
-			batch = rem
-		}
-		var err error
-		t0 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed learner arithmetic
-		next, err = l.selectBatch(batch)
-		l.scoreNS += time.Since(t0).Nanoseconds() //alic:allow detfloat wall-clock phase accounting only
-		if err != nil {
-			return false, err
-		}
-	}
-	if l.pending != nil {
-		if err := l.collectRound(); err != nil {
-			return false, err
-		}
-	}
-	if len(next) > 0 {
-		if err := l.submitRound(next); err != nil {
-			return false, err
-		}
-	} else if !hadInflight && l.scheduled < l.opts.NMax {
-		// The candidate pool was already dry with nothing in flight
-		// that folding could have made revisitable.
-		l.stoppedBy = StopExhausted
-		return false, nil
-	}
-	l.checkStop()
-	if l.done() && l.pending != nil {
-		// A cost/error criterion fired with a round still measuring:
-		// drain it so the snapshot stays consistent with the charges.
-		if err := l.collectRound(); err != nil {
-			return false, err
-		}
-	}
-	return !l.done(), nil
-}
-
-// submitRound hands one acquisition batch to the evaluator without
-// waiting for results.
-func (l *Learner) submitRound(chosen []int) error {
-	n := l.plan.AcquireObservations(l.opts)
-	if err := l.ev.Submit(nil, evaluator.Repeat(chosen, n)); err != nil {
-		return err
-	}
-	l.pending = &inflight{chosen: chosen, n: n}
-	l.scheduled += len(chosen)
-	return nil
-}
-
-// collectRound blocks until the in-flight round's observations arrive,
-// reorders them into scheduling order, and folds them into the model —
-// so the learner state after a fold is independent of completion order.
-// A closed engine fails the collection (results dropped after Close
-// never arrive) instead of wedging it.
-func (l *Learner) collectRound() error {
-	rd := l.pending
-	l.pending = nil
-	err := l.collect(rd)
-	if err != nil {
-		// The round is lost (nothing was folded): free its slice of
-		// the acquisition budget so a resumed run can re-acquire it
-		// instead of spinning with scheduled pinned at NMax while
-		// acquired never reaches it.
-		l.scheduled -= len(rd.chosen)
-	}
-	return err
-}
-
-// collect gathers and folds one round's observations.
-func (l *Learner) collect(rd *inflight) error {
-	total := len(rd.chosen) * rd.n
-	got := make([]evaluator.Observation, 0, total)
-	var closed <-chan struct{}
-	if d, ok := l.ev.(interface{ Done() <-chan struct{} }); ok {
-		closed = d.Done()
-	}
-	var firstErr error
-	for len(got) < total {
-		//alic:allow detfloat arrival order is free: observations carry scheduling-time Seq and are sorted before folding
-		select {
-		case o, ok := <-l.ev.Results():
-			if !ok {
-				return fmt.Errorf("core: evaluator results channel closed mid-round")
-			}
-			if o.Err != nil && firstErr == nil {
-				firstErr = o.Err
-			}
-			got = append(got, o)
-		case <-closed:
-			// Drain whatever reached the buffer before the engine shut
-			// down; anything still missing was dropped and will never
-			// arrive.
-			for len(got) < total {
-				select {
-				case o := <-l.ev.Results():
-					if o.Err != nil && firstErr == nil {
-						firstErr = o.Err
-					}
-					got = append(got, o)
-				default:
-					return fmt.Errorf("core: collect %d of %d observations: %w",
-						len(got), total, evaluator.ErrClosed)
-				}
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
-	t0 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed learner arithmetic
-	defer func() {
-		l.updateNS += time.Since(t0).Nanoseconds() //alic:allow detfloat wall-clock phase accounting only
-	}()
-	if l.batchedFold() {
-		l.foldRound(rd.chosen, got, rd.n)
-		return nil
-	}
-	pos := 0
-	for _, idx := range rd.chosen {
-		l.fold(idx, got[pos:pos+rd.n])
-		pos += rd.n
-	}
-	return nil
-}
-
-// observeSync dispatches one acquisition batch synchronously and folds
-// the results — the mode that is bit-identical to the historical
-// serial loop.
-func (l *Learner) observeSync(chosen []int, n int) error {
+// observeRound dispatches one acquisition batch and folds the results
+// in scheduling order — bit-identical to the historical serial loop.
+func (l *Learner) observeRound(chosen []int, n int) error {
 	obs, err := l.ev.ObserveBatch(evaluator.Repeat(chosen, n))
 	if err != nil {
 		return err
@@ -1029,9 +814,7 @@ func (l *Learner) checkStop() {
 // graceful and non-destructive: the returned snapshot reports
 // StoppedBy == StopCancelled with a nil error, while the learner
 // itself stays resumable — call Run or Step again to continue the same
-// run (an asynchronous round in flight at cancellation is folded by
-// the resuming step). Options.Progress, when set, is invoked after
-// every step.
+// run. Options.Progress, when set, is invoked after every step.
 func (l *Learner) Run(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1072,7 +855,6 @@ func (l *Learner) progress() Progress {
 		Acquired:      l.acquired,
 		Observations:  l.observations,
 		Cost:          l.costNow(),
-		InFlight:      l.scheduled - l.acquired,
 		ScoreSeconds:  float64(l.scoreNS) / 1e9,
 		UpdateSeconds: float64(l.updateNS) / 1e9,
 		Done:          l.done(),

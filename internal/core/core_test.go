@@ -4,55 +4,58 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"alic/internal/evaluator"
 	"alic/internal/model"
 	"alic/internal/rng"
 	"alic/internal/stats"
 )
 
-// funcOracle simulates profiling a synthetic response surface with
-// configurable noise and compile cost.
-type funcOracle struct {
+// funcSource simulates profiling a synthetic response surface with
+// configurable noise and compile cost. It is a pure evaluator source:
+// observation (i, ord) draws its noise from a stream keyed by the
+// seed, the item and the ordinal, and the compile cost rides on
+// ordinal zero, so the engine's ledger charges it once per item.
+type funcSource struct {
 	pool        SlicePool
 	fn          func(x []float64) float64
 	noiseSigma  func(x []float64) float64
 	compileCost float64
-
-	r        *rng.Stream
-	cost     float64
-	compiled map[int]bool
-	observes int
+	seed        uint64
 }
 
-func newFuncOracle(pool SlicePool, fn func([]float64) float64,
-	sigma func([]float64) float64, compileCost float64, seed uint64) *funcOracle {
-	return &funcOracle{
-		pool:        pool,
-		fn:          fn,
-		noiseSigma:  sigma,
-		compileCost: compileCost,
-		r:           rng.New(seed),
-		compiled:    make(map[int]bool),
-	}
+func newFuncSource(pool SlicePool, fn func([]float64) float64,
+	sigma func([]float64) float64, compileCost float64, seed uint64) *funcSource {
+	return &funcSource{pool: pool, fn: fn, noiseSigma: sigma, compileCost: compileCost, seed: seed}
 }
 
-func (o *funcOracle) Observe(i int) (float64, error) {
-	if !o.compiled[i] {
-		o.compiled[i] = true
-		o.cost += o.compileCost
-	}
-	x := o.pool[i]
-	y := o.fn(x) + o.r.Norm()*o.noiseSigma(x)
+func (s *funcSource) Measure(i, ord int) (evaluator.Sample, error) {
+	r := rng.NewStream(s.seed^uint64(i)*0x9e3779b97f4a7c15, uint64(ord)+1)
+	x := s.pool[i]
+	y := s.fn(x) + r.Norm()*s.noiseSigma(x)
 	if y < 0.001 {
 		y = 0.001
 	}
-	o.cost += y
-	o.observes++
-	return y, nil
+	out := evaluator.Sample{Value: y}
+	if ord == 0 {
+		out.Compile = s.compileCost
+	}
+	return out, nil
 }
 
-func (o *funcOracle) Cost() float64 { return o.cost }
+// constSigma is a homoskedastic noise level for funcSource.
+func constSigma(v float64) func([]float64) float64 {
+	return func([]float64) float64 { return v }
+}
+
+// newEngine wraps a source in an engine sized by the options'
+// EvalWorkers and EvalLatency, as the facade does.
+func newEngine(src evaluator.Source, opts Options) *evaluator.Engine {
+	return evaluator.New(src, evaluator.Options{Workers: opts.EvalWorkers, Latency: opts.EvalLatency})
+}
 
 // gridPool builds a 1D pool of n evenly spaced points in [0, 1].
 func gridPool(n int) SlicePool {
@@ -101,7 +104,7 @@ func testEval(fn func([]float64) float64) ModelEvaluator {
 
 func TestNewValidation(t *testing.T) {
 	pool := gridPool(50)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.01 }, 0.1, 1)
+	src := newFuncSource(pool, stepFn, constSigma(0.01), 0.1, 1)
 	cases := []func(*Options){
 		func(o *Options) { o.NInit = 0 },
 		func(o *Options) { o.NObs = 0 },
@@ -114,23 +117,23 @@ func TestNewValidation(t *testing.T) {
 	for i, mutate := range cases {
 		o := smallOpts()
 		mutate(&o)
-		if _, err := New(o, pool, ora, nil); err == nil {
+		if _, err := New(o, pool, newEngine(src, o), nil); err == nil {
 			t.Fatalf("case %d: invalid options accepted", i)
 		}
 	}
-	if _, err := New(smallOpts(), nil, ora, nil); err == nil {
+	if _, err := New(smallOpts(), nil, newEngine(src, smallOpts()), nil); err == nil {
 		t.Fatal("nil pool accepted")
 	}
 	if _, err := New(smallOpts(), pool, nil, nil); err == nil {
-		t.Fatal("nil oracle accepted")
+		t.Fatal("nil engine accepted")
 	}
 }
 
 func TestLearnsStep(t *testing.T) {
 	pool := gridPool(400)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 2)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 2)
 	eval := testEval(stepFn)
-	l, err := New(smallOpts(), pool, ora, eval)
+	l, err := New(smallOpts(), pool, newEngine(src, smallOpts()), eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +159,8 @@ func TestLearnsStep(t *testing.T) {
 
 func TestCurveCostMonotone(t *testing.T) {
 	pool := gridPool(300)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 3)
-	l, _ := New(smallOpts(), pool, ora, testEval(stepFn))
+	eng := newEngine(newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 3), smallOpts())
+	l, _ := New(smallOpts(), pool, eng, testEval(stepFn))
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +172,8 @@ func TestCurveCostMonotone(t *testing.T) {
 		}
 		prev = p.Cost
 	}
-	if math.Abs(res.Cost-ora.Cost()) > 1e-12 {
-		t.Fatal("result cost disagrees with oracle")
+	if res.Cost != eng.Cost() {
+		t.Fatal("result cost disagrees with the engine ledger")
 	}
 }
 
@@ -185,10 +188,10 @@ func TestVariablePlanRevisitsNoisyRegions(t *testing.T) {
 		return 0.01
 	}
 	fn := func(x []float64) float64 { return 2 + x[0] }
-	ora := newFuncOracle(pool, fn, sigma, 0.05, 4)
+	src := newFuncSource(pool, fn, sigma, 0.05, 4)
 	opts := smallOpts()
 	opts.NMax = 200
-	l, _ := New(opts, pool, ora, nil)
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -222,12 +225,12 @@ func TestVariablePlanRevisitsNoisyRegions(t *testing.T) {
 
 func TestFixedPlanBookkeeping(t *testing.T) {
 	pool := gridPool(300)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.02 }, 0.05, 5)
+	src := newFuncSource(pool, stepFn, constSigma(0.02), 0.05, 5)
 	opts := smallOpts()
 	opts.Plan = FixedPlan
 	opts.PlanObs = 7
 	opts.NMax = 40
-	l, _ := New(opts, pool, ora, nil)
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -250,11 +253,11 @@ func TestVariableCheaperThanFixedAtSameAcquisitions(t *testing.T) {
 	sigma := func(x []float64) float64 { return 0.02 }
 	run := func(plan SamplingPlan, planObs int) float64 {
 		pool := gridPool(400)
-		ora := newFuncOracle(pool, fn, sigma, 0.05, 6)
+		src := newFuncSource(pool, fn, sigma, 0.05, 6)
 		opts := smallOpts()
 		opts.Plan = plan
 		opts.PlanObs = planObs
-		l, _ := New(opts, pool, ora, nil)
+		l, _ := New(opts, pool, newEngine(src, opts), nil)
 		res, err := l.Run(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -270,11 +273,11 @@ func TestVariableCheaperThanFixedAtSameAcquisitions(t *testing.T) {
 
 func TestStopCost(t *testing.T) {
 	pool := gridPool(300)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.02 }, 0.5, 7)
+	src := newFuncSource(pool, stepFn, constSigma(0.02), 0.5, 7)
 	opts := smallOpts()
 	opts.NMax = 10000
 	opts.StopCost = 50
-	l, _ := New(opts, pool, ora, nil)
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -290,11 +293,11 @@ func TestStopCost(t *testing.T) {
 
 func TestBatchAcquisition(t *testing.T) {
 	pool := gridPool(400)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 8)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 8)
 	opts := smallOpts()
 	opts.Batch = 5
 	opts.NMax = 64
-	l, _ := New(opts, pool, ora, testEval(stepFn))
+	l, _ := New(opts, pool, newEngine(src, opts), testEval(stepFn))
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -310,11 +313,11 @@ func TestBatchAcquisition(t *testing.T) {
 func TestScorers(t *testing.T) {
 	for _, sc := range []Acquisition{ALC, ALM, RandomScore} {
 		pool := gridPool(300)
-		ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 9)
+		src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 9)
 		opts := smallOpts()
 		opts.Scorer = sc
 		opts.NMax = 60
-		l, _ := New(opts, pool, ora, testEval(stepFn))
+		l, _ := New(opts, pool, newEngine(src, opts), testEval(stepFn))
 		res, err := l.Run(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name(), err)
@@ -328,8 +331,8 @@ func TestScorers(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	run := func() float64 {
 		pool := gridPool(300)
-		ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 10)
-		l, _ := New(smallOpts(), pool, ora, testEval(stepFn))
+		src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 10)
+		l, _ := New(smallOpts(), pool, newEngine(src, smallOpts()), testEval(stepFn))
 		res, err := l.Run(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -346,11 +349,11 @@ func TestCandidateSetDistinct(t *testing.T) {
 	// redraw constantly; every candidate must still be distinct, or a
 	// batch could acquire the same configuration twice.
 	pool := gridPool(12)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 21)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 21)
 	opts := smallOpts()
 	opts.NInit = 3
 	opts.NCand = 40
-	l, err := New(opts, pool, ora, nil)
+	l, err := New(opts, pool, newEngine(src, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,13 +377,13 @@ func TestSmallPoolExhaustion(t *testing.T) {
 	// Pool smaller than NMax: the learner must stop gracefully once
 	// every configuration is fully observed.
 	pool := gridPool(12)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 11)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 11)
 	opts := smallOpts()
 	opts.NInit = 3
 	opts.NObs = 2
 	opts.NCand = 10
 	opts.NMax = 1000
-	l, _ := New(opts, pool, ora, nil)
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -466,11 +469,11 @@ func TestStepWithCustomAcquisition(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := gridPool(300)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 13)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 13)
 	opts := smallOpts()
 	opts.Scorer = acq
 	opts.NMax = 40
-	l, err := New(opts, pool, ora, testEval(stepFn))
+	l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,10 +529,10 @@ func (nilBuilder) New(model.Params) (model.Model, error) { return nil, nil }
 
 func TestSeedRejectsNilModel(t *testing.T) {
 	pool := gridPool(100)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 22)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 22)
 	opts := smallOpts()
 	opts.Model = nilBuilder{}
-	l, err := New(opts, pool, ora, nil)
+	l, err := New(opts, pool, newEngine(src, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,37 +541,36 @@ func TestSeedRejectsNilModel(t *testing.T) {
 	}
 }
 
-// flakyOracle fails its first nth observation, then recovers.
-type flakyOracle struct {
-	*funcOracle
-	failAt int
-	calls  int
+// flakySource fails its failAt-th measurement, then recovers.
+type flakySource struct {
+	*funcSource
+	failAt int64
+	calls  atomic.Int64
 }
 
-func (o *flakyOracle) Observe(i int) (float64, error) {
-	o.calls++
-	if o.calls == o.failAt {
-		return 0, errTransient
+func (s *flakySource) Measure(i, ord int) (evaluator.Sample, error) {
+	if s.calls.Add(1) == s.failAt {
+		return evaluator.Sample{}, errTransient
 	}
-	return o.funcOracle.Observe(i)
+	return s.funcSource.Measure(i, ord)
 }
 
 var errTransient = errors.New("transient profiling failure")
 
 func TestSeedFailureIsRetryable(t *testing.T) {
 	pool := gridPool(200)
-	ora := &flakyOracle{
-		funcOracle: newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 20),
+	src := &flakySource{
+		funcSource: newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 20),
 		failAt:     3, // mid-seed
 	}
 	opts := smallOpts()
 	opts.NMax = 20
-	l, err := New(opts, pool, ora, nil)
+	l, err := New(opts, pool, newEngine(src, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Step(); !errors.Is(err, errTransient) {
-		t.Fatalf("first step error = %v, want the oracle failure", err)
+		t.Fatalf("first step error = %v, want the source failure", err)
 	}
 	// The failed attempt must not have committed any bookkeeping.
 	if got := len(l.ObservationCounts()); got != 0 {
@@ -607,10 +609,10 @@ func (emptyAcq) Select(model.Model, [][]float64, int, Rand) ([]int, error) {
 
 func TestSelectBatchRejectsEmptyPicks(t *testing.T) {
 	pool := gridPool(100)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 19)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 19)
 	opts := smallOpts()
 	opts.Scorer = emptyAcq{}
-	l, err := New(opts, pool, ora, nil)
+	l, err := New(opts, pool, newEngine(src, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,11 +629,11 @@ func TestSelectBatchRejectsEmptyPicks(t *testing.T) {
 
 func TestSelectBatchRejectsDuplicatePositions(t *testing.T) {
 	pool := gridPool(100)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 16)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 16)
 	opts := smallOpts()
 	opts.Scorer = dupAcq{}
 	opts.Batch = 3
-	l, err := New(opts, pool, ora, nil)
+	l, err := New(opts, pool, newEngine(src, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +647,7 @@ func TestSelectBatchRejectsDuplicatePositions(t *testing.T) {
 
 func TestRunCancellation(t *testing.T) {
 	pool := gridPool(300)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 14)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 14)
 	opts := smallOpts()
 	opts.NMax = 5000
 	opts.NObs = 2
@@ -657,7 +659,7 @@ func TestRunCancellation(t *testing.T) {
 			cancel()
 		}
 	}
-	l, err := New(opts, pool, ora, nil)
+	l, err := New(opts, pool, newEngine(src, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,10 +691,10 @@ func TestRunCancellation(t *testing.T) {
 
 func TestRunAfterDoneKeepsStopReason(t *testing.T) {
 	pool := gridPool(200)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 17)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 17)
 	opts := smallOpts()
 	opts.NMax = 20
-	l, err := New(opts, pool, ora, nil)
+	l, err := New(opts, pool, newEngine(src, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,11 +720,11 @@ func TestRunAfterDoneKeepsStopReason(t *testing.T) {
 func TestRegistryDynatreeMatchesDefault(t *testing.T) {
 	run := func(b model.Builder) float64 {
 		pool := gridPool(300)
-		ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 18)
+		src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 18)
 		opts := smallOpts()
 		opts.NMax = 40
 		opts.Model = b
-		l, err := New(opts, pool, ora, testEval(stepFn))
+		l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -739,12 +741,12 @@ func TestRegistryDynatreeMatchesDefault(t *testing.T) {
 
 func TestGPBackendThroughLoop(t *testing.T) {
 	pool := gridPool(200)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 15)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 15)
 	opts := smallOpts()
 	opts.NMax = 40
 	opts.NCand = 25
 	opts.Model = model.GPBuilder{MaxPoints: 60, RefitEvery: 4}
-	l, err := New(opts, pool, ora, testEval(stepFn))
+	l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,11 +779,11 @@ func TestALCOutperformsRandomOnHeteroskedastic(t *testing.T) {
 	sigma := func(x []float64) float64 { return 0.03 }
 	run := func(sc Acquisition) float64 {
 		pool := gridPool(600)
-		ora := newFuncOracle(pool, fn, sigma, 0.02, 12)
+		src := newFuncSource(pool, fn, sigma, 0.02, 12)
 		opts := smallOpts()
 		opts.Scorer = sc
 		opts.NMax = 150
-		l, _ := New(opts, pool, ora, testEval(fn))
+		l, _ := New(opts, pool, newEngine(src, opts), testEval(fn))
 		res, err := l.Run(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -803,11 +805,11 @@ func TestWorkersDeterminism(t *testing.T) {
 	for _, sc := range []Acquisition{ALC, ALM} {
 		run := func(workers int) (*Result, map[int]int) {
 			pool := gridPool(300)
-			ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 10)
+			src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 10)
 			opts := smallOpts()
 			opts.Scorer = sc
 			opts.Workers = workers
-			l, _ := New(opts, pool, ora, testEval(stepFn))
+			l, _ := New(opts, pool, newEngine(src, opts), testEval(stepFn))
 			res, err := l.Run(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -865,13 +867,13 @@ func TestIndexedPathMatchesRowPath(t *testing.T) {
 	for _, sc := range []Acquisition{ALC, ALM} {
 		run := func(rowOnly bool) (*Result, map[int]int) {
 			pool := gridPool(300)
-			ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.05 }, 0.05, 10)
+			src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 10)
 			opts := smallOpts()
 			opts.Scorer = sc
 			if rowOnly {
 				opts.Model = rowOnlyBuilder{inner: model.DynatreeBuilder{Config: opts.Tree}}
 			}
-			l, err := New(opts, pool, ora, testEval(stepFn))
+			l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -907,5 +909,64 @@ func TestIndexedPathMatchesRowPath(t *testing.T) {
 				t.Fatalf("%s: config %d observed %d (indexed) vs %d (row)", sc.Name(), k, v, rowCounts[k])
 			}
 		}
+	}
+}
+
+// resultKey compares everything deterministic about a run. Floats are
+// compared by bit pattern (NaN == NaN, and equality means identical,
+// not approximately equal).
+func resultKey(res *Result) []interface{} {
+	return []interface{}{
+		math.Float64bits(res.Cost), math.Float64bits(res.FinalError),
+		res.Acquired, res.Observations,
+		res.Unique, res.Revisits, math.Float64bits(res.PrequentialError),
+		res.StoppedBy, res.Curve,
+	}
+}
+
+// TestSyncEngineBitIdenticalAcrossEvalWorkers pins the engine's
+// determinism contract: a run produces byte-identical results at every
+// evaluator worker count, because values are pure in (item, ordinal)
+// and the cost ledger folds in scheduling order.
+func TestSyncEngineBitIdenticalAcrossEvalWorkers(t *testing.T) {
+	pool := gridPool(300)
+	var base []interface{}
+	for _, workers := range []int{1, 2, 8} {
+		opts := smallOpts()
+		opts.NMax = 40
+		opts.Batch = 4
+		opts.EvalEvery = 10
+		opts.EvalWorkers = workers
+		src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 7)
+		l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := l.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Acquired != 40 {
+			t.Fatalf("workers=%d acquired %d", workers, res.Acquired)
+		}
+		key := resultKey(res)
+		if base == nil {
+			base = key
+			continue
+		}
+		if !reflect.DeepEqual(key, base) {
+			t.Fatalf("workers=%d diverged from workers=1:\n%v\nvs\n%v", workers, key, base)
+		}
+	}
+}
+
+// TestEvalWorkersValidation covers the evaluator knob's guard rail.
+func TestEvalWorkersValidation(t *testing.T) {
+	pool := gridPool(50)
+	opts := smallOpts()
+	opts.EvalWorkers = -1
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 40)
+	if _, err := New(opts, pool, newEngine(src, opts), nil); err == nil {
+		t.Fatal("negative EvalWorkers accepted")
 	}
 }

@@ -15,9 +15,8 @@ import (
 // through different APIs observe identical measurement sequences.
 func newPhaseLearner(t *testing.T, opts Options, pool SlicePool) *Learner {
 	t.Helper()
-	eng := evaluator.New(&pureSource{pool: pool, fn: stepFn, sigma: 0.05, compileCost: 0.1, seed: 7},
-		evaluator.Options{Workers: 1})
-	l, err := NewWithEvaluator(opts, pool, eng, testEval(stepFn))
+	eng := evaluator.New(newFuncSource(pool, stepFn, constSigma(0.05), 0.1, 7), evaluator.Options{Workers: 1})
+	l, err := New(opts, pool, eng, testEval(stepFn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,25 +133,6 @@ func TestSplitPhaseMatchesStep(t *testing.T) {
 	// Cost through the last folded observation is also exposed directly.
 	if split.Cost() != got.Cost {
 		t.Fatalf("Cost() %v != Result().Cost %v", split.Cost(), got.Cost)
-	}
-}
-
-// TestBeginRoundRejectsAsync pins the contract that asynchronous
-// learners (which pipeline rounds internally) refuse the split-phase
-// API.
-func TestBeginRoundRejectsAsync(t *testing.T) {
-	opts := smallOpts()
-	opts.Async = true
-	pool := gridPool(100)
-	eng := evaluator.New(&pureSource{pool: pool, fn: stepFn, sigma: 0.05, compileCost: 0.1, seed: 7},
-		evaluator.Options{Workers: 1})
-	l, err := NewWithEvaluator(opts, pool, eng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := l.BeginRound(); err == nil {
-		t.Fatal("BeginRound on an async learner did not error")
 	}
 }
 

@@ -19,14 +19,6 @@ var ErrSnapshotMismatch = errors.New("core: snapshot from a differently-configur
 // learnerFormat versions the learner section payload.
 const learnerFormat = 1
 
-// ledgerCodec is the evaluator-engine extension snapshots require:
-// the §4.3 cost ledger must survive the process for the determinism
-// contract (and the accounting) to hold.
-type ledgerCodec interface {
-	SnapshotLedger() ([]byte, error)
-	RestoreLedger(payload []byte) error
-}
-
 // Section names inside the learner container. Readers skip names they
 // do not recognise (the forward-compat rule), so additions are free;
 // renames and semantic changes bump learnerFormat instead.
@@ -49,13 +41,8 @@ const (
 // at any worker count, and the remaining rounds are byte-identical to
 // never having stopped.
 //
-// The learner must be between rounds or parked on a BeginRound; an
-// asynchronous learner with a round still measuring folds it first
-// (the resumed trajectory then matches a sync-folded continuation,
-// not the uninterrupted pipeline — async snapshots are documented as
-// a fold point). The evaluator must support the ledger codec
-// (evaluator.Engine does); the backend must implement
-// model.Snapshotter once seeded.
+// The learner must be between rounds or parked on a BeginRound; the
+// backend must implement model.Snapshotter once seeded.
 func (l *Learner) Snapshot(w io.Writer) error {
 	if l.closed.Load() {
 		return ErrClosed
@@ -63,24 +50,14 @@ func (l *Learner) Snapshot(w io.Writer) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
-	lc, ok := l.ev.(ledgerCodec)
-	if !ok {
-		return fmt.Errorf("core: evaluator %T does not support ledger snapshots", l.ev)
-	}
-	if l.pending != nil {
-		// Fold the in-flight async round so the ledger is quiescent and
-		// the model state is well-defined.
-		if err := l.collectRound(); err != nil {
-			return l.closedErr(err)
-		}
-	}
 	var ms model.Snapshotter
 	if l.model != nil {
+		var ok bool
 		if ms, ok = l.model.(model.Snapshotter); !ok {
 			return fmt.Errorf("core: model backend %q does not support snapshots", l.builder.Name())
 		}
 	}
-	ledger, err := lc.SnapshotLedger()
+	ledger, err := l.ev.SnapshotLedger()
 	if err != nil {
 		return err
 	}
@@ -101,7 +78,9 @@ func (l *Learner) Snapshot(w io.Writer) error {
 	e.Int(l.opts.PlanObs)
 	e.Int(l.opts.EvalEvery)
 	e.U64(l.opts.Seed)
-	e.Bool(l.opts.Async)
+	// Formerly the asynchronous-pipeline flag; always false now, and
+	// kept so snapshots stay byte-compatible in both directions.
+	e.Bool(false)
 	e.String(l.plan.Name())
 	e.String(l.acq.Name())
 	e.String(l.builder.Name())
@@ -109,7 +88,9 @@ func (l *Learner) Snapshot(w io.Writer) error {
 	e.Int(l.acquired)
 	e.Int(l.observations)
 	e.Int(l.revisits)
-	e.Int(l.scheduled)
+	// Formerly the scheduled-acquisitions count, which equals acquired
+	// whenever a learner can be snapshotted.
+	e.Int(l.acquired)
 	e.F64(l.lastRoundCost)
 	e.Int(l.lastSeq)
 	e.Int(int(l.stoppedBy))
@@ -195,11 +176,6 @@ func (l *Learner) Restore(r io.Reader) error {
 	if l.model != nil || l.acquired != 0 || l.begun != nil || len(l.order) != 0 {
 		return fmt.Errorf("core: Restore on a learner that has already run")
 	}
-	lc, ok := l.ev.(ledgerCodec)
-	if !ok {
-		return fmt.Errorf("core: evaluator %T does not support ledger snapshots", l.ev)
-	}
-
 	c, err := snapshot.Read(r)
 	if err != nil {
 		return err
@@ -241,8 +217,10 @@ func (l *Learner) Restore(r io.Reader) error {
 	if got := d.U64(); d.Err() == nil && got != l.opts.Seed {
 		bad = append(bad, guard{"Seed", fmt.Sprint(got), fmt.Sprint(l.opts.Seed)})
 	}
-	if got := d.Bool(); d.Err() == nil && got != l.opts.Async {
-		bad = append(bad, guard{"Async", fmt.Sprint(got), fmt.Sprint(l.opts.Async)})
+	// Snapshots taken by asynchronous-pipeline learners (a mode that no
+	// longer exists) cannot resume on the single round driver.
+	if got := d.Bool(); d.Err() == nil && got {
+		bad = append(bad, guard{"Async", "true", "false"})
 	}
 	strGuard("plan", l.plan.Name())
 	strGuard("scorer", l.acq.Name())
@@ -264,7 +242,7 @@ func (l *Learner) Restore(r io.Reader) error {
 	acquired := d.Int()
 	observations := d.Int()
 	revisits := d.Int()
-	scheduled := d.Int()
+	d.Int() // the scheduled-acquisitions slot; see Snapshot
 	lastRoundCost := d.F64()
 	lastSeq := d.Int()
 	stoppedBy := StopReason(d.Int())
@@ -405,7 +383,7 @@ func (l *Learner) Restore(r io.Reader) error {
 		}
 	}
 
-	if err := lc.RestoreLedger(ledger); err != nil {
+	if err := l.ev.RestoreLedger(ledger); err != nil {
 		return err
 	}
 
@@ -414,7 +392,6 @@ func (l *Learner) Restore(r io.Reader) error {
 	l.acquired = acquired
 	l.observations = observations
 	l.revisits = revisits
-	l.scheduled = scheduled
 	l.lastRoundCost = lastRoundCost
 	l.lastSeq = lastSeq
 	l.stoppedBy = stoppedBy

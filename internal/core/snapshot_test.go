@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"alic/internal/evaluator"
@@ -16,9 +18,8 @@ import (
 // pairs bit-identically.
 func snapLearner(t *testing.T, opts Options, pool SlicePool, workers int) *Learner {
 	t.Helper()
-	eng := evaluator.New(&pureSource{pool: pool, fn: stepFn, sigma: 0.05, compileCost: 0.1, seed: 7},
-		evaluator.Options{Workers: workers})
-	l, err := NewWithEvaluator(opts, pool, eng, testEval(stepFn))
+	eng := evaluator.New(newFuncSource(pool, stepFn, constSigma(0.05), 0.1, 7), evaluator.Options{Workers: workers})
+	l, err := New(opts, pool, eng, testEval(stepFn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,40 +326,118 @@ func TestSnapshotCorruptLearner(t *testing.T) {
 	}
 }
 
-// TestSnapshotAsyncFoldsInFlight pins the async snapshot rule: a
-// pipelined learner folds its in-flight round at snapshot time, and
-// the restored learner resumes from that fold point deterministically
-// (matching a second restore, not the uninterrupted pipeline).
-func TestSnapshotAsyncFoldsInFlight(t *testing.T) {
+// parkedSnapOpts is the configuration of the stored snapshot
+// testdata/learner_parked_round.snap: five rounds, then a BeginRound
+// parked awaiting its observations.
+func parkedSnapOpts() Options {
 	opts := smallOpts()
 	opts.NMax = 40
-	opts.Async = true
-	pool := gridPool(300)
+	opts.Batch = 2
+	opts.Tree.Particles = 20
+	opts.Tree.ScoreParticles = 10
+	return opts
+}
 
-	orig := snapLearner(t, opts, pool, 2)
-	defer orig.Close()
-	for i := 0; i < 10; i++ {
-		if _, err := orig.Step(); err != nil {
+// parkAfterFiveRounds drives a learner to the stored snapshot's point.
+func parkAfterFiveRounds(t *testing.T, l *Learner) {
+	t.Helper()
+	for i := 0; i < 5; i++ {
+		if _, err := l.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := orig.Snapshot(&buf); err != nil {
+	if _, err := l.BeginRound(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	var want *Result
-	for trial := 0; trial < 2; trial++ {
-		restored := snapLearner(t, opts, pool, 2)
-		if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+// TestSnapshotReadsPreviousEncoderLayout pins snapshot compatibility
+// across the removal of the asynchronous pipeline. The stored snapshot
+// was written by the encoder that still carried the pipeline's fields
+// (the Async flag and the scheduled-acquisitions count). It must
+// restore, and the remaining rounds must be byte-identical to a run
+// that never stopped. The current encoder must also write the learner,
+// rng, round and ledger sections of that snapshot byte for byte.
+func TestSnapshotReadsPreviousEncoderLayout(t *testing.T) {
+	stored, err := os.ReadFile("testdata/learner_parked_round.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := parkedSnapOpts()
+	pool := gridPool(300)
+
+	ref := snapLearner(t, opts, pool, 1)
+	defer ref.Close()
+	parkAfterFiveRounds(t, ref)
+	var buf bytes.Buffer
+	if err := ref.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old, err := snapshot.Parse(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := snapshot.Parse(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{secLearner, secRNG, secRound, secLedger} {
+		a, okA := old.Section(name)
+		b, okB := cur.Section(name)
+		if !okA || !okB || !bytes.Equal(a, b) {
+			t.Fatalf("section %s differs from the stored layout (stored %v, written %v)", name, okA, okB)
+		}
+	}
+	if _, err := ref.FinishRound(); err != nil {
+		t.Fatal(err)
+	}
+	want := runToEnd(t, ref)
+
+	restored := snapLearner(t, opts, pool, 2)
+	defer restored.Close()
+	if err := restored.Restore(bytes.NewReader(stored)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.FinishRound(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameRun(t, runToEnd(t, restored), want)
+}
+
+// TestSnapshotRejectsAsyncFlag pins the other half of the compatibility
+// rule: a snapshot taken by an asynchronous-pipeline learner cannot
+// resume on the single round driver, and says why.
+func TestSnapshotRejectsAsyncFlag(t *testing.T) {
+	stored, err := os.ReadFile("testdata/learner_parked_round.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := snapshot.Parse(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The flag follows the format version, nine structural ints and the
+	// seed: 8 + 9*8 + 8 bytes into the learner section.
+	const asyncOffset = 88
+	var buf bytes.Buffer
+	sw := snapshot.NewWriter(&buf)
+	for _, name := range c.Names() {
+		pay, _ := c.Section(name)
+		if name == secLearner {
+			pay = append([]byte(nil), pay...)
+			if pay[asyncOffset] != 0 {
+				t.Fatalf("stored Async flag byte is %d, want 0", pay[asyncOffset])
+			}
+			pay[asyncOffset] = 1
+		}
+		if err := sw.Section(name, pay); err != nil {
 			t.Fatal(err)
 		}
-		got := runToEnd(t, restored)
-		restored.Close()
-		if trial == 0 {
-			want = got
-			continue
-		}
-		requireSameRun(t, got, want)
+	}
+	l := snapLearner(t, parkedSnapOpts(), gridPool(300), 1)
+	defer l.Close()
+	err = l.Restore(bytes.NewReader(buf.Bytes()))
+	if !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), "Async") {
+		t.Fatalf("restoring an async snapshot = %v, want ErrSnapshotMismatch naming Async", err)
 	}
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
+
+	"alic/internal/evaluator"
 )
 
 func TestPrequentialWindow(t *testing.T) {
@@ -44,12 +47,12 @@ func TestStopErrorEndsRunEarly(t *testing.T) {
 	// accurate fast, so a loose StopError must fire well before NMax.
 	pool := gridPool(500)
 	fn := func(x []float64) float64 { return 2 + 0.01*x[0] }
-	ora := newFuncOracle(pool, fn, func([]float64) float64 { return 0.001 }, 0.02, 31)
+	src := newFuncSource(pool, fn, constSigma(0.001), 0.02, 31)
 	opts := smallOpts()
 	opts.NMax = 2000
 	opts.StopError = 0.05
 	opts.StopWindow = 20
-	l, _ := New(opts, pool, ora, nil)
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,12 +72,12 @@ func TestStopErrorIgnoredWhenHard(t *testing.T) {
 	// A very noisy surface: a tight StopError must never fire, so the
 	// run exhausts its budget.
 	pool := gridPool(500)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.5 }, 0.02, 32)
+	src := newFuncSource(pool, stepFn, constSigma(0.5), 0.02, 32)
 	opts := smallOpts()
 	opts.NMax = 80
 	opts.StopError = 1e-6
 	opts.StopWindow = 10
-	l, _ := New(opts, pool, ora, nil)
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -104,11 +107,11 @@ func TestStopReasonStrings(t *testing.T) {
 
 func TestStopCostSetsReason(t *testing.T) {
 	pool := gridPool(300)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.02 }, 0.5, 33)
+	src := newFuncSource(pool, stepFn, constSigma(0.02), 0.5, 33)
 	opts := smallOpts()
 	opts.NMax = 10000
 	opts.StopCost = 30
-	l, _ := New(opts, pool, ora, nil)
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -120,13 +123,13 @@ func TestStopCostSetsReason(t *testing.T) {
 
 func TestPoolExhaustionSetsReason(t *testing.T) {
 	pool := gridPool(10)
-	ora := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.02 }, 0.02, 34)
+	src := newFuncSource(pool, stepFn, constSigma(0.02), 0.02, 34)
 	opts := smallOpts()
 	opts.NInit = 3
 	opts.NObs = 2
 	opts.NCand = 5
 	opts.NMax = 500
-	l, _ := New(opts, pool, ora, nil)
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -136,23 +139,20 @@ func TestPoolExhaustionSetsReason(t *testing.T) {
 	}
 }
 
-// failingOracle returns an error after a set number of observations —
+// failingSource returns an error after a set number of measurements —
 // failure injection for the learner's error paths.
-type failingOracle struct {
-	inner  *funcOracle
-	budget int
-	count  int
+type failingSource struct {
+	inner  *funcSource
+	budget int64
+	count  atomic.Int64
 }
 
-func (f *failingOracle) Observe(i int) (float64, error) {
-	f.count++
-	if f.count > f.budget {
-		return 0, errProfiler
+func (f *failingSource) Measure(i, ord int) (evaluator.Sample, error) {
+	if f.count.Add(1) > f.budget {
+		return evaluator.Sample{}, errProfiler
 	}
-	return f.inner.Observe(i)
+	return f.inner.Measure(i, ord)
 }
-
-func (f *failingOracle) Cost() float64 { return f.inner.Cost() }
 
 var errProfiler = errorString("profiler died")
 
@@ -162,9 +162,9 @@ func (e errorString) Error() string { return string(e) }
 
 func TestOracleFailureDuringSeeding(t *testing.T) {
 	pool := gridPool(100)
-	inner := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.02 }, 0.02, 35)
-	ora := &failingOracle{inner: inner, budget: 3}
-	l, _ := New(smallOpts(), pool, ora, nil)
+	inner := newFuncSource(pool, stepFn, constSigma(0.02), 0.02, 35)
+	src := &failingSource{inner: inner, budget: 3}
+	l, _ := New(smallOpts(), pool, newEngine(src, smallOpts()), nil)
 	if _, err := l.Run(nil); err == nil {
 		t.Fatal("seeding failure not propagated")
 	}
@@ -172,12 +172,12 @@ func TestOracleFailureDuringSeeding(t *testing.T) {
 
 func TestOracleFailureDuringLoop(t *testing.T) {
 	pool := gridPool(100)
-	inner := newFuncOracle(pool, stepFn, func([]float64) float64 { return 0.02 }, 0.02, 36)
+	inner := newFuncSource(pool, stepFn, constSigma(0.02), 0.02, 36)
 	opts := smallOpts()
 	// Fail after seeding completes (NInit * NObs observations) plus a
 	// few loop acquisitions.
-	ora := &failingOracle{inner: inner, budget: opts.NInit*opts.NObs + 5}
-	l, _ := New(opts, pool, ora, nil)
+	src := &failingSource{inner: inner, budget: int64(opts.NInit*opts.NObs + 5)}
+	l, _ := New(opts, pool, newEngine(src, opts), nil)
 	if _, err := l.Run(nil); err == nil {
 		t.Fatal("loop failure not propagated")
 	}

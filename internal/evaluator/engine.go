@@ -2,7 +2,6 @@
 package evaluator
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -19,25 +18,12 @@ type Options struct {
 	// 1 = serial). Results are bit-identical for every value; Workers
 	// changes wall-clock time only.
 	Workers int
-	// Window bounds the number of scheduled-but-unmeasured
-	// observations an asynchronous Submit may have outstanding; a
-	// full window blocks Submit until measurements complete
-	// (0 = max(64, 4*Workers)). Synchronous ObserveBatch ignores it.
-	Window int
 	// Latency simulates per-measurement profiling latency by sleeping
 	// before each Measure call — the simulator measures in
 	// microseconds where real compile+run cycles take seconds, so
 	// benchmarks and demos use this to reproduce the measurement-bound
 	// regime the engine is built for.
 	Latency time.Duration
-	// Cost, when non-nil, overrides the engine's internal cost ledger
-	// — used by the legacy-oracle adapter, whose oracle accounts its
-	// own cost.
-	Cost func() float64
-	// Serial marks the source as not safe for concurrent use: the
-	// engine measures strictly one observation at a time, in
-	// scheduling order, even on the asynchronous path.
-	Serial bool
 }
 
 // request is one scheduled observation.
@@ -54,20 +40,16 @@ type charge struct {
 	done    bool
 }
 
-// Engine implements Evaluator over a Source. The zero value is not
-// usable; construct with New. An Engine has no persistent goroutines:
-// asynchronous measurements run on per-observation goroutines that
-// exit once their result is delivered (or the engine is closed).
+// Engine measures observation batches over a Source and keeps the
+// §4.3 cost ledger. The zero value is not usable; construct with New.
+// An Engine has no goroutines of its own: ObserveBatch measures on the
+// caller's goroutine or the shared worker pool and returns once every
+// scheduled observation has completed.
 type Engine struct {
 	src     Source
 	opts    Options
 	workers int
-
-	window  chan struct{} // in-flight slots for the async path
-	workSem chan struct{} // concurrent-measurement cap for the async path
-	results chan Observation
-	done    chan struct{}
-	close   sync.Once
+	closed  atomic.Bool
 
 	mu        sync.Mutex
 	next      map[int]int // next ordinal per item (scheduled count)
@@ -80,7 +62,7 @@ type Engine struct {
 
 // compactChunk is how many folded ledger entries accumulate before
 // charges below the prefix are released; long-running learners then
-// hold only the in-flight tail (plus the 8-byte cum checkpoint per
+// hold only the unfolded tail (plus the 8-byte cum checkpoint per
 // observation) instead of a full charge record per observation ever
 // scheduled.
 const compactChunk = 4096
@@ -91,48 +73,25 @@ func New(src Source, opts Options) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Serial {
-		workers = 1
-	}
-	window := opts.Window
-	if window <= 0 {
-		window = 4 * workers
-		if window < 64 {
-			window = 64
-		}
-	}
 	return &Engine{
 		src:     src,
 		opts:    opts,
 		workers: workers,
-		window:  make(chan struct{}, window),
-		workSem: make(chan struct{}, workers),
-		results: make(chan Observation, window),
-		done:    make(chan struct{}),
 		next:    make(map[int]int),
 	}
 }
 
-// Workers returns the engine's effective measurement concurrency.
-func (e *Engine) Workers() int { return e.workers }
-
-// Close releases any goroutine blocked on an undelivered result or a
-// full window. Observations already measuring complete and are
-// accounted; undelivered results are dropped. Close is idempotent.
+// Close makes every later ObserveBatch fail with ErrClosed. A batch
+// already measuring completes and is accounted. Close is idempotent.
 func (e *Engine) Close() error {
-	e.close.Do(func() { close(e.done) })
+	e.closed.Store(true)
 	return nil
 }
 
-// Done returns a channel closed by Close. Consumers collecting from
-// Results select on it so a closed engine fails their collection loop
-// instead of wedging it (results dropped after Close never arrive).
-func (e *Engine) Done() <-chan struct{} { return e.done }
-
 // schedule assigns each index a global sequence number, its per-item
 // ordinal, and a ledger slot, all under one lock — the step that
-// makes results independent of completion order and dedupes compile
-// charges across overlapping in-flight batches.
+// makes results independent of completion order and charges each
+// item's compile cost to its first scheduled observation only.
 func (e *Engine) schedule(indices []int) ([]request, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -151,25 +110,11 @@ func (e *Engine) schedule(indices []int) ([]request, error) {
 }
 
 // Scheduled returns how many observations of item i have been
-// scheduled (measured or in flight).
+// scheduled.
 func (e *Engine) Scheduled(i int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.next[i]
-}
-
-// InFlight returns the number of scheduled observations that have not
-// completed yet.
-func (e *Engine) InFlight() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for i := e.prefix; i < e.base+len(e.charges); i++ {
-		if !e.charges[i-e.base].done {
-			n++
-		}
-	}
-	return n
 }
 
 // measure performs one scheduled observation and records its charge.
@@ -198,7 +143,7 @@ func (e *Engine) skip(rq request) Observation {
 // record completes seq's ledger entry and folds every newly
 // contiguous entry into the prefix sum — strictly in seq order, so
 // the accumulated cost never depends on completion order. Each entry
-// adds compile before run, reproducing the serial oracle's exact
+// adds compile before run, reproducing the serial accumulator's exact
 // float-addition chain (a zero compile add is a bitwise no-op).
 func (e *Engine) record(seq int, s Sample) {
 	e.mu.Lock()
@@ -223,68 +168,48 @@ func (e *Engine) record(seq int, s Sample) {
 // seq only — the accumulator value the serial loop had right after
 // seq's observation. It lets a consumer folding results in scheduling
 // order report cost checkpoints that are bit-identical to the serial
-// chain (and deterministic in async mode, where Cost alone could race
-// with still-completing later observations). A seq at or beyond the
-// ledger's end yields the full deterministic total.
+// chain. A seq at or beyond the folded prefix yields the folded total.
 func (e *Engine) CostThrough(seq int) float64 {
-	if e.opts.Cost != nil {
-		return e.opts.Cost()
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	scheduled := e.base + len(e.charges)
-	if seq < 0 || scheduled == 0 {
+	switch {
+	case seq < 0 || e.prefix == 0:
 		return 0
+	case seq >= e.prefix:
+		return e.prefixSum
 	}
-	if seq >= scheduled {
-		seq = scheduled - 1
-	}
-	if seq < e.prefix {
-		return e.cum[seq]
-	}
-	total := e.prefixSum
-	for i := e.prefix; i <= seq; i++ {
-		if c := &e.charges[i-e.base]; c.done {
-			total += c.compile
-			total += c.run
-		}
-	}
-	return total
+	return e.cum[seq]
 }
 
-// Cost implements Evaluator. Completed charges beyond the contiguous
-// prefix (possible only while observations are in flight) are summed
-// in seq order on top of the prefix, so the value is deterministic
-// whenever the caller has collected everything it submitted.
+// Cost returns the cumulative evaluation cost in simulated seconds:
+// every completed observation's run time plus each measured item's
+// compile time exactly once, folded in scheduling order so the sum is
+// deterministic.
 func (e *Engine) Cost() float64 {
-	if e.opts.Cost != nil {
-		return e.opts.Cost()
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	total := e.prefixSum
-	for i := e.prefix; i < e.base+len(e.charges); i++ {
-		if c := &e.charges[i-e.base]; c.done {
-			total += c.compile
-			total += c.run
-		}
-	}
-	return total
+	return e.prefixSum
 }
 
-// ObserveBatch implements Evaluator. CPU-bound measurement (no
-// simulated latency) is sharded over the shared scoring pool (capped
-// process-wide at GOMAXPROCS, inline fallback under nesting), so many
-// engines — e.g. one per experiment repetition — share one bounded
-// pool instead of oversubscribing the machine. Latency-bound
-// measurement instead runs on dedicated goroutines gated by the
-// Workers cap: the sleeps are not CPU work, so they must neither be
-// clamped to the core count nor occupy scoring-pool workers.
+// ObserveBatch schedules one observation per entry of indices (an item
+// may appear several times for repeated observations), measures them —
+// possibly in parallel — and returns the observations in submission
+// order. The returned values and the cost charged are bit-identical at
+// every worker count. On failure it returns the partially measured
+// batch together with the first error in submission order;
+// observations skipped after the failure carry ErrSkipped.
+//
+// CPU-bound measurement (no simulated latency) is sharded over the
+// shared scoring pool (capped process-wide at GOMAXPROCS, inline
+// fallback under nesting), so many engines — e.g. one per experiment
+// repetition — share one bounded pool instead of oversubscribing the
+// machine. Latency-bound measurement instead runs on dedicated
+// goroutines gated by the Workers cap: the sleeps are not CPU work, so
+// they must neither be clamped to the core count nor occupy
+// scoring-pool workers.
 func (e *Engine) ObserveBatch(indices []int) ([]Observation, error) {
-	select {
-	case <-e.done:
+	if e.closed.Load() {
 		return nil, ErrClosed
-	default:
 	}
 	reqs, err := e.schedule(indices)
 	if err != nil {
@@ -326,113 +251,3 @@ func (e *Engine) ObserveBatch(indices []int) ([]Observation, error) {
 	}
 	return out, firstErr
 }
-
-// Submit implements Evaluator. Each observation measures on its own
-// goroutine, gated by the Workers cap and the in-flight Window;
-// results are delivered to Results in completion order. A Serial
-// engine instead measures inline in scheduling order and hands the
-// ordered results to a single delivery goroutine.
-func (e *Engine) Submit(ctx context.Context, indices []int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-e.done:
-		return ErrClosed
-	default:
-	}
-	reqs, err := e.schedule(indices)
-	if err != nil {
-		return err
-	}
-	if e.opts.Serial {
-		return e.submitSerial(ctx, reqs)
-	}
-	for i, rq := range reqs {
-		//alic:allow detfloat both receive arms abandon the rest of the batch; the winner only picks which terminal error is returned
-		select {
-		case e.window <- struct{}{}:
-		case <-ctx.Done():
-			e.abandon(reqs[i:])
-			return ctx.Err()
-		case <-e.done:
-			e.abandon(reqs[i:])
-			return ErrClosed
-		}
-		//alic:allow detfloat measurement goroutines are order-free: values are pure in (item, ordinal) fixed at scheduling time, and the ledger folds in seq order
-		go func(rq request) {
-			select {
-			case e.workSem <- struct{}{}:
-			case <-e.done:
-				// Closed while queued: abandon instead of measuring,
-				// so Close releases queued work and stops the ledger
-				// (only observations already measuring complete).
-				e.record(rq.seq, Sample{})
-				<-e.window
-				return
-			}
-			obs := e.measure(rq)
-			<-e.workSem
-			// The window slot frees when the measurement completes —
-			// delivery is decoupled, so a slow consumer can never
-			// deadlock a submitter.
-			<-e.window
-			e.deliver(obs)
-		}(rq)
-	}
-	return nil
-}
-
-// submitSerial measures the batch inline, one observation at a time
-// in scheduling order (the contract of a non-concurrency-safe
-// source), and delivers the ordered results from one goroutine.
-func (e *Engine) submitSerial(ctx context.Context, reqs []request) error {
-	out := make([]Observation, 0, len(reqs))
-	for i, rq := range reqs {
-		//alic:allow detfloat both receive arms abandon the rest of the batch; the winner only picks which terminal error is returned
-		select {
-		case <-ctx.Done():
-			e.abandon(reqs[i:])
-			err := ctx.Err()
-			//alic:allow detfloat delivery goroutine preserves scheduling order within the batch; consumers fold by seq
-			go e.deliverAll(out)
-			return err
-		case <-e.done:
-			e.abandon(reqs[i:])
-			return ErrClosed
-		default:
-		}
-		out = append(out, e.measure(rq))
-	}
-	//alic:allow detfloat delivery goroutine preserves scheduling order within the batch; consumers fold by seq
-	go e.deliverAll(out)
-	return nil
-}
-
-func (e *Engine) deliver(obs Observation) {
-	select {
-	case e.results <- obs:
-	case <-e.done:
-	}
-}
-
-func (e *Engine) deliverAll(obs []Observation) {
-	for _, o := range obs {
-		select {
-		case e.results <- o:
-		case <-e.done:
-			return
-		}
-	}
-}
-
-// abandon marks never-measured requests done with zero charge so the
-// ledger prefix is not wedged by a cancelled Submit.
-func (e *Engine) abandon(reqs []request) {
-	for _, rq := range reqs {
-		e.record(rq.seq, Sample{})
-	}
-}
-
-// Results implements Evaluator.
-func (e *Engine) Results() <-chan Observation { return e.results }

@@ -1,57 +1,47 @@
-// Package evaluator is the concurrent evaluation engine of the
-// library: it turns the serial, one-observation-at-a-time Oracle of
-// the original loop into an asynchronous, batched measurement
-// subsystem. The paper's cost model (§4.3) counts compile + run time
-// as the dominant expense of iterative compilation, and in a real
+// Package evaluator is the batched evaluation engine of the library:
+// the layer every measurement of the active-learning loop flows
+// through. The paper's cost model (§4.3) counts compile + run time as
+// the dominant expense of iterative compilation, and in a real
 // deployment those measurements — not the model math — are the
 // wall-clock bottleneck, so this is the layer that has to scale with
 // cores (or profiling hosts).
 //
 // # Architecture
 //
-//	core.Learner ──ObserveBatch/Submit──▶ Evaluator (Engine)
-//	                                        │ ordinal + cost ledger
-//	                                        ▼
-//	                                      Source (pure Measure(i, ord))
-//	                                        ├─ DatasetSource  (§4.5 corpus)
-//	                                        ├─ SessionSource  (measure.Session)
-//	                                        └─ FromOracle     (legacy serial)
+//	core.Learner ──ObserveBatch──▶ Engine
+//	                                 │ ordinal + cost ledger
+//	                                 ▼
+//	                               Source (pure Measure(i, ord))
+//	                                 ├─ DatasetSource  (§4.5 corpus)
+//	                                 ├─ SessionSource  (measure.Session)
+//	                                 └─ SpaceSource    (space.Measurer)
 //
 // A Source is the measurement primitive: a concurrency-safe function
 // of (pool item, observation ordinal). The Engine owns everything
 // stateful — it assigns each scheduled observation a global sequence
-// number and a per-item ordinal at submission time, and it keeps the
+// number and a per-item ordinal at scheduling time, and it keeps the
 // cost ledger. Because the simulated profiling environment draws
 // observation (i, ord) from its own noise stream, the values an
-// engine produces are a pure function of the submission order, never
+// engine produces are a pure function of the scheduling order, never
 // of the completion order or the worker count.
 //
 // # Determinism contract
 //
-// Synchronous use (ObserveBatch) is bit-identical to the old serial
-// oracle at every worker count: values are pure in (item, ordinal),
-// and the cost ledger is folded in sequence order — the same
-// float-addition chain the serial accumulator performed. Asynchronous
-// use (Submit/Results) delivers observations in completion order;
-// callers that need determinism reorder by Observation.Seq, after
-// which both the value sequence and the cost are again bit-identical
-// at every worker count.
+// ObserveBatch is bit-identical to a serial measurement loop at every
+// worker count: values are pure in (item, ordinal), observations come
+// back in submission order, and the cost ledger is folded in sequence
+// order — the same float-addition chain a serial accumulator performs.
 //
 // # Cost accounting
 //
 // Cost follows §4.3 of the paper: every observation charges its
 // observed runtime, plus the item's compile time exactly once. The
-// compile charge is decided when an observation is *scheduled*, not
-// when it completes, so two overlapping asynchronous batches that
-// touch the same configuration cannot double-charge its compile time
-// (the second batch sees a non-zero scheduled ordinal and pays run
-// time only).
+// compile charge is decided when an observation is *scheduled*, so
+// repeated observations of a configuration — within a batch or across
+// batches — pay run time only.
 package evaluator
 
-import (
-	"context"
-	"errors"
-)
+import "errors"
 
 // Sample is one raw measurement returned by a Source: the observed
 // runtime plus the compile cost to charge for it (non-zero only for
@@ -80,8 +70,7 @@ type Source interface {
 // Observation is one completed measurement.
 type Observation struct {
 	// Seq is the engine-global scheduling sequence number.
-	// Observations submitted earlier have smaller Seq; sorting a
-	// batch by Seq recovers the deterministic submission order.
+	// Observations scheduled earlier have smaller Seq.
 	Seq int
 	// Index is the pool item measured.
 	Index int
@@ -97,39 +86,10 @@ type Observation struct {
 	Err error
 }
 
-// Evaluator is the evaluation engine contract the learner, the
-// experiment harness and the tuner drive. Implementations account
-// evaluation cost behind the interface (Cost) and offer both a
-// synchronous batch call and an asynchronous submit/collect pipeline.
-type Evaluator interface {
-	// ObserveBatch schedules one observation per entry of indices (an
-	// item may appear several times for repeated observations),
-	// measures them — possibly in parallel — and returns the
-	// observations in submission order. The returned values and the
-	// cost charged are bit-identical at every worker count. On
-	// failure it returns the partially measured batch together with
-	// the first error in submission order; observations skipped after
-	// the failure carry ErrSkipped.
-	ObserveBatch(indices []int) ([]Observation, error)
-	// Submit schedules the indices for asynchronous measurement and
-	// returns without waiting for results. It blocks while the
-	// engine's in-flight window is full, honouring ctx (nil means
-	// context.Background).
-	Submit(ctx context.Context, indices []int) error
-	// Results returns the channel on which asynchronously submitted
-	// observations are delivered, in completion order.
-	Results() <-chan Observation
-	// Cost returns the cumulative evaluation cost in simulated
-	// seconds: every completed observation's run time plus each
-	// measured item's compile time exactly once, folded in scheduling
-	// order so the sum is deterministic.
-	Cost() float64
-}
-
 // Repeat expands an acquisition batch into the per-observation index
-// list ObserveBatch and Submit consume: each item repeated n times, in
-// batch order — the dispatch shape the learner's seeding, synchronous
-// and asynchronous rounds and the tuner's verification all share.
+// list ObserveBatch consumes: each item repeated n times, in batch
+// order — the dispatch shape the learner's seeding and acquisition
+// rounds and the tuner's verification all share.
 func Repeat(items []int, n int) []int {
 	out := make([]int, 0, len(items)*n)
 	for _, idx := range items {

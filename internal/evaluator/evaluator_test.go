@@ -1,11 +1,9 @@
 package evaluator
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -45,8 +43,8 @@ func (s *synthSource) Measure(i, ord int) (Sample, error) {
 
 func indicesOf(items ...int) []int { return items }
 
-// serialExpectation replays the batch the way the historical serial
-// oracle would have, returning the expected values and the expected
+// serialExpectation replays the batch the way a serial measurement
+// loop would, returning the expected values and the expected
 // cost chain.
 func serialExpectation(src *synthSource, indices []int) (vals []float64, cost float64) {
 	next := map[int]int{}
@@ -108,40 +106,32 @@ func TestOrdinalsAdvanceAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestInFlightCompileDedup pins the satellite requirement: a second
-// asynchronous batch touching a configuration whose first batch is
-// still in flight must not charge its compile cost again — the
-// ordinal is assigned at scheduling time, so only the very first
-// scheduled observation carries the compile charge.
+// TestInFlightCompileDedup pins compile deduplication across batches:
+// the ordinal is assigned at scheduling time, so only an item's very
+// first scheduled observation carries the compile charge — a second
+// ObserveBatch touching the same configuration pays run time only.
 func TestInFlightCompileDedup(t *testing.T) {
 	const compile = 100.0
 	src := &synthSource{compile: compile}
-	e := New(src, Options{Workers: 4, Latency: 5 * time.Millisecond})
+	e := New(src, Options{Workers: 4, Latency: time.Millisecond})
 	defer e.Close()
 
-	// Two overlapping batches of the same item, submitted back to back
-	// while the first is still measuring.
-	if err := e.Submit(nil, indicesOf(9, 9, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Submit(nil, indicesOf(9, 9)); err != nil {
-		t.Fatal(err)
-	}
 	var got []Observation
-	for len(got) < 5 {
-		got = append(got, <-e.Results())
+	for _, batch := range [][]int{indicesOf(9, 9, 9), indicesOf(9, 9)} {
+		obs, err := e.ObserveBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, obs...)
 	}
 	compiles := 0
 	for _, o := range got {
-		if o.Err != nil {
-			t.Fatal(o.Err)
-		}
 		if o.Compile > 0 {
 			compiles++
 		}
 	}
 	if compiles != 1 {
-		t.Fatalf("compile charged %d times across overlapping in-flight batches, want exactly once", compiles)
+		t.Fatalf("compile charged %d times across two batches of one item, want exactly once", compiles)
 	}
 	// The ledger agrees: one compile plus five runs.
 	wantCost := compile
@@ -151,32 +141,6 @@ func TestInFlightCompileDedup(t *testing.T) {
 	}
 	if got := e.Cost(); math.Abs(got-wantCost) > 1e-12 {
 		t.Fatalf("ledger %v, want %v", got, wantCost)
-	}
-}
-
-func TestAsyncResultsSortToSubmissionOrder(t *testing.T) {
-	indices := []int{2, 0, 2, 5, 1, 5, 2}
-	wantVals, wantCost := serialExpectation(&synthSource{compile: 3}, indices)
-	e := New(&synthSource{compile: 3}, Options{Workers: 8, Latency: time.Millisecond})
-	defer e.Close()
-	if err := e.Submit(context.Background(), indices); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]Observation, 0, len(indices))
-	for len(got) < len(indices) {
-		got = append(got, <-e.Results())
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
-	for j, o := range got {
-		if o.Value != wantVals[j] {
-			t.Fatalf("obs %d value %v, want %v: async completion order leaked into values", j, o.Value, wantVals[j])
-		}
-	}
-	if e.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after collecting everything", e.InFlight())
-	}
-	if got := e.Cost(); got != wantCost {
-		t.Fatalf("async cost %v, want %v (must be order-free)", got, wantCost)
 	}
 }
 
@@ -215,8 +179,8 @@ func TestObserveBatchStopsAfterFailure(t *testing.T) {
 	if obs[0].Err != nil || obs[1].Err == nil {
 		t.Fatalf("unexpected error layout: %v / %v", obs[0].Err, obs[1].Err)
 	}
-	// Serial engines stop scheduling at the first failure, preserving
-	// the legacy oracle call sequence; later entries are skipped.
+	// A serial engine stops measuring at the first failure; later
+	// entries are skipped.
 	for _, o := range obs[2:] {
 		if !errors.Is(o.Err, ErrSkipped) {
 			t.Fatalf("post-failure observation not skipped: %+v", o)
@@ -232,36 +196,11 @@ func TestObserveBatchStopsAfterFailure(t *testing.T) {
 	}
 }
 
-func TestSubmitHonoursContext(t *testing.T) {
-	// A window of 1 with slow measurements forces Submit to block;
-	// cancelling the context must release it.
-	e := New(&synthSource{}, Options{Workers: 1, Window: 1, Latency: 50 * time.Millisecond})
-	defer e.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- e.Submit(ctx, indicesOf(0, 0, 0, 0, 0, 0, 0, 0))
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Submit returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Submit did not honour cancellation")
-	}
-}
-
 func TestEngineClosedErrors(t *testing.T) {
 	e := New(&synthSource{}, Options{})
 	e.Close()
 	if _, err := e.ObserveBatch(indicesOf(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ObserveBatch after Close: %v", err)
-	}
-	if err := e.Submit(nil, indicesOf(1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close: %v", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
@@ -272,63 +211,6 @@ func TestNegativeIndexRejected(t *testing.T) {
 	e := New(&synthSource{}, Options{})
 	if _, err := e.ObserveBatch(indicesOf(0, -1)); err == nil {
 		t.Fatal("negative index accepted")
-	}
-}
-
-// legacyOracle is a stateful serial oracle whose values depend on its
-// call sequence.
-type legacyOracle struct {
-	calls int
-	cost  float64
-}
-
-func (o *legacyOracle) Observe(i int) (float64, error) {
-	o.calls++
-	y := float64(i) + float64(o.calls)*0.001
-	o.cost += y
-	return y, nil
-}
-
-func (o *legacyOracle) Cost() float64 { return o.cost }
-
-func TestFromOraclePreservesCallOrder(t *testing.T) {
-	indices := []int{5, 2, 5, 9}
-	want := &legacyOracle{}
-	var wantVals []float64
-	for _, i := range indices {
-		y, _ := want.Observe(i)
-		wantVals = append(wantVals, y)
-	}
-
-	o := &legacyOracle{}
-	e := FromOracle(o, Options{})
-	obs, err := e.ObserveBatch(indices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, ob := range obs {
-		if ob.Value != wantVals[j] {
-			t.Fatalf("obs %d = %v, want %v (oracle call order changed)", j, ob.Value, wantVals[j])
-		}
-	}
-	if e.Cost() != want.Cost() {
-		t.Fatalf("cost %v, want the oracle's own accounting %v", e.Cost(), want.Cost())
-	}
-
-	// The async path measures inline in scheduling order and delivers
-	// ordered results.
-	o2 := &legacyOracle{}
-	e2 := FromOracle(o2, Options{})
-	defer e2.Close()
-	if err := e2.Submit(nil, indices); err != nil {
-		t.Fatal(err)
-	}
-	for j := range indices {
-		ob := <-e2.Results()
-		if ob.Seq != j || ob.Value != wantVals[j] {
-			t.Fatalf("async obs %d: seq %d value %v, want seq %d value %v",
-				j, ob.Seq, ob.Value, j, wantVals[j])
-		}
 	}
 }
 
@@ -471,8 +353,9 @@ func TestLedgerCompaction(t *testing.T) {
 	if got := e.CostThrough(probe); got != cost {
 		t.Fatalf("CostThrough(%d) in released region = %v, want %v", probe, got, cost)
 	}
-	if e.InFlight() != 0 {
-		t.Fatalf("InFlight = %d", e.InFlight())
+	// Every scheduled observation has folded: the ledger is quiescent.
+	if _, err := e.SnapshotLedger(); err != nil {
+		t.Fatalf("ledger not quiescent after the last batch: %v", err)
 	}
 	if got := e.Scheduled(0); got != (total+36)/37 {
 		t.Fatalf("Scheduled(0) = %d", got)

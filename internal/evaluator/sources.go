@@ -8,41 +8,6 @@ import (
 	"alic/internal/space"
 )
 
-// Oracle is the legacy per-observation measurement interface the
-// engine superseded: stateful, serial, accounting its own cost. It is
-// kept so synthetic test oracles and external integrations keep
-// working; wrap one with FromOracle.
-type Oracle interface {
-	// Observe returns one noisy runtime observation of pool item i,
-	// charging its cost (including one-time compilation).
-	Observe(i int) (float64, error)
-	// Cost returns the cumulative evaluation cost in seconds.
-	Cost() float64
-}
-
-// oracleSource adapts an Oracle to the Source interface. The oracle
-// assigns its own ordinals and accounts its own cost, so the engine's
-// ordinal is ignored and the samples carry no charges.
-type oracleSource struct{ o Oracle }
-
-func (s oracleSource) Measure(i, _ int) (Sample, error) {
-	y, err := s.o.Observe(i)
-	return Sample{Value: y}, err
-}
-
-// FromOracle wraps a legacy Oracle in a strictly serial engine:
-// observations happen one at a time in scheduling order — exactly the
-// call sequence the serial loop produced — and Cost delegates to the
-// oracle's own accounting. Latency is the only Options field honoured.
-func FromOracle(o Oracle, opts Options) *Engine {
-	return New(oracleSource{o: o}, Options{
-		Serial:  true,
-		Cost:    o.Cost,
-		Latency: opts.Latency,
-		Window:  opts.Window,
-	})
-}
-
 // DatasetSource measures a pre-generated §4.5 dataset's training
 // pool: item i is the i-th training configuration, and observation
 // (i, ord) regenerates the dataset's ord-th noise draw for it — a
@@ -149,8 +114,8 @@ func (s *SessionSource) Measure(i, ord int) (Sample, error) {
 // observation (i, ord) asks the measurer for ordinal ord, and the
 // compile cost rides on each item's ordinal-zero sample. Simulated
 // measurers make this source pure; live measurers are only as
-// repeatable as the machine underneath, so drive them with a serial
-// or single-worker engine when order matters.
+// repeatable as the machine underneath, so drive them with a
+// single-worker engine when order matters.
 type SpaceSource struct {
 	meas space.Measurer
 	cfgs []space.Config

@@ -285,7 +285,7 @@ func RunCurves(k *spapt.Kernel, s Settings, progress func(string)) (*BenchmarkCu
 		j := jobs[ji]
 		report(fmt.Sprintf("%s: %v rep %d/%d", k.Name, j.strat, j.rep+1, s.Reps))
 		eng := evaluator.New(src, evaluator.Options{Workers: 1})
-		learner, err := core.NewWithEvaluator(s.learnerOptions(j.strat, j.rep), pool, eng, eval)
+		learner, err := core.New(s.learnerOptions(j.strat, j.rep), pool, eng, eval)
 		if err != nil {
 			errs[ji] = err
 			return

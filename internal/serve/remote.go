@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"math"
 	"sync"
 
 	"alic/internal/evaluator"
@@ -54,11 +56,28 @@ func NewRemoteSource(queueCap int) *RemoteSource {
 
 // Post appends one measured observation for pool item i. The ordinal
 // is implicit: the n-th post for an item becomes observation (i, n).
-func (r *RemoteSource) Post(item int, value, compile float64) error {
+// upTo caps the item's posts at the ordinals its pending round takes
+// (First+Count; 0 for an item outside the pending round), so no post
+// can queue for a later round. A post past the cap, or with a negative
+// or non-finite value or compile cost, fails with ErrBadObservation:
+// the values flow into the §4.3 ledger and the session budget.
+func (r *RemoteSource) Post(item int, value, compile float64, upTo int) error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return ErrNotAccepting
+	}
+	if !validCost(value) || !validCost(compile) {
+		r.mu.Unlock()
+		return fmt.Errorf("%w: item %d: value %v, compile %v (want finite and >= 0)",
+			ErrBadObservation, item, value, compile)
+	}
+	if have := len(r.obs[item]); have >= upTo {
+		r.mu.Unlock()
+		if upTo == 0 {
+			return fmt.Errorf("%w: item %d is not in the pending round", ErrBadObservation, item)
+		}
+		return fmt.Errorf("%w: item %d already has the %d posts its pending round takes", ErrBadObservation, item, upTo)
 	}
 	if r.depth >= r.limit {
 		r.mu.Unlock()
@@ -71,6 +90,10 @@ func (r *RemoteSource) Post(item int, value, compile float64) error {
 	r.cond.Broadcast()
 	return nil
 }
+
+// validCost reports whether a posted runtime or compile cost may enter
+// the ledger.
+func validCost(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Have returns how many observations have been posted for an item.
 func (r *RemoteSource) Have(item int) int {

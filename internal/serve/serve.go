@@ -472,7 +472,7 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 	eval := func(m model.Model) float64 {
 		return stats.RMSE(m.PredictMeanFastBatch(testX), testY)
 	}
-	l, err := core.NewWithEvaluator(opts, pool, eng, eval)
+	l, err := core.New(opts, pool, eng, eval)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

@@ -429,20 +429,23 @@ func (s *Session) Suggestions() (SuggestionList, error) {
 
 // PostObservations appends agent-measured observations to a remote
 // session's queue and wakes it if the published round became ready.
-// Returns how many observations were accepted; on ErrQueueFull the
-// prefix before the full queue is kept.
+// Only the ordinals the pending round still needs are accepted: a post
+// for an item outside the round, past its First+Count ordinals, or with
+// a negative or non-finite value or compile cost fails with
+// ErrBadObservation. Returns how many observations were accepted; on
+// any error the prefix before the failing post is kept.
 func (s *Session) PostObservations(obs []ObservationPost) (int, error) {
 	if s.remote == nil {
 		return 0, fmt.Errorf("%w: session %q is simulated", ErrNotRemote, s.key)
 	}
+	upTo := make(map[int]int)
+	for _, po := range s.learner.PendingObservations() {
+		upTo[po.Item] = po.First + po.Count
+	}
 	accepted := 0
 	var err error
 	for _, o := range obs {
-		if o.Item < 0 || o.Item >= len(s.poolX) {
-			err = fmt.Errorf("%w: item %d outside pool of %d", ErrBadObservation, o.Item, len(s.poolX))
-			break
-		}
-		if err = s.remote.Post(o.Item, o.Value, o.Compile); err != nil {
+		if err = s.remote.Post(o.Item, o.Value, o.Compile, upTo[o.Item]); err != nil {
 			break
 		}
 		accepted++
