@@ -28,8 +28,8 @@
 //   - Model (the regression backend): "dynatree" — the paper's
 //     particle-filtered dynamic trees — or "gp", an exact Gaussian
 //     process kept loop-usable by subset-of-data training and periodic
-//     refits. Select by name via LearnOptions.Model, or implement
-//     ModelBuilder and RegisterModel.
+//     refits. Set LearnerOptions.Model to a builder from ModelByName,
+//     or implement ModelBuilder and RegisterModel.
 //   - Acquisition (the §3.3 heuristic): ALC, ALM, RandomScore, or a
 //     custom implementation via RegisterAcquisition.
 //   - SamplingPlan (the §4.3 observation schedule): VariablePlan,
@@ -130,8 +130,8 @@ var (
 	ErrPoolTooSmall = errors.New("alic: pool smaller than NInit")
 	// ErrBadTestSize reports a non-positive held-out test-set size.
 	ErrBadTestSize = errors.New("alic: test size must be >= 1")
-	// ErrUnknownModel reports a LearnOptions.Model name with no
-	// registered backend.
+	// ErrUnknownModel reports a ModelByName name with no registered
+	// backend.
 	ErrUnknownModel = model.ErrUnknownModel
 	// ErrUnknownAcquisition reports an acquisition name with no
 	// registration.
@@ -295,7 +295,7 @@ const (
 )
 
 // RegisterModel makes a backend selectable by name through
-// LearnOptions.Model and the -model flag of cmd/alic.
+// ModelByName and the -model flag of cmd/alic.
 func RegisterModel(b ModelBuilder) { model.Register(b) }
 
 // ModelByName returns a registered backend builder.
@@ -450,13 +450,10 @@ func DefaultLearnOptions() LearnOptions {
 // LearnOptions bundles everything Learn needs.
 type LearnOptions struct {
 	// Learner configures Algorithm 1 (plan, scorer, budgets, model).
+	// Learner.Model selects the regression backend (nil = dynatree;
+	// ModelByName looks builders up by registry name); the dynatree
+	// backend is configured by Learner.Tree.
 	Learner LearnerOptions
-	// Model selects the regression backend by registry name
-	// ("dynatree", "gp", or a RegisterModel'd custom backend),
-	// overriding any Learner.Model builder. Empty leaves Learner.Model
-	// in charge: a set builder wins, nil selects dynatree. Either way
-	// the dynatree backend is configured by Learner.Tree.
-	Model string
 	// PoolSize is the number of candidate configurations made
 	// available for training.
 	PoolSize int
@@ -524,17 +521,6 @@ func learnSpace(ctx context.Context, sp Space, opts LearnOptions) (*LearnResult,
 	if opts.TestSize < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadTestSize, opts.TestSize)
 	}
-	if opts.Model != "" {
-		// Non-empty names override any Learner.Model builder. The
-		// registry's config-less "dynatree" entry adopts Learner.Tree
-		// inside the learner, so name-based selection keeps honouring
-		// the tree configuration.
-		b, err := model.ByName(opts.Model)
-		if err != nil {
-			return nil, err
-		}
-		opts.Learner.Model = b
-	}
 	ds, err := dataset.Generate(sp, dataset.Options{
 		NConfigs:   opts.PoolSize + opts.TestSize,
 		NObs:       opts.Learner.NObs,
@@ -595,17 +581,19 @@ func LearnLiveContext(ctx context.Context, sp Space, opts LearnOptions) (*LiveRe
 		return nil, fmt.Errorf("%w: PoolSize %d below NInit %d",
 			ErrPoolTooSmall, opts.PoolSize, opts.Learner.NInit)
 	}
-	if float64(opts.PoolSize) > sp.Size()/2 {
-		return nil, fmt.Errorf("alic: PoolSize %d too large for space of size %g",
-			opts.PoolSize, sp.Size())
+
+	// Sample the candidate pool exactly as dataset generation does,
+	// then standardise features over the pool.
+	cfgs, _, err := dataset.SamplePool(sp, opts.PoolSize, opts.DatasetSeed)
+	if err != nil {
+		return nil, fmt.Errorf("alic: PoolSize: %w", err)
 	}
-	if opts.Model != "" {
-		b, err := model.ByName(opts.Model)
-		if err != nil {
-			return nil, err
-		}
-		opts.Learner.Model = b
+	raw := make([][]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		raw[i] = sp.Features(cfg)
 	}
+	nz := stats.FitNormalizer(raw)
+	poolX := nz.TransformAll(raw)
 
 	// Opening the measurer is the opt-in gate: unconfigured live
 	// spaces fail here, before anything executes.
@@ -616,28 +604,6 @@ func LearnLiveContext(ctx context.Context, sp Space, opts LearnOptions) (*LiveRe
 	if c, ok := meas.(interface{ Close() error }); ok {
 		defer c.Close()
 	}
-
-	// Sample the candidate pool exactly as dataset generation does
-	// (same stream, same rejection sampling), then standardise features
-	// over the pool.
-	r := rng.NewStream(opts.DatasetSeed, 0xda7a5e7) // dataset stream
-	seen := make(map[uint64]bool, opts.PoolSize)
-	cfgs := make([]Config, 0, opts.PoolSize)
-	for len(cfgs) < opts.PoolSize {
-		cfg := sp.RandomConfig(r)
-		key := sp.Key(cfg)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		cfgs = append(cfgs, cfg)
-	}
-	raw := make([][]float64, len(cfgs))
-	for i, cfg := range cfgs {
-		raw[i] = sp.Features(cfg)
-	}
-	nz := stats.FitNormalizer(raw)
-	poolX := nz.TransformAll(raw)
 
 	if opts.WarmStart != nil {
 		ws, err := warmstart.ApplyRaw(opts.WarmStart, sp.Name(), sp.Dim(), nz)
@@ -654,11 +620,7 @@ func LearnLiveContext(ctx context.Context, sp Space, opts LearnOptions) (*LiveRe
 	if err != nil {
 		return nil, err
 	}
-	eng := evaluator.New(src, evaluator.Options{
-		Workers: opts.Learner.EvalWorkers,
-		Latency: opts.Learner.EvalLatency,
-	})
-	learner, err := core.New(opts.Learner, core.SlicePool(poolX), eng, nil)
+	learner, err := core.New(opts.Learner, core.SlicePool(poolX), src, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -701,24 +663,11 @@ func NewLearner(ds *Dataset, opts LearnerOptions) (*Learner, error) {
 		// ErrSnapshotMismatch instead of mixing trajectories.
 		opts.Space = ds.Space.Name()
 	}
-	pool := make(core.SlicePool, len(ds.TrainIdx))
-	for i, idx := range ds.TrainIdx {
-		pool[i] = ds.Features[idx]
-	}
 	src, err := evaluator.NewDatasetSource(ds)
 	if err != nil {
 		return nil, err
 	}
-	eng := evaluator.New(src, evaluator.Options{
-		Workers: opts.EvalWorkers,
-		Latency: opts.EvalLatency,
-	})
-	testX := ds.TestFeatures()
-	testY := ds.TestTargets()
-	eval := func(m Model) float64 {
-		return stats.RMSE(m.PredictMeanFastBatch(testX), testY)
-	}
-	return core.New(opts, pool, eng, eval)
+	return core.New(opts, core.SlicePool(ds.TrainFeatures()), src, ds.TestRMSE())
 }
 
 // ResumeLearner reconstructs a step-wise learner from a snapshot

@@ -71,9 +71,7 @@ func TestLearnValidation(t *testing.T) {
 	if _, err := Learn(k, bad2); !errors.Is(err, ErrBadTestSize) {
 		t.Fatalf("zero test size error = %v, want ErrBadTestSize", err)
 	}
-	bad3 := quickLearnOptions()
-	bad3.Model = "no-such-backend"
-	if _, err := Learn(k, bad3); !errors.Is(err, ErrUnknownModel) {
+	if _, err := ModelByName("no-such-backend"); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("bogus backend error = %v, want ErrUnknownModel", err)
 	}
 	if _, err := RunOnDataset(nil, quickLearnOptions().Learner); !errors.Is(err, ErrNilDataset) {
@@ -92,7 +90,11 @@ func TestCrossBackendSmoke(t *testing.T) {
 	for _, backend := range ModelNames() {
 		t.Run(backend, func(t *testing.T) {
 			opts := quickLearnOptions()
-			opts.Model = backend
+			b, err := ModelByName(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Learner.Model = b
 			opts.Learner.NMax = 40
 			opts.Learner.NCand = 30
 			res, err := Learn(k, opts)

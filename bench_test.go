@@ -290,7 +290,7 @@ func BenchmarkAblationGP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			f.UpdateBatch(xs, ys)
+			f.UpdateRound(xs, ys, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// The dynamic tree's marginal cost: one incremental
@@ -557,6 +557,6 @@ func (s benchSource) Measure(i, ord int) (evaluator.Sample, error) {
 
 // newBenchLearner builds a learner over benchSource, measured serially.
 func newBenchLearner(opts core.Options, pool core.SlicePool) (*core.Learner, error) {
-	eng := evaluator.New(benchSource{pool: pool}, evaluator.Options{Workers: 1})
-	return core.New(opts, pool, eng, nil)
+	opts.EvalWorkers = 1
+	return core.New(opts, pool, benchSource{pool: pool}, nil)
 }

@@ -121,7 +121,6 @@ func main() {
 	}
 
 	opts := alic.DefaultLearnOptions()
-	opts.Model = *modelName
 	opts.PoolSize = *pool
 	opts.TestSize = *test
 	opts.DatasetSeed = *seed
@@ -144,6 +143,9 @@ func main() {
 	opts.Learner.EvalWorkers = *evalWork
 	opts.Learner.PlanObs = *planObs
 
+	if opts.Learner.Model, err = alic.ModelByName(*modelName); err != nil {
+		fatal(err)
+	}
 	if opts.Learner.Plan, err = alic.PlanByName(*plan); err != nil {
 		fatal(err)
 	}
@@ -328,13 +330,6 @@ func learn(ctx context.Context, sp alic.Space, opts alic.LearnOptions, resumePat
 	}
 	if opts.TestSize < 1 {
 		return nil, fmt.Errorf("%w: got %d", alic.ErrBadTestSize, opts.TestSize)
-	}
-	if opts.Model != "" {
-		b, err := alic.ModelByName(opts.Model)
-		if err != nil {
-			return nil, err
-		}
-		opts.Learner.Model = b
 	}
 	ds, err := alic.GenerateSpaceDataset(sp, alic.DatasetOptions{
 		NConfigs:   opts.PoolSize + opts.TestSize,

@@ -10,8 +10,8 @@ import (
 
 // serialFoldBuilder wraps a backend builder so the built model hides
 // model.RoundUpdater (while keeping PoolBinder when present), forcing
-// the learner down the historical per-acquisition fold loop — the
-// reference the batched round path must match bit for bit.
+// model.UpdateRound down its generic predict-then-Update loop — the
+// reference the backend's batched round path must match bit for bit.
 type serialFoldBuilder struct{ inner model.Builder }
 
 func (b serialFoldBuilder) Name() string { return b.inner.Name() }
@@ -30,25 +30,34 @@ func (b serialFoldBuilder) New(p model.Params) (model.Model, error) {
 	return struct{ model.Model }{m}, nil
 }
 
-// TestBatchedFoldMatchesSerialLoop pins the tentpole's core-side
-// contract: with curve recording off, a run folding whole rounds
-// through UpdateRound — prequential predictions fused into the
-// backend's update pass — is bit-identical to the per-acquisition
-// fold loop in every observable: cost ledger, bookkeeping tallies,
-// prequential RMSE, observation counts and final model predictions.
+// TestBatchedFoldMatchesSerialLoop pins the fold path's backend
+// contract: a run folding rounds through the backend's UpdateRound —
+// prequential predictions fused into its update pass — is
+// bit-identical to the generic per-observation loop in every
+// observable: cost ledger, bookkeeping tallies, prequential RMSE,
+// observation counts, final model predictions and, with curve
+// recording on, every curve point. The curve cases put points inside
+// rounds (EvalEvery=3 with Batch=4, NMax not a multiple of the batch),
+// inside the seed round (NInit=4), and on a seed-only run
+// (NMax == NInit), so the round is folded in chunks.
 func TestBatchedFoldMatchesSerialLoop(t *testing.T) {
-	run := func(serial bool, batch int) (*Result, map[int]int, string) {
+	type setup struct{ batch, nmax, evalEvery int }
+	run := func(serial bool, s setup) (*Result, map[int]int, string) {
 		o := smallOpts()
-		o.EvalEvery = 0
-		o.Batch = batch
-		o.NMax = 80
+		o.EvalEvery = s.evalEvery
+		o.Batch = s.batch
+		o.NMax = s.nmax
 		o.Seed = 7
 		if serial {
 			o.Model = serialFoldBuilder{inner: model.DynatreeBuilder{Config: o.Tree}}
 		}
 		pool := gridPool(400)
 		src := newFuncSource(pool, stepFn, constSigma(0.2), 0.5, 99)
-		l, err := New(o, pool, newEngine(src, o), nil)
+		var eval ModelEvaluator
+		if s.evalEvery > 0 {
+			eval = testEval(stepFn)
+		}
+		l, err := New(o, pool, src, eval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +71,19 @@ func TestBatchedFoldMatchesSerialLoop(t *testing.T) {
 		}
 		return res, l.ObservationCounts(), fp
 	}
-	for _, batch := range []int{1, 4} {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			br, bc, bf := run(false, batch)
-			sr, sc, sf := run(true, batch)
+	for _, c := range []struct {
+		name string
+		setup
+	}{
+		{"batch=1", setup{batch: 1, nmax: 80}},
+		{"batch=4", setup{batch: 4, nmax: 80}},
+		{"curve/batch=4", setup{batch: 4, nmax: 42, evalEvery: 3}},
+		{"curve/nmax=ninit", setup{batch: 4, nmax: smallOpts().NInit, evalEvery: 3}},
+	} {
+		s := c.setup
+		t.Run(c.name, func(t *testing.T) {
+			br, bc, bf := run(false, s)
+			sr, sc, sf := run(true, s)
 			if got, want := fmt.Sprintf("%.17g", br.Cost), fmt.Sprintf("%.17g", sr.Cost); got != want {
 				t.Errorf("cost %s != serial %s", got, want)
 			}
@@ -89,6 +107,33 @@ func TestBatchedFoldMatchesSerialLoop(t *testing.T) {
 					t.Errorf("obsCount[%d] = %d != serial %d", k, bc[k], v)
 				}
 			}
+			if s.evalEvery == 0 {
+				return
+			}
+			// Points land at every multiple of EvalEvery and at NMax.
+			var want []int
+			for a := s.evalEvery; a < s.nmax; a += s.evalEvery {
+				want = append(want, a)
+			}
+			want = append(want, s.nmax)
+			curve := func(r *Result) (out []string) {
+				for _, p := range r.Curve {
+					out = append(out, fmt.Sprintf("acq=%d cost=%.17g err=%.17g", p.Acquired, p.Cost, p.Error))
+				}
+				return out
+			}
+			bcur, scur := curve(br), curve(sr)
+			if len(br.Curve) != len(want) {
+				t.Fatalf("curve %v, want points at %v", bcur, want)
+			}
+			for i, p := range br.Curve {
+				if p.Acquired != want[i] {
+					t.Fatalf("curve %v, want points at %v", bcur, want)
+				}
+			}
+			if fmt.Sprint(bcur) != fmt.Sprint(scur) {
+				t.Errorf("curve diverged:\n%v\nvs serial\n%v", bcur, scur)
+			}
 		})
 	}
 }
@@ -110,7 +155,7 @@ func TestProgressPhaseSplit(t *testing.T) {
 	}
 	pool := gridPool(300)
 	src := newFuncSource(pool, stepFn, constSigma(0.1), 0.5, 3)
-	l, err := New(o, pool, newEngine(src, o), nil)
+	l, err := New(o, pool, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

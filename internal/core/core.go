@@ -111,16 +111,15 @@ type Options struct {
 	// same configurations and yields bit-identical results; Workers
 	// changes wall-clock time only.
 	Workers int
-	// EvalWorkers bounds concurrent measurements inside the evaluator
-	// engine (0 = GOMAXPROCS, 1 = serial). It is consumed by whoever
-	// constructs the engine (the alic facade, the experiment harness);
-	// results are bit-identical for every value.
+	// EvalWorkers bounds concurrent measurements inside the learner's
+	// evaluator engine, which New builds from it (0 = GOMAXPROCS,
+	// 1 = serial); results are bit-identical for every value.
 	EvalWorkers int
 	// EvalLatency simulates per-measurement profiling latency in the
-	// evaluator engine — the knob that reproduces the
+	// learner's evaluator engine — the knob that reproduces the
 	// measurement-bound regime of a real deployment on top of the
-	// microsecond-scale simulator. Consumed at engine construction,
-	// like EvalWorkers.
+	// microsecond-scale simulator. New passes it to the engine with
+	// EvalWorkers.
 	EvalLatency time.Duration
 	// Progress, when non-nil, is invoked by Run after every step.
 	Progress func(Progress)
@@ -348,14 +347,8 @@ type Learner struct {
 	// indices to indexed-capable acquisitions instead of gathering
 	// feature rows, unlocking the backend's cross-round caches.
 	binder model.PoolBinder
-	// roundUpd is non-nil when the backend supports batched per-round
-	// updates (model.RoundUpdater); observed rounds are then absorbed
-	// in one UpdateRound call — with the prequential predictions fused
-	// into the backend's update pass — whenever that is bit-identical
-	// to the per-acquisition fold loop (see batchedFold).
-	roundUpd model.RoundUpdater
-	// foldXs / foldYs / foldPreds are the batched fold path's reusable
-	// per-round scratch.
+	// foldXs / foldYs / foldPreds are foldRound's reusable per-round
+	// scratch.
 	foldXs    [][]float64
 	foldYs    []float64
 	foldPreds []float64
@@ -396,11 +389,13 @@ type Learner struct {
 	stoppedBy StopReason
 }
 
-// New constructs a learner over a pool and the evaluator engine that
-// measures it (see internal/evaluator). The model evaluator may be nil.
-func New(opts Options, pool Pool, ev *evaluator.Engine, eval ModelEvaluator) (*Learner, error) {
-	if pool == nil || ev == nil {
-		return nil, fmt.Errorf("core: nil pool or evaluator")
+// New constructs a learner over a pool and the source that measures
+// it. The learner owns its evaluator engine (see internal/evaluator),
+// sized by Options.EvalWorkers and Options.EvalLatency. The model
+// evaluator may be nil.
+func New(opts Options, pool Pool, src evaluator.Source, eval ModelEvaluator) (*Learner, error) {
+	if pool == nil || src == nil {
+		return nil, fmt.Errorf("core: nil pool or source")
 	}
 	plan := opts.Plan
 	if plan == nil {
@@ -432,7 +427,7 @@ func New(opts Options, pool Pool, ev *evaluator.Engine, eval ModelEvaluator) (*L
 		acq:      acq,
 		builder:  builder,
 		pool:     pool,
-		ev:       ev,
+		ev:       evaluator.New(src, evaluator.Options{Workers: opts.EvalWorkers, Latency: opts.EvalLatency}),
 		eval:     eval,
 		r:        rng.NewStream(opts.Seed, 0xac71ea12),
 		obsCount: make(map[int]int),
@@ -569,12 +564,7 @@ func (l *Learner) beginRound() error {
 func (l *Learner) finishRound() (bool, error) {
 	rd := l.begun
 	costBefore := l.costNow()
-	var err error
-	if rd.seeding {
-		err = l.seedObserve(rd.chosen, rd.n)
-	} else {
-		err = l.observeRound(rd.chosen, rd.n)
-	}
+	err := l.observeRound(rd)
 	l.begun = nil
 	if err != nil {
 		return false, err
@@ -690,50 +680,47 @@ func (l *Learner) LastRoundCost() float64 {
 	return l.lastRoundCost
 }
 
-// observeRound dispatches one acquisition batch and folds the results
-// in scheduling order — bit-identical to the historical serial loop.
-func (l *Learner) observeRound(chosen []int, n int) error {
-	obs, err := l.ev.ObserveBatch(evaluator.Repeat(chosen, n))
+// observeRound dispatches one round's whole batch to the evaluator and
+// folds the results in scheduling order — bit-identical to the
+// historical serial loop. The seed round first builds the model from
+// its observations and afterwards folds any warm start.
+func (l *Learner) observeRound(rd *round) error {
+	obs, err := l.ev.ObserveBatch(evaluator.Repeat(rd.chosen, rd.n))
 	if err != nil {
 		return err
 	}
-	t0 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed learner arithmetic
-	if l.batchedFold() {
-		l.foldRound(chosen, obs, n)
-	} else {
-		pos := 0
-		for _, idx := range chosen {
-			l.fold(idx, obs[pos:pos+n])
-			pos += n
+	if rd.seeding {
+		if err := l.seedModel(rd.chosen, obs); err != nil {
+			return err
 		}
 	}
+	t0 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed learner arithmetic
+	means := l.foldRound(rd, obs)
+	if rd.seeding {
+		err = l.foldWarmStart(means)
+	}
 	l.updateNS += time.Since(t0).Nanoseconds() //alic:allow detfloat wall-clock phase accounting only
-	return nil
+	return err
 }
 
-// batchedFold reports whether observed rounds may be absorbed through
-// the backend's batched update path. It requires the backend to
-// implement model.RoundUpdater and curve recording to be off: a curve
-// point falling inside a round must evaluate the model mid-round,
-// which only the per-acquisition loop can provide. When it holds,
-// maybeEval is a no-op for every acquisition, so folding a whole
-// round in one UpdateRound call — prequential predictions fused into
-// the backend's update pass — is bit-identical to the serial fold
-// loop (the RoundUpdater contract, pinned by
-// TestBatchedFoldMatchesSerialLoop).
-func (l *Learner) batchedFold() bool {
-	return l.roundUpd != nil && (l.eval == nil || l.opts.EvalEvery <= 0)
-}
-
-// foldRound absorbs one observed round — chosen[i]'s observations are
-// obs[i*n:(i+1)*n], in scheduling order — through the backend's
-// batched update path, replaying fold's bookkeeping exactly: same
-// per-acquisition means, same prequential residual sequence (against
-// pre-update predictions), same seen-order and revisit accounting.
-func (l *Learner) foldRound(chosen []int, obs []evaluator.Observation, n int) {
-	xs := l.foldXs[:0]
-	ys := l.foldYs[:0]
-	for i, idx := range chosen {
+// foldRound absorbs one observed round — rd.chosen[i]'s observations
+// are obs[i*rd.n:(i+1)*rd.n], in scheduling order — through
+// model.UpdateRound and returns the per-acquisition means it folded.
+// Fixed plans learn the averaged runtime; the variable plan feeds the
+// single (noisy) observation. Acquisition rounds also track the
+// prequential residual of each pre-update prediction (test on the new
+// target before training on it).
+//
+// With curve recording on, the round folds in chunks that end at curve
+// points, so each point evaluates the model after exactly the
+// acquisitions the per-acquisition loop had folded, with the cost read
+// through the chunk's last observation. The seed round's cost
+// checkpoint stays at the end of its batch (seedModel sets it): the
+// serial loop gathered every seed observation before fitting.
+func (l *Learner) foldRound(rd *round, obs []evaluator.Observation) []float64 {
+	n := rd.n
+	xs, ys := l.foldXs[:0], l.foldYs[:0]
+	for i, idx := range rd.chosen {
 		var w stats.Welford
 		for _, o := range obs[i*n : (i+1)*n] {
 			w.Add(o.Value)
@@ -742,56 +729,59 @@ func (l *Learner) foldRound(chosen []int, obs []evaluator.Observation, n int) {
 		ys = append(ys, w.Mean())
 	}
 	l.foldXs, l.foldYs = xs, ys
-	if cap(l.foldPreds) < len(chosen) {
-		l.foldPreds = make([]float64, len(chosen))
-	}
-	preds := l.foldPreds[:len(chosen)]
-	l.roundUpd.UpdateRound(xs, ys, preds)
-	l.lastSeq = obs[len(obs)-1].Seq
-	l.observations += len(obs)
-	for i, idx := range chosen {
-		if prev, seen := l.obsCount[idx]; seen {
-			l.revisits++
-			l.obsCount[idx] = prev + n
-		} else {
-			l.obsCount[idx] = n
-			l.order = append(l.order, idx)
+	var preds []float64
+	if !rd.seeding {
+		if cap(l.foldPreds) < len(xs) {
+			l.foldPreds = make([]float64, len(xs))
 		}
-		resid := preds[i] - ys[i]
-		l.preq.add(resid * resid)
-		l.acquired++
+		preds = l.foldPreds[:len(xs)]
 	}
+	for lo := 0; lo < len(xs); {
+		hi := len(xs)
+		if gap := l.curveGap(); gap < hi-lo {
+			hi = lo + gap
+		}
+		var chunkPreds []float64
+		if preds != nil {
+			chunkPreds = preds[lo:hi]
+		}
+		model.UpdateRound(l.model, xs[lo:hi], ys[lo:hi], chunkPreds)
+		if !rd.seeding {
+			l.lastSeq = obs[hi*n-1].Seq
+		}
+		for i, idx := range rd.chosen[lo:hi] {
+			if prev, seen := l.obsCount[idx]; seen {
+				l.revisits++
+				l.obsCount[idx] = prev + n
+			} else {
+				l.obsCount[idx] = n
+				l.order = append(l.order, idx)
+			}
+			if chunkPreds != nil {
+				resid := chunkPreds[i] - ys[lo+i]
+				l.preq.add(resid * resid)
+			}
+			l.acquired++
+		}
+		l.observations += (hi - lo) * n
+		l.maybeEval()
+		lo = hi
+	}
+	return ys
 }
 
-// fold absorbs the observations of one acquisition into the learner:
-// prequential estimate, model update, and bookkeeping — the order the
-// serial loop used.
-func (l *Learner) fold(idx int, obs []evaluator.Observation) {
-	l.lastSeq = obs[len(obs)-1].Seq
-	var w stats.Welford
-	for _, o := range obs {
-		w.Add(o.Value)
-		l.observations++
+// curveGap returns how many more acquisitions fold before the next
+// curve point — the next multiple of EvalEvery, or NMax — and
+// math.MaxInt when curve recording is off.
+func (l *Learner) curveGap() int {
+	if l.eval == nil || l.opts.EvalEvery <= 0 {
+		return math.MaxInt
 	}
-	n := len(obs)
-	if prev, seen := l.obsCount[idx]; seen {
-		l.revisits++
-		l.obsCount[idx] = prev + n
-	} else {
-		l.obsCount[idx] = n
-		l.order = append(l.order, idx)
+	gap := l.opts.EvalEvery - l.acquired%l.opts.EvalEvery
+	if rem := l.opts.NMax - l.acquired; rem > 0 && rem < gap {
+		gap = rem
 	}
-	// Prequential estimate: test on the new target before training on
-	// it.
-	feats := l.pool.Features(idx)
-	resid := l.model.PredictMeanFast(feats) - w.Mean()
-	l.preq.add(resid * resid)
-
-	// Fixed plans learn the averaged runtime; the variable plan feeds
-	// the single (noisy) observation to the model.
-	l.model.Update(feats, w.Mean())
-	l.acquired++
-	l.maybeEval()
+	return gap
 }
 
 // checkStop fires the completion criteria in priority order: budget,
@@ -899,37 +889,22 @@ func (l *Learner) Result() *Result {
 	return res
 }
 
-// seedObserve observes the NInit seed draw per the plan's seed
-// schedule in one evaluator batch and fits the initial model — the
-// "initial training points" of Figure 3 (the draw itself happens in
-// beginRound, so a split-phase scheduler can publish it first).
-func (l *Learner) seedObserve(idxs []int, seedObs int) error {
-	// First pass: gather seed observations so the backend's prior can
-	// be calibrated on them before the model absorbs anything. Nothing
-	// is committed to the learner until the whole batch and the model
-	// build succeed, so a failed Step can be retried without
-	// double-counting or duplicating seen-order entries (the
-	// evaluator's already-charged cost is the only trace of the failed
-	// attempt).
-	obs, err := l.ev.ObserveBatch(evaluator.Repeat(idxs, seedObs))
-	if err != nil {
-		return err
-	}
+// seedModel builds the model from the NInit seed round's observations
+// — the "initial training points" of Figure 3 (the draw itself happens
+// in beginRound, so a split-phase scheduler can publish it first). The
+// backend's prior is calibrated on every seed observation before the
+// model absorbs anything, and nothing else is committed to the learner
+// until the build succeeds, so a failed Step can be retried without
+// double-counting (the evaluator's already-charged cost is the only
+// trace of the failed attempt).
+func (l *Learner) seedModel(idxs []int, obs []evaluator.Observation) error {
 	l.lastSeq = obs[len(obs)-1].Seq
-	means := make([]float64, len(idxs))
-	all := make([]float64, 0, len(obs))
-	for i := range idxs {
-		var w stats.Welford
-		for _, o := range obs[i*seedObs : (i+1)*seedObs] {
-			w.Add(o.Value)
-			all = append(all, o.Value)
-		}
-		means[i] = w.Mean()
+	all := make([]float64, len(obs))
+	for i, o := range obs {
+		all[i] = o.Value
 	}
-
-	dim := len(l.pool.Features(idxs[0]))
 	m, err := l.builder.New(model.Params{
-		Dim:         dim,
+		Dim:         len(l.pool.Features(idxs[0])),
 		SeedTargets: all,
 		Workers:     l.opts.Workers,
 		RNG:         l.r.Split(l.builder.Name()),
@@ -940,10 +915,16 @@ func (l *Learner) seedObserve(idxs []int, seedObs int) error {
 	if model.IsNil(m) {
 		return fmt.Errorf("core: model builder %q returned a nil model", l.builder.Name())
 	}
+	l.attachModel(m)
+	return nil
+}
+
+// attachModel installs m as the learner's model. Backends that
+// implement PoolBinder intern the pool once: they then score
+// candidates by stable index (bit-identical to the row path, but able
+// to reuse per-candidate work across rounds).
+func (l *Learner) attachModel(m model.Model) {
 	l.model = m
-	// Intern the pool once: backends that implement PoolBinder score
-	// candidates by stable index from here on (bit-identical to the
-	// row path, but able to reuse per-candidate work across rounds).
 	if pb, ok := m.(model.PoolBinder); ok {
 		rows := make([][]float64, l.pool.Len())
 		for i := range rows {
@@ -952,42 +933,12 @@ func (l *Learner) seedObserve(idxs []int, seedObs int) error {
 		pb.BindPool(rows)
 		l.binder = pb
 	}
-	if ru, ok := m.(model.RoundUpdater); ok {
-		l.roundUpd = ru
-	}
-	l.observations += len(all)
-	t0 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed learner arithmetic
-	if l.batchedFold() {
-		xs := l.foldXs[:0]
-		for _, idx := range idxs {
-			xs = append(xs, l.pool.Features(idx))
-		}
-		l.foldXs = xs
-		l.roundUpd.UpdateRound(xs, means, nil)
-		for _, idx := range idxs {
-			l.obsCount[idx] = seedObs
-			l.order = append(l.order, idx)
-			l.acquired++
-		}
-	} else {
-		for i, idx := range idxs {
-			l.obsCount[idx] = seedObs
-			l.order = append(l.order, idx)
-			l.model.Update(l.pool.Features(idx), means[i])
-			l.acquired++
-			l.maybeEval()
-		}
-	}
-	if err := l.foldWarmStart(means); err != nil {
-		return err
-	}
-	l.updateNS += time.Since(t0).Nanoseconds() //alic:allow detfloat wall-clock phase accounting only
-	return nil
 }
 
 // foldWarmStart injects the cross-space transfer summary (if any)
 // right after the seed fold: each exported z-score is rescaled to the
-// seed round's mean and spread and folded as a plain model update.
+// seed round's mean and spread, and the points fold as one update
+// round once every point's dimension has been checked.
 // Nothing else moves — no acquisitions, no cost, no rng draws — so
 // learners without a summary are byte-identical to builds that
 // predate warm starts.
@@ -1008,13 +959,15 @@ func (l *Learner) foldWarmStart(seedMeans []float64) error {
 	if !(std > 0) {
 		std = 1
 	}
+	ys := make([]float64, len(ws.Xs))
 	for i, x := range ws.Xs {
 		if len(x) != dim {
 			return fmt.Errorf("core: warm start point %d has dim %d, pool has %d (source space %q)",
 				i, len(x), dim, ws.From)
 		}
-		l.model.Update(x, mean+ws.Zs[i]*std)
+		ys[i] = mean + ws.Zs[i]*std
 	}
+	model.UpdateRound(l.model, ws.Xs, ys, nil)
 	return nil
 }
 

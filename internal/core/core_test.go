@@ -51,12 +51,6 @@ func constSigma(v float64) func([]float64) float64 {
 	return func([]float64) float64 { return v }
 }
 
-// newEngine wraps a source in an engine sized by the options'
-// EvalWorkers and EvalLatency, as the facade does.
-func newEngine(src evaluator.Source, opts Options) *evaluator.Engine {
-	return evaluator.New(src, evaluator.Options{Workers: opts.EvalWorkers, Latency: opts.EvalLatency})
-}
-
 // gridPool builds a 1D pool of n evenly spaced points in [0, 1].
 func gridPool(n int) SlicePool {
 	p := make(SlicePool, n)
@@ -117,11 +111,11 @@ func TestNewValidation(t *testing.T) {
 	for i, mutate := range cases {
 		o := smallOpts()
 		mutate(&o)
-		if _, err := New(o, pool, newEngine(src, o), nil); err == nil {
+		if _, err := New(o, pool, src, nil); err == nil {
 			t.Fatalf("case %d: invalid options accepted", i)
 		}
 	}
-	if _, err := New(smallOpts(), nil, newEngine(src, smallOpts()), nil); err == nil {
+	if _, err := New(smallOpts(), nil, src, nil); err == nil {
 		t.Fatal("nil pool accepted")
 	}
 	if _, err := New(smallOpts(), pool, nil, nil); err == nil {
@@ -133,7 +127,7 @@ func TestLearnsStep(t *testing.T) {
 	pool := gridPool(400)
 	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 2)
 	eval := testEval(stepFn)
-	l, err := New(smallOpts(), pool, newEngine(src, smallOpts()), eval)
+	l, err := New(smallOpts(), pool, src, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +153,7 @@ func TestLearnsStep(t *testing.T) {
 
 func TestCurveCostMonotone(t *testing.T) {
 	pool := gridPool(300)
-	eng := newEngine(newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 3), smallOpts())
-	l, _ := New(smallOpts(), pool, eng, testEval(stepFn))
+	l, _ := New(smallOpts(), pool, newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 3), testEval(stepFn))
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +165,7 @@ func TestCurveCostMonotone(t *testing.T) {
 		}
 		prev = p.Cost
 	}
-	if res.Cost != eng.Cost() {
+	if res.Cost != l.ev.Cost() {
 		t.Fatal("result cost disagrees with the engine ledger")
 	}
 }
@@ -191,7 +184,7 @@ func TestVariablePlanRevisitsNoisyRegions(t *testing.T) {
 	src := newFuncSource(pool, fn, sigma, 0.05, 4)
 	opts := smallOpts()
 	opts.NMax = 200
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +223,7 @@ func TestFixedPlanBookkeeping(t *testing.T) {
 	opts.Plan = FixedPlan
 	opts.PlanObs = 7
 	opts.NMax = 40
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +250,7 @@ func TestVariableCheaperThanFixedAtSameAcquisitions(t *testing.T) {
 		opts := smallOpts()
 		opts.Plan = plan
 		opts.PlanObs = planObs
-		l, _ := New(opts, pool, newEngine(src, opts), nil)
+		l, _ := New(opts, pool, src, nil)
 		res, err := l.Run(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +270,7 @@ func TestStopCost(t *testing.T) {
 	opts := smallOpts()
 	opts.NMax = 10000
 	opts.StopCost = 50
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +290,7 @@ func TestBatchAcquisition(t *testing.T) {
 	opts := smallOpts()
 	opts.Batch = 5
 	opts.NMax = 64
-	l, _ := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+	l, _ := New(opts, pool, src, testEval(stepFn))
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +310,7 @@ func TestScorers(t *testing.T) {
 		opts := smallOpts()
 		opts.Scorer = sc
 		opts.NMax = 60
-		l, _ := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+		l, _ := New(opts, pool, src, testEval(stepFn))
 		res, err := l.Run(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name(), err)
@@ -332,7 +325,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	run := func() float64 {
 		pool := gridPool(300)
 		src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 10)
-		l, _ := New(smallOpts(), pool, newEngine(src, smallOpts()), testEval(stepFn))
+		l, _ := New(smallOpts(), pool, src, testEval(stepFn))
 		res, err := l.Run(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -353,7 +346,7 @@ func TestCandidateSetDistinct(t *testing.T) {
 	opts := smallOpts()
 	opts.NInit = 3
 	opts.NCand = 40
-	l, err := New(opts, pool, newEngine(src, opts), nil)
+	l, err := New(opts, pool, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +376,7 @@ func TestSmallPoolExhaustion(t *testing.T) {
 	opts.NObs = 2
 	opts.NCand = 10
 	opts.NMax = 1000
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +466,7 @@ func TestStepWithCustomAcquisition(t *testing.T) {
 	opts := smallOpts()
 	opts.Scorer = acq
 	opts.NMax = 40
-	l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+	l, err := New(opts, pool, src, testEval(stepFn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +525,7 @@ func TestSeedRejectsNilModel(t *testing.T) {
 	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 22)
 	opts := smallOpts()
 	opts.Model = nilBuilder{}
-	l, err := New(opts, pool, newEngine(src, opts), nil)
+	l, err := New(opts, pool, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +558,7 @@ func TestSeedFailureIsRetryable(t *testing.T) {
 	}
 	opts := smallOpts()
 	opts.NMax = 20
-	l, err := New(opts, pool, newEngine(src, opts), nil)
+	l, err := New(opts, pool, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +605,7 @@ func TestSelectBatchRejectsEmptyPicks(t *testing.T) {
 	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 19)
 	opts := smallOpts()
 	opts.Scorer = emptyAcq{}
-	l, err := New(opts, pool, newEngine(src, opts), nil)
+	l, err := New(opts, pool, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +626,7 @@ func TestSelectBatchRejectsDuplicatePositions(t *testing.T) {
 	opts := smallOpts()
 	opts.Scorer = dupAcq{}
 	opts.Batch = 3
-	l, err := New(opts, pool, newEngine(src, opts), nil)
+	l, err := New(opts, pool, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +652,7 @@ func TestRunCancellation(t *testing.T) {
 			cancel()
 		}
 	}
-	l, err := New(opts, pool, newEngine(src, opts), nil)
+	l, err := New(opts, pool, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +687,7 @@ func TestRunAfterDoneKeepsStopReason(t *testing.T) {
 	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 17)
 	opts := smallOpts()
 	opts.NMax = 20
-	l, err := New(opts, pool, newEngine(src, opts), nil)
+	l, err := New(opts, pool, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +717,7 @@ func TestRegistryDynatreeMatchesDefault(t *testing.T) {
 		opts := smallOpts()
 		opts.NMax = 40
 		opts.Model = b
-		l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+		l, err := New(opts, pool, src, testEval(stepFn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -746,7 +739,7 @@ func TestGPBackendThroughLoop(t *testing.T) {
 	opts.NMax = 40
 	opts.NCand = 25
 	opts.Model = model.GPBuilder{MaxPoints: 60, RefitEvery: 4}
-	l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+	l, err := New(opts, pool, src, testEval(stepFn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,7 +776,7 @@ func TestALCOutperformsRandomOnHeteroskedastic(t *testing.T) {
 		opts := smallOpts()
 		opts.Scorer = sc
 		opts.NMax = 150
-		l, _ := New(opts, pool, newEngine(src, opts), testEval(fn))
+		l, _ := New(opts, pool, src, testEval(fn))
 		res, err := l.Run(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -809,7 +802,7 @@ func TestWorkersDeterminism(t *testing.T) {
 			opts := smallOpts()
 			opts.Scorer = sc
 			opts.Workers = workers
-			l, _ := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+			l, _ := New(opts, pool, src, testEval(stepFn))
 			res, err := l.Run(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -873,7 +866,7 @@ func TestIndexedPathMatchesRowPath(t *testing.T) {
 			if rowOnly {
 				opts.Model = rowOnlyBuilder{inner: model.DynatreeBuilder{Config: opts.Tree}}
 			}
-			l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+			l, err := New(opts, pool, src, testEval(stepFn))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -938,7 +931,7 @@ func TestSyncEngineBitIdenticalAcrossEvalWorkers(t *testing.T) {
 		opts.EvalEvery = 10
 		opts.EvalWorkers = workers
 		src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 7)
-		l, err := New(opts, pool, newEngine(src, opts), testEval(stepFn))
+		l, err := New(opts, pool, src, testEval(stepFn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -966,7 +959,7 @@ func TestEvalWorkersValidation(t *testing.T) {
 	opts := smallOpts()
 	opts.EvalWorkers = -1
 	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 40)
-	if _, err := New(opts, pool, newEngine(src, opts), nil); err == nil {
+	if _, err := New(opts, pool, src, nil); err == nil {
 		t.Fatal("negative EvalWorkers accepted")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"alic/internal/evaluator"
 )
 
 // newPhaseLearner builds a learner over a pure (item, ordinal) source
@@ -15,8 +13,8 @@ import (
 // through different APIs observe identical measurement sequences.
 func newPhaseLearner(t *testing.T, opts Options, pool SlicePool) *Learner {
 	t.Helper()
-	eng := evaluator.New(newFuncSource(pool, stepFn, constSigma(0.05), 0.1, 7), evaluator.Options{Workers: 1})
-	l, err := New(opts, pool, eng, testEval(stepFn))
+	opts.EvalWorkers = 1
+	l, err := New(opts, pool, newFuncSource(pool, stepFn, constSigma(0.05), 0.1, 7), testEval(stepFn))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -410,21 +410,9 @@ func (l *Learner) Restore(r io.Reader) error {
 	l.curve = curve
 	l.begun = begun
 	if mdl != nil {
-		l.model = mdl
-		// Re-wire the optional fast paths exactly as seedObserve does:
-		// re-binding the pool rebuilds the backend's routing cache from
+		// Re-binding the pool rebuilds the backend's routing cache from
 		// scratch (pure memoization, bit-neutral).
-		if pb, ok := mdl.(model.PoolBinder); ok {
-			rows := make([][]float64, l.pool.Len())
-			for i := range rows {
-				rows[i] = l.pool.Features(i)
-			}
-			pb.BindPool(rows)
-			l.binder = pb
-		}
-		if ru, ok := mdl.(model.RoundUpdater); ok {
-			l.roundUpd = ru
-		}
+		l.attachModel(mdl)
 	}
 	return nil
 }

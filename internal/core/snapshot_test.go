@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"alic/internal/evaluator"
 	"alic/internal/snapshot"
 )
 
@@ -18,8 +17,8 @@ import (
 // pairs bit-identically.
 func snapLearner(t *testing.T, opts Options, pool SlicePool, workers int) *Learner {
 	t.Helper()
-	eng := evaluator.New(newFuncSource(pool, stepFn, constSigma(0.05), 0.1, 7), evaluator.Options{Workers: workers})
-	l, err := New(opts, pool, eng, testEval(stepFn))
+	opts.EvalWorkers = workers
+	l, err := New(opts, pool, newFuncSource(pool, stepFn, constSigma(0.05), 0.1, 7), testEval(stepFn))
 	if err != nil {
 		t.Fatal(err)
 	}

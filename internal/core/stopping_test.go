@@ -52,7 +52,7 @@ func TestStopErrorEndsRunEarly(t *testing.T) {
 	opts.NMax = 2000
 	opts.StopError = 0.05
 	opts.StopWindow = 20
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestStopErrorIgnoredWhenHard(t *testing.T) {
 	opts.NMax = 80
 	opts.StopError = 1e-6
 	opts.StopWindow = 10
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestStopCostSetsReason(t *testing.T) {
 	opts := smallOpts()
 	opts.NMax = 10000
 	opts.StopCost = 30
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestPoolExhaustionSetsReason(t *testing.T) {
 	opts.NObs = 2
 	opts.NCand = 5
 	opts.NMax = 500
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	res, err := l.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestOracleFailureDuringSeeding(t *testing.T) {
 	pool := gridPool(100)
 	inner := newFuncSource(pool, stepFn, constSigma(0.02), 0.02, 35)
 	src := &failingSource{inner: inner, budget: 3}
-	l, _ := New(smallOpts(), pool, newEngine(src, smallOpts()), nil)
+	l, _ := New(smallOpts(), pool, src, nil)
 	if _, err := l.Run(nil); err == nil {
 		t.Fatal("seeding failure not propagated")
 	}
@@ -177,7 +177,7 @@ func TestOracleFailureDuringLoop(t *testing.T) {
 	// Fail after seeding completes (NInit * NObs observations) plus a
 	// few loop acquisitions.
 	src := &failingSource{inner: inner, budget: int64(opts.NInit*opts.NObs + 5)}
-	l, _ := New(opts, pool, newEngine(src, opts), nil)
+	l, _ := New(opts, pool, src, nil)
 	if _, err := l.Run(nil); err == nil {
 		t.Fatal("loop failure not propagated")
 	}

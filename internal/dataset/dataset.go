@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"alic/internal/model"
 	"alic/internal/rng"
 	"alic/internal/space"
 	"alic/internal/stats"
@@ -106,29 +107,15 @@ func Generate(sp space.Space, opts Options) (*Dataset, error) {
 	} else if opts.TrainFrac <= 0 || opts.TrainFrac >= 1 {
 		return nil, fmt.Errorf("dataset: TrainFrac %v outside (0, 1)", opts.TrainFrac)
 	}
-	if float64(opts.NConfigs) > sp.Size()/2 {
-		return nil, fmt.Errorf("dataset: NConfigs %d too large for space of size %g",
-			opts.NConfigs, sp.Size())
+	cfgs, r, err := SamplePool(sp, opts.NConfigs, opts.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: NConfigs: %w", err)
 	}
-
 	meas, err := sp.Measurer(opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	d := &Dataset{Space: sp, Opts: opts, meas: meas}
-
-	r := rng.NewStream(opts.Seed, 0xda7a5e7) // dataset stream
-	seen := make(map[uint64]bool, opts.NConfigs)
-	d.Configs = make([]space.Config, 0, opts.NConfigs)
-	for len(d.Configs) < opts.NConfigs {
-		cfg := sp.RandomConfig(r)
-		key := sp.Key(cfg)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		d.Configs = append(d.Configs, cfg)
-	}
+	d := &Dataset{Space: sp, Opts: opts, Configs: cfgs, meas: meas}
 
 	n := len(d.Configs)
 	d.Raw = make([][]float64, n)
@@ -179,6 +166,17 @@ func Generate(sp space.Space, opts Options) (*Dataset, error) {
 	return d, nil
 }
 
+// SamplePool draws n distinct configurations of sp from the dataset
+// stream of the seed — the configurations Generate samples first — and
+// returns the stream, which Generate goes on to draw its train/test
+// split from. It fails with space.ErrTooManyConfigs when n exceeds half
+// the space.
+func SamplePool(sp space.Space, n int, seed uint64) ([]space.Config, *rng.Stream, error) {
+	r := rng.NewStream(seed, 0xda7a5e7) // dataset stream
+	cfgs, err := space.SampleDistinct(sp, n, r)
+	return cfgs, r, err
+}
+
 // Observe regenerates observation obsIdx of configuration i — the same
 // value the dataset saw during generation for obsIdx < NObs, and fresh
 // consistent draws beyond. The corpus measurer is simulated (Generate
@@ -190,6 +188,16 @@ func (d *Dataset) Observe(i, obsIdx int) float64 {
 		panic(fmt.Sprintf("dataset: regenerating observation (%d, %d): %v", i, obsIdx, err))
 	}
 	return y
+}
+
+// TrainFeatures returns the standardised features of the training
+// pool, in TrainIdx order — the learner's candidate pool.
+func (d *Dataset) TrainFeatures() [][]float64 {
+	out := make([][]float64, len(d.TrainIdx))
+	for i, idx := range d.TrainIdx {
+		out[i] = d.Features[idx]
+	}
+	return out
 }
 
 // TestFeatures returns the standardised features of the test set.
@@ -209,6 +217,15 @@ func (d *Dataset) TestTargets() []float64 {
 		out[i] = d.Observed[idx].Mean
 	}
 	return out
+}
+
+// TestRMSE returns the held-out model evaluator of equation (1): the
+// RMSE of a model's predicted means over the test set.
+func (d *Dataset) TestRMSE() func(model.Model) float64 {
+	testX, testY := d.TestFeatures(), d.TestTargets()
+	return func(m model.Model) float64 {
+		return stats.RMSE(m.PredictMeanFastBatch(testX), testY)
+	}
 }
 
 // VarianceSummary returns the spread of per-configuration observation

@@ -184,6 +184,15 @@ func TestTestAccessors(t *testing.T) {
 			t.Fatal("TestTargets mismatch")
 		}
 	}
+	trf := d.TrainFeatures()
+	if len(trf) != len(d.TrainIdx) {
+		t.Fatal("TrainFeatures has the wrong length")
+	}
+	for i, idx := range d.TrainIdx {
+		if &trf[i][0] != &d.Features[idx][0] {
+			t.Fatal("TrainFeatures row is not the corpus row")
+		}
+	}
 }
 
 func TestVarianceSummary(t *testing.T) {

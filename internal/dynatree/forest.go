@@ -439,17 +439,6 @@ func (f *Forest) Update(x []float64, y float64) {
 	f.updateObs(idx, f.points[idx].x, y, false)
 }
 
-// UpdateBatch absorbs observations in order through the round-batched
-// path. Targets are validated batch-wide up front, so a non-finite
-// target mid-batch panics before any observation is appended instead
-// of leaving the forest partially updated.
-func (f *Forest) UpdateBatch(xs [][]float64, ys []float64) {
-	if len(xs) != len(ys) {
-		panic("dynatree: UpdateBatch length mismatch")
-	}
-	f.UpdateRound(xs, ys, nil)
-}
-
 // UpdateRound absorbs one acquisition round's observations in a
 // single batched call: targets are validated batch-wide up front,
 // feature copies are interned and appended once, and the NIG tables

@@ -135,13 +135,13 @@ func TestVarianceHigherInNoisyRegion(t *testing.T) {
 	}
 }
 
-func TestUpdateBatchEqualsSequential(t *testing.T) {
+func TestUpdateRoundEqualsSequential(t *testing.T) {
 	cfg := smallConfig()
 	fa, _ := New(cfg, 1, rng.New(7))
 	fb, _ := New(cfg, 1, rng.New(7))
 	xs := [][]float64{{0.1}, {0.5}, {0.9}, {0.3}}
 	ys := []float64{1, 2, 3, 1.5}
-	fa.UpdateBatch(xs, ys)
+	fa.UpdateRound(xs, ys, nil)
 	for i := range xs {
 		fb.Update(xs[i], ys[i])
 	}

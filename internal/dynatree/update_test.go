@@ -56,11 +56,11 @@ func TestUpdateRoundMatchesSerialUpdates(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchValidatesBatchWide pins the up-front validation
-// satellite: a non-finite target anywhere in the batch panics before
+// TestUpdateRoundValidatesBatchWide pins the up-front validation
+// contract: a non-finite target anywhere in the batch panics before
 // any observation is appended, so the forest is left exactly as it
 // was instead of partially updated.
-func TestUpdateBatchValidatesBatchWide(t *testing.T) {
+func TestUpdateRoundValidatesBatchWide(t *testing.T) {
 	f, err := New(smallConfig(), 1, rng.New(43))
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestUpdateBatchValidatesBatchWide(t *testing.T) {
 				t.Fatal("no panic on non-finite mid-batch target")
 			}
 		}()
-		f.UpdateBatch([][]float64{{0.1}, {0.5}, {0.9}}, []float64{1, math.Inf(1), 2})
+		f.UpdateRound([][]float64{{0.1}, {0.5}, {0.9}}, []float64{1, math.Inf(1), 2}, nil)
 	}()
 	if f.N() != n {
 		t.Fatalf("mid-batch panic left %d points appended, want %d", f.N(), n)

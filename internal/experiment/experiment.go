@@ -29,10 +29,8 @@ import (
 	"alic/internal/dataset"
 	"alic/internal/dynatree"
 	"alic/internal/evaluator"
-	"alic/internal/model"
 	"alic/internal/space/spaptspace"
 	"alic/internal/spapt"
-	"alic/internal/stats"
 	"alic/internal/workpool"
 )
 
@@ -149,6 +147,8 @@ func (s Settings) learnerOptions(strat Strategy, rep int) core.Options {
 		EvalEvery: s.EvalEvery,
 		Seed:      s.Seed + uint64(rep)*1000003,
 		Workers:   s.Workers,
+		// Runs execute concurrently, so each measures serially.
+		EvalWorkers: 1,
 	}
 	switch strat {
 	case AllObservations:
@@ -227,15 +227,8 @@ func RunCurves(k *spapt.Kernel, s Settings, progress func(string)) (*BenchmarkCu
 	if err != nil {
 		return nil, err
 	}
-	pool := make(core.SlicePool, len(ds.TrainIdx))
-	for i, idx := range ds.TrainIdx {
-		pool[i] = ds.Features[idx]
-	}
-	testX := ds.TestFeatures()
-	testY := ds.TestTargets()
-	eval := func(m model.Model) float64 {
-		return stats.RMSE(m.PredictMeanFastBatch(testX), testY)
-	}
+	pool := core.SlicePool(ds.TrainFeatures())
+	eval := ds.TestRMSE()
 
 	// Every (strategy, repetition) run is independent and seeded
 	// deterministically, so they execute concurrently — sharded over
@@ -284,8 +277,7 @@ func RunCurves(k *spapt.Kernel, s Settings, progress func(string)) (*BenchmarkCu
 	workpool.DynamicFor(workers, len(jobs), func(ji int) {
 		j := jobs[ji]
 		report(fmt.Sprintf("%s: %v rep %d/%d", k.Name, j.strat, j.rep+1, s.Reps))
-		eng := evaluator.New(src, evaluator.Options{Workers: 1})
-		learner, err := core.New(s.learnerOptions(j.strat, j.rep), pool, eng, eval)
+		learner, err := core.New(s.learnerOptions(j.strat, j.rep), pool, src, eval)
 		if err != nil {
 			errs[ji] = err
 			return

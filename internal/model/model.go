@@ -103,6 +103,25 @@ type RoundUpdater interface {
 	UpdateRound(xs [][]float64, ys []float64, preds []float64)
 }
 
+// UpdateRound absorbs one round of observations into m in order. It
+// takes the backend's RoundUpdater path when m has one; otherwise it
+// runs the per-observation loop that path must match: for each k,
+// preds[k] = m.PredictMeanFast(xs[k]) (when preds is non-nil), then
+// m.Update(xs[k], ys[k]). preds has the RoundUpdater contract: nil or
+// len(xs).
+func UpdateRound(m Model, xs [][]float64, ys, preds []float64) {
+	if ru, ok := m.(RoundUpdater); ok {
+		ru.UpdateRound(xs, ys, preds)
+		return
+	}
+	for k, x := range xs {
+		if preds != nil {
+			preds[k] = m.PredictMeanFast(x)
+		}
+		m.Update(x, ys[k])
+	}
+}
+
 // Importancer is an optional interface for backends that can attribute
 // predictive relevance to input dimensions.
 type Importancer interface {

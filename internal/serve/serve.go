@@ -35,7 +35,6 @@ import (
 	"alic/internal/evaluator"
 	"alic/internal/model"
 	"alic/internal/space"
-	"alic/internal/stats"
 	"alic/internal/warmstart"
 )
 
@@ -412,6 +411,7 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 	opts.Seed = spec.Seed
 	opts.StopCost = spec.CostBudget
 	opts.Workers = 1 // sessions are small; parallelism comes from the fleet
+	opts.EvalWorkers = 1
 	opts.Space = spec.Space
 	opts.Tree.Particles = spec.Particles
 	opts.Tree.ScoreParticles = spec.Particles / 4
@@ -448,11 +448,6 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 		opts.WarmStart = ws
 	}
 
-	pool := make(core.SlicePool, len(ds.TrainIdx))
-	for i, idx := range ds.TrainIdx {
-		pool[i] = ds.Features[idx]
-	}
-
 	var remote *RemoteSource
 	var src evaluator.Source
 	if spec.Source == SourceRemote {
@@ -465,14 +460,8 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 		}
 		src = dsrc
 	}
-	eng := evaluator.New(src, evaluator.Options{Workers: 1})
-
-	testX := ds.TestFeatures()
-	testY := ds.TestTargets()
-	eval := func(m model.Model) float64 {
-		return stats.RMSE(m.PredictMeanFastBatch(testX), testY)
-	}
-	l, err := core.New(opts, pool, eng, eval)
+	pool := core.SlicePool(ds.TrainFeatures())
+	l, err := core.New(opts, pool, src, ds.TestRMSE())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

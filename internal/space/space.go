@@ -28,6 +28,7 @@
 package space
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 
@@ -187,6 +188,33 @@ func HashConfig(name string, cfg Config) uint64 {
 		h.Write(buf[:])
 	}
 	return h.Sum64()
+}
+
+// ErrTooManyConfigs reports a request for more distinct configurations
+// than SampleDistinct draws from a space; assert with errors.Is.
+var ErrTooManyConfigs = errors.New("more than half of the space requested")
+
+// SampleDistinct draws n configurations of sp with distinct keys from
+// r, in draw order, rejecting repeats. It refuses n above half the
+// space's size with ErrTooManyConfigs: beyond that, rejection sampling
+// slows down, and past the size it would never finish.
+func SampleDistinct(sp Space, n int, r *rng.Stream) ([]Config, error) {
+	if float64(n) > sp.Size()/2 {
+		return nil, fmt.Errorf("space %s: %d distinct configurations from %g: %w",
+			sp.Name(), n, sp.Size(), ErrTooManyConfigs)
+	}
+	seen := make(map[uint64]bool, n)
+	out := make([]Config, 0, n)
+	for len(out) < n {
+		cfg := sp.RandomConfig(r)
+		key := sp.Key(cfg)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		out = append(out, cfg)
+	}
+	return out, nil
 }
 
 // SizeOf returns the cardinality of a parameter list (the product of

@@ -168,3 +168,21 @@ func TestValidateParams(t *testing.T) {
 		}
 	}
 }
+
+func TestSampleDistinct(t *testing.T) {
+	sp := &fake{name: "test/sample"}
+	cfgs, err := SampleDistinct(sp, 2, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfgs) != 2 || sp.Key(cfgs[0]) == sp.Key(cfgs[1]) {
+		t.Fatalf("want 2 distinct configurations, got %v", cfgs)
+	}
+	// Draw order: the first configuration is the stream's first draw.
+	if first := sp.RandomConfig(rng.New(3)); sp.Key(first) != sp.Key(cfgs[0]) {
+		t.Fatalf("first sample %v, want the stream's first draw %v", cfgs[0], first)
+	}
+	if _, err := SampleDistinct(sp, 3, rng.New(3)); !errors.Is(err, ErrTooManyConfigs) {
+		t.Fatalf("3 of a 4-config space: error = %v, want ErrTooManyConfigs", err)
+	}
+}

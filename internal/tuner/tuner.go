@@ -96,19 +96,13 @@ func Search(m model.Predictor, sess *measure.Session, norm Normalizer, opts Opti
 	sp := sess.Space()
 	r := rng.NewStream(opts.Seed, 0x7c7e12)
 
-	// Rank candidates by predicted runtime.
-	cands := make([]Candidate, opts.Candidates)
-	seen := make(map[uint64]bool, opts.Candidates)
-	for i := range cands {
-		var cfg space.Config
-		for {
-			cfg = sp.RandomConfig(r)
-			key := sp.Key(cfg)
-			if !seen[key] {
-				seen[key] = true
-				break
-			}
-		}
+	// Rank distinct random candidates by predicted runtime.
+	sampled, err := space.SampleDistinct(sp, opts.Candidates, r)
+	if err != nil {
+		return nil, fmt.Errorf("tuner: Candidates: %w", err)
+	}
+	cands := make([]Candidate, len(sampled))
+	for i, cfg := range sampled {
 		feats := norm.Transform(sp.Features(cfg))
 		cands[i] = Candidate{
 			Config:    cfg,

@@ -36,7 +36,7 @@ func trainModel(t *testing.T, sess *measure.Session, norm *stats.Normalizer, n i
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.UpdateBatch(feats, ys)
+	f.UpdateRound(feats, ys, nil)
 	return f
 }
 

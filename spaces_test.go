@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"alic/internal/space"
 )
 
 // syntheticLearnOptions is the robustness suite's budget: small enough
@@ -205,6 +208,51 @@ func TestLearnLiveSimulated(t *testing.T) {
 	}
 	if again.Cost != res.Cost || again.WinnerPredicted != res.WinnerPredicted {
 		t.Fatalf("live run not deterministic: cost %v vs %v", again.Cost, res.Cost)
+	}
+}
+
+// TestTuneSmallSpaceFailsPromptly pins the distinct-sampling guard on
+// every path that draws configurations: asking for more candidates
+// than the space holds fails with space.ErrTooManyConfigs at once
+// instead of rejection-sampling forever.
+func TestTuneSmallSpaceFailsPromptly(t *testing.T) {
+	sp, err := SpaceByName("synthetic/needle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := syntheticLearnOptions()
+	opts.Learner.NMax = 10
+	res, err := LearnSpace(sp.Name(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSpaceSession(sp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Tune(res.Model, sess, res.Dataset, TunerOptions{
+			Candidates: int(sp.Size()) + 1, Verify: 3, VerifyObs: 1, Seed: 1,
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, space.ErrTooManyConfigs) {
+			t.Fatalf("Tune error = %v, want ErrTooManyConfigs", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Tune still sampling candidates after 10 s")
+	}
+
+	big := syntheticLearnOptions()
+	big.PoolSize = int(sp.Size())/2 + 1
+	if _, err := LearnLive(sp, big); !errors.Is(err, space.ErrTooManyConfigs) {
+		t.Fatalf("LearnLive error = %v, want ErrTooManyConfigs", err)
+	}
+	if _, err := LearnSpace(sp.Name(), big); !errors.Is(err, space.ErrTooManyConfigs) {
+		t.Fatalf("LearnSpace error = %v, want ErrTooManyConfigs", err)
 	}
 }
 
