@@ -107,7 +107,6 @@ import (
 	"alic/internal/spapt"
 	"alic/internal/stats"
 	"alic/internal/tuner"
-	"alic/internal/warmstart"
 
 	// The built-in space providers register themselves at init time:
 	// the SPAPT suite, the synthetic robustness spaces, and the
@@ -188,13 +187,6 @@ type (
 	// Config is a point of a search space ([]int, one value per
 	// parameter).
 	Config = space.Config
-	// WarmStart is the learner-level transfer payload (standardised
-	// pseudo-observations); build one from a WarmStartSummary with
-	// ApplyWarmStart.
-	WarmStart = core.WarmStart
-	// WarmStartSummary is the portable cross-space transfer summary
-	// exported from a finished run.
-	WarmStartSummary = warmstart.Summary
 	// Model is the pluggable regression-backend interface every
 	// learner trains (see internal/model for the contract).
 	Model = model.Model
@@ -461,9 +453,6 @@ type LearnOptions struct {
 	TestSize int
 	// DatasetSeed drives configuration sampling and noise.
 	DatasetSeed uint64
-	// WarmStart, when non-nil, seeds the run from a posterior summary
-	// exported by a finished run on a related space (ExportWarmStart).
-	WarmStart *WarmStartSummary
 }
 
 // LearnResult is the outcome of Learn.
@@ -529,13 +518,6 @@ func learnSpace(ctx context.Context, sp Space, opts LearnOptions) (*LearnResult,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.WarmStart != nil {
-		ws, err := warmstart.Apply(opts.WarmStart, ds)
-		if err != nil {
-			return nil, err
-		}
-		opts.Learner.WarmStart = ws
 	}
 	res, err := RunOnDatasetContext(ctx, ds, opts.Learner)
 	if err != nil {
@@ -605,13 +587,6 @@ func LearnLiveContext(ctx context.Context, sp Space, opts LearnOptions) (*LiveRe
 		defer c.Close()
 	}
 
-	if opts.WarmStart != nil {
-		ws, err := warmstart.ApplyRaw(opts.WarmStart, sp.Name(), sp.Dim(), nz)
-		if err != nil {
-			return nil, err
-		}
-		opts.Learner.WarmStart = ws
-	}
 	if opts.Learner.Space == "" {
 		opts.Learner.Space = sp.Name()
 	}
@@ -716,30 +691,3 @@ func Tune(m Model, sess *Session, ds *Dataset, opts TunerOptions) (*TunerResult,
 	}
 	return tuner.Search(m, sess, ds.Normalizer, opts)
 }
-
-// ExportWarmStart summarises a trained model over its dataset as a
-// compact, portable posterior summary (n points; 0 picks a default):
-// the payload cross-space warm starts consume via LearnOptions,
-// serving specs, or the -warm-start flag of cmd/alic.
-func ExportWarmStart(m Model, ds *Dataset, n int) (*WarmStartSummary, error) {
-	if ds == nil {
-		return nil, ErrNilDataset
-	}
-	return warmstart.Export(m, ds, n)
-}
-
-// ApplyWarmStart maps a summary onto a receiving dataset's feature
-// space, producing the LearnerOptions.WarmStart payload for callers
-// wiring learners manually with NewLearner.
-func ApplyWarmStart(sum *WarmStartSummary, ds *Dataset) (*WarmStart, error) {
-	if ds == nil {
-		return nil, ErrNilDataset
-	}
-	return warmstart.Apply(sum, ds)
-}
-
-// SaveWarmStart writes a summary to path as JSON.
-func SaveWarmStart(sum *WarmStartSummary, path string) error { return warmstart.Save(sum, path) }
-
-// LoadWarmStart reads a summary written by SaveWarmStart.
-func LoadWarmStart(path string) (*WarmStartSummary, error) { return warmstart.Load(path) }

@@ -1,9 +1,7 @@
 package alic
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 )
@@ -16,7 +14,10 @@ import (
 // the historical serial loop; more workers measure each round's batch
 // in parallel.
 
-const benchEvalLatency = 2 * time.Millisecond
+// benchEvalLatency keeps measurement well ahead of model work, so the
+// 8-worker speedup TestEvalWorkersSpeedup asserts still holds under
+// the race detector on a 2-CPU machine.
+const benchEvalLatency = 5 * time.Millisecond
 
 func benchPipelineOptions(workers int) LearnOptions {
 	opts := DefaultLearnOptions()
@@ -78,75 +79,37 @@ func BenchmarkLearnSync(b *testing.B) {
 	}
 }
 
-// benchRecord is one row of BENCH_evaluator.json.
-type benchRecord struct {
-	Benchmark       string  `json:"benchmark"`
-	EvalWorkers     int     `json:"eval_workers"`
-	MsPerOp         float64 `json:"ms_per_op"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-}
-
-type benchReport struct {
-	Name              string        `json:"name"`
-	Kernel            string        `json:"kernel"`
-	EvalLatencyMs     float64       `json:"eval_latency_ms"`
-	Acquisitions      int           `json:"acquisitions"`
-	BatchWidth        int           `json:"batch_width"`
-	Results           []benchRecord `json:"results"`
-	Sync8VsSerial     float64       `json:"sync8_speedup_vs_serial"`
-	MeetsSpeedupFloor bool          `json:"meets_2x_speedup_floor"`
-}
-
-// TestRecordEvaluatorBenchmark regenerates BENCH_evaluator.json — the
-// measurement-bound trajectory at 1/4/8 evaluation workers — and
-// enforces the ≥2x wall-clock floor at 8 workers over the serial
-// loop. It only runs when ALIC_RECORD_BENCH
-// is set (CI's benchmark job, or locally:
-//
-//	ALIC_RECORD_BENCH=BENCH_evaluator.json go test -run TestRecordEvaluatorBenchmark .
-func TestRecordEvaluatorBenchmark(t *testing.T) {
-	out := os.Getenv("ALIC_RECORD_BENCH")
-	if out == "" {
-		t.Skip("set ALIC_RECORD_BENCH=<path> to record the evaluator benchmark")
-	}
-	opts := benchPipelineOptions(1)
-	rep := benchReport{
-		Name:          "evaluator-pipeline",
-		Kernel:        "gemver",
-		EvalLatencyMs: float64(benchEvalLatency) / float64(time.Millisecond),
-		Acquisitions:  opts.Learner.NMax,
-		BatchWidth:    opts.Learner.Batch,
-	}
-	var serial float64
-	for _, workers := range []int{1, 4, 8} {
-		res := testing.Benchmark(func(b *testing.B) {
-			benchLearnPipeline(b, workers)
-		})
-		ms := float64(res.NsPerOp()) / 1e6
-		if workers == 1 {
-			serial = ms
+// TestEvalWorkersSpeedup shows that EvalWorkers runs measurements in
+// parallel: on the measurement-bound run above, 8 evaluation workers
+// must finish at least 2x faster than one. Each side is the best of 3
+// timed runs on the same pre-generated dataset; timing the runs
+// directly, rather than through testing.Benchmark, keeps the plain
+// test run short.
+func TestEvalWorkersSpeedup(t *testing.T) {
+	ds := benchPipelineDataset(t, benchPipelineOptions(1))
+	best := func(workers int) time.Duration {
+		opts := benchPipelineOptions(workers)
+		var fastest time.Duration
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			res, err := RunOnDataset(ds, opts.Learner)
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Acquired != opts.Learner.NMax {
+				t.Fatalf("acquired %d, want %d", res.Acquired, opts.Learner.NMax)
+			}
+			if i == 0 || elapsed < fastest {
+				fastest = elapsed
+			}
 		}
-		rec := benchRecord{
-			Benchmark:       "LearnSync",
-			EvalWorkers:     workers,
-			MsPerOp:         ms,
-			SpeedupVsSerial: serial / ms,
-		}
-		rep.Results = append(rep.Results, rec)
-		if workers == 8 {
-			rep.Sync8VsSerial = rec.SpeedupVsSerial
-		}
-		t.Logf("LearnSync/workers=%d: %.1f ms/op (%.2fx vs serial)", workers, ms, rec.SpeedupVsSerial)
+		return fastest
 	}
-	rep.MeetsSpeedupFloor = rep.Sync8VsSerial >= 2
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.MeetsSpeedupFloor {
-		t.Fatalf("8 evaluation workers are %.2fx over serial, want >= 2x on a measurement-bound run", rep.Sync8VsSerial)
+	serial, parallel := best(1), best(8)
+	speedup := float64(serial) / float64(parallel)
+	t.Logf("eval workers 1: %v, 8: %v (%.2fx)", serial, parallel, speedup)
+	if speedup < 2 {
+		t.Fatalf("8 evaluation workers are %.2fx over serial, want >= 2x on a measurement-bound run", speedup)
 	}
 }

@@ -12,9 +12,9 @@
 //
 // With no packages, ./... is checked. -json emits one finding per
 // line ({"analyzer","pos","message","suppressed","reason"}) so
-// tooling can diff finding counts across revisions the way the
-// BENCH_*.json files diff performance. -suppressed also lists
-// suppressed findings in text mode (JSON mode always includes them).
+// tooling can diff finding counts across revisions. -suppressed also
+// lists suppressed findings in text mode (JSON mode always includes
+// them).
 package main
 
 import (

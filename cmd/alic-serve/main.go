@@ -7,27 +7,22 @@
 //
 //	alic-serve -addr :8347
 //	alic-serve -addr :8347 -checkpoint-dir /var/lib/alic
-//	alic-serve -loadgen -sessions 2000 -tenants 32 -remote-every 8
-//	alic-serve -loadgen -target http://tuner.internal:8347 -sessions 500
 //
 // With -checkpoint-dir every session checkpoints itself to disk as it
 // steps, and a restarted server reloads the whole fleet — statuses,
 // cost ledgers, and parked remote rounds intact — before accepting
 // traffic (see the README's "Persistence & recovery" section).
 //
-// With -loadgen the command drives a load-generation run — against an
-// in-process server by default, or an external one via -target — and
-// prints the JSON report (sessions/sec, p99 step latency) that
-// BENCH_serving.json records in CI.
+// For throughput and latency figures of served sessions, run the
+// end-to-end benchmark in e2ebench/ (served-remote and
+// served-checkpointed workloads).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -45,23 +40,12 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8347", "listen address (server mode)")
+		addr        = flag.String("addr", ":8347", "listen address")
 		workers     = flag.Int("workers", 0, "scheduler workers stepping sessions (0 = all cores)")
 		maxSessions = flag.Int("max-sessions", 0, "server-wide live-session cap (0 = default)")
 		maxPer      = flag.Int("max-per-tenant", 0, "per-tenant live-session cap (0 = default)")
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for per-session crash-recovery checkpoints (empty = no persistence)")
 		ckptEvery   = flag.Int("checkpoint-every", 1, "checkpoint cadence: write every k-th step per session (terminal steps always checkpoint)")
-
-		loadgen     = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		target      = flag.String("target", "", "loadgen: base URL of an external server (default: in-process)")
-		sessions    = flag.Int("sessions", 1000, "loadgen: sessions to create")
-		tenants     = flag.Int("tenants", 16, "loadgen: tenants to spread sessions over")
-		remoteEvery = flag.Int("remote-every", 8, "loadgen: every k-th session is remote-fed (0 = none)")
-		agents      = flag.Int("agents", 4, "loadgen: concurrent observation-feeding agents")
-		kernel      = flag.String("kernel", "mm", "loadgen: kernel to tune")
-		rounds      = flag.Int("rounds", 0, "loadgen: acquisition budget per session (0 = serving default)")
-		budget      = flag.Float64("budget", 0, "loadgen: per-session cost budget in simulated seconds (0 = none)")
-		timeout     = flag.Duration("timeout", 10*time.Minute, "loadgen: whole-run timeout")
 	)
 	flag.Parse()
 
@@ -71,26 +55,6 @@ func main() {
 		MaxSessionsPerTenant: *maxPer,
 		CheckpointDir:        *ckptDir,
 		CheckpointEvery:      *ckptEvery,
-	}
-
-	if *loadgen {
-		lo := serve.LoadOptions{
-			BaseURL:     *target,
-			Sessions:    *sessions,
-			Tenants:     *tenants,
-			RemoteEvery: *remoteEvery,
-			Agents:      *agents,
-			Timeout:     *timeout,
-			Spec: serve.SessionSpec{
-				Kernel:     *kernel,
-				MaxRounds:  *rounds,
-				CostBudget: *budget,
-			},
-		}
-		if err := runLoadgen(opts, lo); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	srv := serve.NewServer(opts)
@@ -122,30 +86,6 @@ func main() {
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
-}
-
-// runLoadgen drives a load run, spinning up an in-process server and
-// listener when no external target is given.
-func runLoadgen(opts serve.Options, lo serve.LoadOptions) error {
-	if lo.BaseURL == "" {
-		srv := serve.NewServer(opts)
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		defer hs.Close()
-		lo.BaseURL = "http://" + ln.Addr().String()
-	}
-	rep, err := serve.RunLoad(lo)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 func fatal(err error) {

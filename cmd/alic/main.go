@@ -17,8 +17,6 @@
 //	alic -kernel mm -snapshot run.alicsnp          # ^C saves state
 //	alic -kernel mm -resume run.alicsnp            # picks up where it left off
 //	alic -space synthetic/needle -pool 800 -test 200
-//	alic -space synthetic/needle -export-warm needle.warm
-//	alic -space synthetic/needle-shifted -warm-start needle.warm
 //	alic -list
 //	alic -spaces
 package main
@@ -68,9 +66,6 @@ func main() {
 		memprof    = flag.String("memprofile", "", "write a pprof heap profile taken after the learn loop to this file")
 		snapPath   = flag.String("snapshot", "", "write the learner state to this file when the run ends (including on SIGINT), for -resume")
 		resPath    = flag.String("resume", "", "resume a run from a snapshot written by -snapshot (all tuning flags must match the original run)")
-		warmPath   = flag.String("warm-start", "", "seed the run from a warm-start summary file exported by -export-warm on a related space")
-		exportWarm = flag.String("export-warm", "", "after learning, export the model's warm-start summary to this file")
-		warmPoints = flag.Int("warm-points", 0, "points in the exported warm-start summary (0 = default)")
 	)
 	flag.Parse()
 
@@ -152,13 +147,6 @@ func main() {
 	if opts.Learner.Scorer, err = alic.AcquisitionByName(*scorer); err != nil {
 		fatal(err)
 	}
-	if *warmPath != "" {
-		if opts.WarmStart, err = alic.LoadWarmStart(*warmPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("warm start: %d points from %s (space %s)\n",
-			len(opts.WarmStart.Points), *warmPath, opts.WarmStart.Space)
-	}
 	if *progress {
 		opts.Learner.Progress = func(p alic.LearnerProgress) {
 			fmt.Fprintf(os.Stderr, "  acquired %4d (%d runs, %.0f s cost; model %.0f ms scoring / %.0f ms updating)\n",
@@ -171,8 +159,8 @@ func main() {
 		sp.Name(), *modelName, *plan, *scorer, *nmax, sp.Size())
 
 	if alic.IsLiveSpace(sp) {
-		if *snapPath != "" || *resPath != "" || *exportWarm != "" {
-			fatal(fmt.Errorf("live space %s: -snapshot/-resume/-export-warm need a pre-generated corpus", sp.Name()))
+		if *snapPath != "" || *resPath != "" {
+			fatal(fmt.Errorf("live space %s: -snapshot/-resume need a pre-generated corpus", sp.Name()))
 		}
 		tuneLive(sp, opts)
 		return
@@ -233,16 +221,6 @@ func main() {
 		res.Unique, res.Revisits)
 	fmt.Printf("training cost: %s simulated seconds (stopped by %s)\n",
 		report.FormatFloat(res.Cost), res.StoppedBy)
-	if *exportWarm != "" && res.Model != nil {
-		sum, err := alic.ExportWarmStart(res.Model, res.Dataset, *warmPoints)
-		if err != nil {
-			fatal(err)
-		}
-		if err := alic.SaveWarmStart(sum, *exportWarm); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("warm-start summary (%d points) written to %s\n", len(sum.Points), *exportWarm)
-	}
 	if res.StoppedBy == alic.StopCancelled {
 		if *snapPath != "" {
 			fmt.Printf("interrupted: skipping configuration search (resume with -resume %s)\n", *snapPath)
@@ -339,11 +317,6 @@ func learn(ctx context.Context, sp alic.Space, opts alic.LearnOptions, resumePat
 	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.WarmStart != nil {
-		if opts.Learner.WarmStart, err = alic.ApplyWarmStart(opts.WarmStart, ds); err != nil {
-			return nil, err
-		}
 	}
 	var l *alic.Learner
 	if resumePath != "" {

@@ -129,32 +129,6 @@ type Options struct {
 	// ErrSnapshotMismatch instead of silently mixing trajectories.
 	// Empty means unguarded (the pre-registry behaviour).
 	Space string
-	// WarmStart, when non-nil, seeds the freshly built model with a
-	// posterior summary exported from a finished learner on a related
-	// space (cross-space transfer). The points fold in right after the
-	// NInit seed round; they do not count as acquisitions, charge no
-	// cost, and leave the rng stream untouched, so a run with
-	// WarmStart == nil is byte-identical to the pre-warm-start code.
-	WarmStart *WarmStart
-}
-
-// WarmStart is a compact posterior summary used to transfer a finished
-// learner's knowledge onto a new space: pseudo-observations as
-// standardised feature vectors (in the receiving learner's feature
-// space) paired with z-scores of the source model's predicted mean.
-// The receiver rescales each z-score to its own seed-round mean and
-// spread, so summaries transfer across spaces with different runtime
-// scales.
-type WarmStart struct {
-	// From names the source space, for diagnostics.
-	From string
-	// Xs are standardised feature vectors; every row must match the
-	// receiving pool's feature dimension.
-	Xs [][]float64
-	// Zs are the source model's predictions at Xs as z-scores
-	// ((prediction - mean) / std over the exported set); len(Zs) must
-	// equal len(Xs).
-	Zs []float64
 }
 
 // Progress is the lightweight snapshot handed to Options.Progress
@@ -683,7 +657,7 @@ func (l *Learner) LastRoundCost() float64 {
 // observeRound dispatches one round's whole batch to the evaluator and
 // folds the results in scheduling order — bit-identical to the
 // historical serial loop. The seed round first builds the model from
-// its observations and afterwards folds any warm start.
+// its observations.
 func (l *Learner) observeRound(rd *round) error {
 	obs, err := l.ev.ObserveBatch(evaluator.Repeat(rd.chosen, rd.n))
 	if err != nil {
@@ -695,21 +669,17 @@ func (l *Learner) observeRound(rd *round) error {
 		}
 	}
 	t0 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed learner arithmetic
-	means := l.foldRound(rd, obs)
-	if rd.seeding {
-		err = l.foldWarmStart(means)
-	}
+	l.foldRound(rd, obs)
 	l.updateNS += time.Since(t0).Nanoseconds() //alic:allow detfloat wall-clock phase accounting only
-	return err
+	return nil
 }
 
 // foldRound absorbs one observed round — rd.chosen[i]'s observations
 // are obs[i*rd.n:(i+1)*rd.n], in scheduling order — through
-// model.UpdateRound and returns the per-acquisition means it folded.
-// Fixed plans learn the averaged runtime; the variable plan feeds the
-// single (noisy) observation. Acquisition rounds also track the
-// prequential residual of each pre-update prediction (test on the new
-// target before training on it).
+// model.UpdateRound. Fixed plans learn the averaged runtime; the
+// variable plan feeds the single (noisy) observation. Acquisition
+// rounds also track the prequential residual of each pre-update
+// prediction (test on the new target before training on it).
 //
 // With curve recording on, the round folds in chunks that end at curve
 // points, so each point evaluates the model after exactly the
@@ -717,7 +687,7 @@ func (l *Learner) observeRound(rd *round) error {
 // through the chunk's last observation. The seed round's cost
 // checkpoint stays at the end of its batch (seedModel sets it): the
 // serial loop gathered every seed observation before fitting.
-func (l *Learner) foldRound(rd *round, obs []evaluator.Observation) []float64 {
+func (l *Learner) foldRound(rd *round, obs []evaluator.Observation) {
 	n := rd.n
 	xs, ys := l.foldXs[:0], l.foldYs[:0]
 	for i, idx := range rd.chosen {
@@ -767,7 +737,6 @@ func (l *Learner) foldRound(rd *round, obs []evaluator.Observation) []float64 {
 		l.maybeEval()
 		lo = hi
 	}
-	return ys
 }
 
 // curveGap returns how many more acquisitions fold before the next
@@ -933,42 +902,6 @@ func (l *Learner) attachModel(m model.Model) {
 		pb.BindPool(rows)
 		l.binder = pb
 	}
-}
-
-// foldWarmStart injects the cross-space transfer summary (if any)
-// right after the seed fold: each exported z-score is rescaled to the
-// seed round's mean and spread, and the points fold as one update
-// round once every point's dimension has been checked.
-// Nothing else moves — no acquisitions, no cost, no rng draws — so
-// learners without a summary are byte-identical to builds that
-// predate warm starts.
-func (l *Learner) foldWarmStart(seedMeans []float64) error {
-	ws := l.opts.WarmStart
-	if ws == nil || len(ws.Xs) == 0 {
-		return nil
-	}
-	if len(ws.Xs) != len(ws.Zs) {
-		return fmt.Errorf("core: warm start with %d points but %d z-scores", len(ws.Xs), len(ws.Zs))
-	}
-	dim := len(l.pool.Features(0))
-	var w stats.Welford
-	for _, m := range seedMeans {
-		w.Add(m)
-	}
-	mean, std := w.Mean(), w.Stddev()
-	if !(std > 0) {
-		std = 1
-	}
-	ys := make([]float64, len(ws.Xs))
-	for i, x := range ws.Xs {
-		if len(x) != dim {
-			return fmt.Errorf("core: warm start point %d has dim %d, pool has %d (source space %q)",
-				i, len(x), dim, ws.From)
-		}
-		ys[i] = mean + ws.Zs[i]*std
-	}
-	model.UpdateRound(l.model, ws.Xs, ys, nil)
-	return nil
 }
 
 // candidateSet assembles the candidate indices for one iteration —

@@ -205,9 +205,9 @@ func (srv *Server) restoreSession(data []byte, tenantOverride, nameOverride stri
 	if !ok {
 		return nil, snapshot.Corruptf(secSpec, "section missing")
 	}
-	var spec SessionSpec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return nil, snapshot.Corruptf(secSpec, "bad spec JSON: %v", err)
+	spec, err := parseSpec(specJSON)
+	if err != nil {
+		return nil, err
 	}
 	if tenantOverride != "" {
 		spec.Tenant = tenantOverride

@@ -103,9 +103,14 @@ func (srv *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bo
 }
 
 func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var spec SessionSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad body: " + err.Error()})
+		return
+	}
+	spec, err := parseSpec(data)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	spec.Tenant = r.PathValue("tenant")

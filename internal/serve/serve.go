@@ -21,8 +21,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -35,7 +38,6 @@ import (
 	"alic/internal/evaluator"
 	"alic/internal/model"
 	"alic/internal/space"
-	"alic/internal/warmstart"
 )
 
 // Sentinel errors of the serving layer; assert with errors.Is.
@@ -84,6 +86,9 @@ const (
 	maxPoolSize      = 4096
 	maxRounds        = 4096
 	maxTenantWeight  = 64
+	// maxNObs caps nobs: buildSession generates (pool_size+test)×nobs
+	// observations inside the create request. The paper uses 35.
+	maxNObs = 64
 )
 
 // Options configures a Server.
@@ -220,6 +225,23 @@ func validName(s string) bool {
 	return true
 }
 
+// parseSpec decodes one JSON session spec strictly: an unknown field
+// or trailing data fails with ErrBadSpec naming the problem, so a
+// field this build does not implement is never silently dropped. The
+// create endpoint and checkpoint restore both decode through it.
+func parseSpec(data []byte) (SessionSpec, error) {
+	var spec SessionSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, fmt.Errorf("%w: trailing data after the spec", ErrBadSpec)
+	}
+	return spec, nil
+}
+
 // normalize fills spec defaults and validates ranges.
 func normalize(spec SessionSpec) (SessionSpec, error) {
 	if !validName(spec.Tenant) {
@@ -243,9 +265,6 @@ func normalize(spec SessionSpec) (SessionSpec, error) {
 	if spec.Kernel != spec.Space {
 		return spec, fmt.Errorf("%w: space %q conflicts with legacy kernel field %q",
 			ErrBadSpec, spec.Space, spec.Kernel)
-	}
-	if spec.WarmStartFrom != "" && spec.WarmStart != nil {
-		return spec, fmt.Errorf("%w: warm_start_from and warm_start are mutually exclusive", ErrBadSpec)
 	}
 	if spec.Source == "" {
 		spec.Source = SourceSimulated
@@ -279,6 +298,12 @@ func normalize(spec SessionSpec) (SessionSpec, error) {
 	}
 	if spec.NInit > spec.PoolSize {
 		return spec, fmt.Errorf("%w: ninit %d exceeds pool_size %d", ErrBadSpec, spec.NInit, spec.PoolSize)
+	}
+	if spec.NObs > maxNObs {
+		return spec, fmt.Errorf("%w: nobs %d exceeds %d", ErrBadSpec, spec.NObs, maxNObs)
+	}
+	if spec.NCand > spec.PoolSize {
+		return spec, fmt.Errorf("%w: ncand %d exceeds pool_size %d", ErrBadSpec, spec.NCand, spec.PoolSize)
 	}
 	if spec.CostBudget < 0 {
 		return spec, fmt.Errorf("%w: negative cost_budget", ErrBadSpec)
@@ -315,17 +340,6 @@ func (srv *Server) CreateSession(spec SessionSpec) (*Session, error) {
 	spec, err := normalize(spec)
 	if err != nil {
 		return nil, err
-	}
-	if spec.WarmStartFrom != "" {
-		// Resolve the reference into an inline summary at creation time:
-		// the spec (and therefore every checkpoint of this session)
-		// becomes self-contained, so recovery works even after the
-		// source session is deleted.
-		sum, err := srv.resolveWarmStart(spec.WarmStartFrom)
-		if err != nil {
-			return nil, err
-		}
-		spec.WarmStart = sum
 	}
 	s, err := srv.buildSession(spec)
 	if err != nil {
@@ -440,14 +454,6 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 		opts.Scorer = a
 	}
 
-	if spec.WarmStart != nil {
-		ws, err := warmstart.Apply(spec.WarmStart, ds)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-		}
-		opts.WarmStart = ws
-	}
-
 	var remote *RemoteSource
 	var src evaluator.Source
 	if spec.Source == SourceRemote {
@@ -520,31 +526,6 @@ func (srv *Server) dataset(sp space.Space, spec SessionSpec) (*dataset.Dataset, 
 	}
 	srv.mu.Unlock()
 	return ds, nil
-}
-
-// resolveWarmStart exports a posterior summary from a finished hosted
-// session named "tenant/name".
-func (srv *Server) resolveWarmStart(ref string) (*warmstart.Summary, error) {
-	tenant, name, ok := splitRef(ref)
-	if !ok {
-		return nil, fmt.Errorf("%w: warm_start_from %q is not tenant/name", ErrBadSpec, ref)
-	}
-	s, err := srv.GetSession(tenant, name)
-	if err != nil {
-		return nil, err
-	}
-	return s.WarmStartSummary()
-}
-
-// splitRef splits a "tenant/name" session reference.
-func splitRef(ref string) (tenant, name string, ok bool) {
-	for i := 0; i < len(ref); i++ {
-		if ref[i] == '/' {
-			tenant, name = ref[:i], ref[i+1:]
-			return tenant, name, validName(tenant) && validName(name)
-		}
-	}
-	return "", "", false
 }
 
 // GetSession looks up one session.

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -24,6 +25,14 @@ func tinySpec(tenant, name string) SessionSpec {
 		Particles: 8,
 	}
 }
+
+// syntheticValue is the deterministic stand-in for an agent-measured
+// runtime: positive, item- and ordinal-dependent.
+func syntheticValue(item, ord int) float64 {
+	return 1 + 0.25*math.Sin(float64(item*31+ord*7))
+}
+
+const syntheticCompile = 0.3
 
 func waitDone(t *testing.T, s *Session, timeout time.Duration) {
 	t.Helper()

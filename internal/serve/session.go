@@ -9,7 +9,6 @@ import (
 	"alic/internal/core"
 	"alic/internal/dataset"
 	"alic/internal/space"
-	"alic/internal/warmstart"
 )
 
 // SessionSpec configures one hosted learner session. Zero-valued
@@ -43,7 +42,7 @@ type SessionSpec struct {
 	// PoolSize is the training-pool size (default 192, max 4096).
 	PoolSize int `json:"pool_size,omitempty"`
 	// NInit, NObs, and NCand are the §3.1 loop parameters (defaults
-	// 3, 5, 16).
+	// 3, 5, 16; nobs at most 64, ninit and ncand at most pool_size).
 	NInit int `json:"ninit,omitempty"`
 	NObs  int `json:"nobs,omitempty"`
 	NCand int `json:"ncand,omitempty"`
@@ -59,16 +58,6 @@ type SessionSpec struct {
 	Weight int `json:"weight,omitempty"`
 	// QueueCap bounds the remote observation queue (default 256).
 	QueueCap int `json:"queue_cap,omitempty"`
-
-	// WarmStartFrom seeds this session from the posterior of a finished
-	// session on this server, referenced as "tenant/name". It is
-	// resolved into an inline WarmStart summary at creation time, so
-	// checkpoints of this session stay self-contained.
-	WarmStartFrom string `json:"warm_start_from,omitempty"`
-	// WarmStart inlines a cross-space transfer summary (exported by a
-	// previous run, possibly on another server or via the CLI).
-	// Mutually exclusive with WarmStartFrom.
-	WarmStart *warmstart.Summary `json:"warm_start,omitempty"`
 }
 
 // Session status values.
@@ -496,28 +485,4 @@ func (s *Session) Result() (*SessionResult, error) {
 		Predicted: preds[best],
 	}
 	return out, nil
-}
-
-// WarmStartSummary exports the finished session's posterior as a
-// cross-space transfer summary — the payload a later session's
-// warm_start_from resolves to.
-func (s *Session) WarmStartSummary() (*warmstart.Summary, error) {
-	s.mu.Lock()
-	st := s.status
-	cached := s.result
-	s.mu.Unlock()
-	if st != StatusDone {
-		return nil, fmt.Errorf("%w: session %q is %s", ErrNotDone, s.key, st)
-	}
-	res := cached
-	if res == nil {
-		res = s.learner.Result()
-		s.mu.Lock()
-		if s.result == nil {
-			s.result = res
-		}
-		res = s.result
-		s.mu.Unlock()
-	}
-	return warmstart.Export(res.Model, s.ds, 0)
 }

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"alic/internal/warmstart"
 )
 
 // synthSpec is a fast-completing session on a synthetic space.
@@ -97,16 +95,6 @@ func TestSpecSpaceValidation(t *testing.T) {
 		t.Fatalf("live-space error %q does not name the space", err)
 	}
 
-	// WarmStart and WarmStartFrom are mutually exclusive.
-	spec = synthSpec("acme", "both", "synthetic/needle")
-	spec.WarmStartFrom = "acme/someone"
-	spec.WarmStart = &warmstart.Summary{
-		Space: "synthetic/needle", Dim: 4,
-		Points: []warmstart.Point{{X: []float64{1, 1, 1, 1}, Z: 0}},
-	}
-	if _, err := srv.CreateSession(spec); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("warm_start + warm_start_from: err = %v, want ErrBadSpec", err)
-	}
 }
 
 // TestHTTPSyntheticSessionCompletes is the acceptance-criterion tune:
@@ -180,62 +168,6 @@ func TestHTTPSyntheticSessionCompletes(t *testing.T) {
 		if v < 1 || v > 12 {
 			t.Fatalf("winner config %v outside the synthetic range", res.Winner.Config)
 		}
-	}
-}
-
-// TestWarmStartFromFlow pins cross-session transfer inside one server:
-// a finished donor session seeds a receiver on the related space via
-// the warm_start_from spec field, and the resolved summary is inlined
-// (checkpoint-safe). Unresolvable and not-done donors are refused at
-// create time.
-func TestWarmStartFromFlow(t *testing.T) {
-	srv := NewServer(Options{})
-	defer srv.Close()
-
-	donor, err := srv.CreateSession(synthSpec("acme", "donor", "synthetic/needle"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Donor not done yet: refused. (The donor session may finish fast,
-	// so accept either outcome but require the typed error when it is
-	// still running.)
-	early := synthSpec("acme", "early", "synthetic/needle-shifted")
-	early.WarmStartFrom = "acme/donor"
-	if _, err := srv.CreateSession(early); err != nil {
-		if !errors.Is(err, ErrBadSpec) && !errors.Is(err, ErrNotDone) {
-			t.Fatalf("early warm start: err = %v, want ErrBadSpec or ErrNotDone", err)
-		}
-	}
-
-	waitDone(t, donor, time.Minute)
-
-	// Bad references: malformed (not tenant/name) and missing session.
-	for i, ref := range []string{"not-a-ref", "acme/missing"} {
-		spec := synthSpec("acme", fmt.Sprintf("bad%d", i), "synthetic/needle-shifted")
-		spec.WarmStartFrom = ref
-		if _, err := srv.CreateSession(spec); err == nil {
-			t.Fatalf("warm_start_from %q accepted", ref)
-		}
-	}
-
-	recv := synthSpec("acme", "recv", "synthetic/needle-shifted")
-	recv.WarmStartFrom = "acme/donor"
-	s, err := srv.CreateSession(recv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reference is resolved into an inline summary at create time,
-	// so the spec is self-contained for checkpoints.
-	if s.spec.WarmStart == nil || s.spec.WarmStart.Space != "synthetic/needle" {
-		t.Fatalf("warm start not inlined: %+v", s.spec.WarmStart)
-	}
-	waitDone(t, s, time.Minute)
-	if info := s.Info(); info.Status != StatusDone {
-		t.Fatalf("warm session ended %s: %s", info.Status, info.Error)
-	}
-	if _, err := s.Result(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -16,7 +16,7 @@
 //   - synthetic (internal/space/synthetic): adversarial analytic
 //     spaces with known optima ("synthetic/needle",
 //     "synthetic/needle-shifted", "synthetic/plateau",
-//     "synthetic/flat") for robustness tests and transfer benchmarks.
+//     "synthetic/flat") for robustness tests.
 //   - exec (internal/space/execspace): a compiler-flag space whose
 //     measurer shells out to a real toolchain ("exec/cc") — opt-in via
 //     environment, inert in hermetic builds.

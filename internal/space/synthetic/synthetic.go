@@ -1,5 +1,5 @@
 // Package synthetic provides adversarial analytic search spaces with
-// known optima — the robustness suite of ROADMAP item 5. Each space's
+// known optima — the robustness suite. Each space's
 // true runtime surface is a closed-form function of the [0,1]-scaled
 // feature vector, so tests can compare what the learner found against
 // what is actually there:
@@ -8,8 +8,8 @@
 //     (needle-in-a-haystack) — random sampling almost never hits it,
 //     and a model that over-smooths never represents it.
 //   - "synthetic/needle-shifted": the same landscape with the needle
-//     displaced slightly — the related-space pair the cross-space
-//     warm-start benchmark transfers across.
+//     displaced slightly — a second, related needle for tests that
+//     need two spaces of the same shape.
 //   - "synthetic/plateau": a deceptive surface — a broad, attractive
 //     basin that draws acquisition toward a mediocre region while the
 //     true optimum hides in a small deep hole elsewhere.
@@ -18,8 +18,7 @@
 //     do worse than random sampling on it (the acquisition-pathology
 //     regression guard).
 //
-// All spaces share the same four-dimensional parameterisation, so any
-// pair is warm-start compatible.
+// All spaces share the same four-dimensional parameterisation.
 package synthetic
 
 import (
@@ -86,13 +85,13 @@ func Needle() space.Space {
 	}
 }
 
-// NeedleShifted returns the needle space with the well displaced — the
-// transfer-benchmark partner of Needle.
+// NeedleShifted returns the needle space with the well displaced — a
+// related twin of Needle.
 func NeedleShifted() space.Space {
 	c := []float64{0.78, 0.38, 0.82, 0.28}
 	return &analytic{
 		name: "synthetic/needle-shifted",
-		doc:  "the needle landscape with the well displaced (warm-start pair)",
+		doc:  "the needle landscape with the well displaced",
 		mu: func(pos []float64) float64 {
 			return 1.0 + texture(pos) + well(pos, c, 0.85, 0.12)
 		},

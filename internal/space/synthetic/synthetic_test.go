@@ -77,9 +77,8 @@ func TestKnownOptima(t *testing.T) {
 	}
 }
 
-// TestNeedlePairRelated pins the warm-start premise: the two needle
-// spaces place their optima close together (features within 0.1 per
-// axis), so posterior transfer between them is meaningful.
+// TestNeedlePairRelated pins that the two needle spaces are twins:
+// their optima lie close together (features within 0.15 per axis).
 func TestNeedlePairRelated(t *testing.T) {
 	a, _ := argmin(t, Needle())
 	b, _ := argmin(t, NeedleShifted())
