@@ -167,7 +167,7 @@ func main() {
 	}
 
 	// Profile the learn loop only: model updates plus candidate
-	// scoring, the hot paths BENCH_model.json tracks. See the README's
+	// scoring, the hot paths e2ebench times. See the README's
 	// "Profiling the scoring hot path" section for the workflow.
 	// fatal exits via os.Exit, which skips deferred cleanup, so the
 	// profile is stopped and the file closed explicitly on every path

@@ -35,11 +35,10 @@ type Acquisition interface {
 // IndexedAcquisition is an optional Acquisition extension. When the
 // learner's backend has interned the candidate pool (model.PoolBinder)
 // the learner hands the heuristic stable pool indices instead of
-// gathered feature rows, which unlocks the backend's cross-round
-// scoring caches. Returned positions index ids exactly as Select's
+// gathered feature rows. Returned positions index ids exactly as Select's
 // positions index feats, and implementations must make bit-identical
-// selections through both entry points — SelectIndexed is a fast
-// path, never a different heuristic. Acquisitions that do not
+// selections through both entry points — SelectIndexed is another
+// way to address candidates, never a different heuristic. Acquisitions that do not
 // implement it keep receiving gathered rows via Select.
 type IndexedAcquisition interface {
 	// SelectIndexed is Select with candidates addressed as pool

@@ -319,7 +319,7 @@ type Learner struct {
 	// binder is non-nil when the backend interned the pool at seeding
 	// time (model.PoolBinder): the scoring loop then hands stable pool
 	// indices to indexed-capable acquisitions instead of gathering
-	// feature rows, unlocking the backend's cross-round caches.
+	// feature rows.
 	binder model.PoolBinder
 	// foldXs / foldYs / foldPreds are foldRound's reusable per-round
 	// scratch.
@@ -988,7 +988,7 @@ func (l *Learner) selectBatch(batch int) ([]int, error) {
 	if batch > len(cands) {
 		batch = len(cands)
 	}
-	// The indexed fast path: pool interned by the backend and the
+	// The indexed path: pool bound by the backend and the
 	// acquisition can consume pool indices. Selections are
 	// bit-identical to the row-based path (the PoolBinder contract);
 	// only the per-round scoring cost changes.

@@ -851,7 +851,7 @@ func (b rowOnlyBuilder) New(p model.Params) (model.Model, error) {
 }
 
 // TestIndexedPathMatchesRowPath is the cross-layer contract of the
-// pool-interned scoring engine: a learner whose backend interns the
+// indexed scoring path: a learner whose backend binds the
 // pool (dynatree's PoolBinder) must reproduce, bit for bit, the run
 // of an identical learner forced onto the row-gathering path — same
 // curve, same selections, same costs — for both built-in scoring

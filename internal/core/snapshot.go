@@ -410,8 +410,8 @@ func (l *Learner) Restore(r io.Reader) error {
 	l.curve = curve
 	l.begun = begun
 	if mdl != nil {
-		// Re-binding the pool rebuilds the backend's routing cache from
-		// scratch (pure memoization, bit-neutral).
+		// The bound pool is not part of the model snapshot; bind it
+		// again (bit-neutral).
 		l.attachModel(mdl)
 	}
 	return nil

@@ -22,9 +22,6 @@ var noallocPins = map[string]string{
 	"PredictMeanFast":    "TestPredictMeanFastZeroAllocs",
 	"augInto":            "TestAugIntoZeroAllocs",
 	"alcFromMatrices":    "TestIndexedScoringAllocsBounded",
-	"ensureRoutedInto":   "TestEnsureRoutedSteadyStateZeroAllocs",
-	"maybeHas":           "TestFwdShardChaseZeroAllocs",
-	"chase":              "TestFwdShardChaseZeroAllocs",
 	"proposeSplitRanged": "TestProposeSplitRangedZeroAllocs",
 	"descendRecord":      "TestDescendRecordZeroAllocs",
 	"leafOfBatch":        "TestLeafOfBatchZeroAllocs",
@@ -143,36 +140,6 @@ func TestAugIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFwdShardChaseZeroAllocs pins the redirect-map read path from
-// PR 5: loading a pending log into warm shard scratch, the bloom
-// pre-filter and the path-compressing chase must all run
-// allocation-free (these execute once per (slot, row) inside
-// ensureRouted's fused sweep).
-func TestFwdShardChaseZeroAllocs(t *testing.T) {
-	const arenaLen = 64
-	// Redirect chain 1 → 2 → 5 → 9, with 9 live (not superseded).
-	log := &pendLog{ids: []int32{1, 2, 2, 5, 5, 9}}
-	var sh fwdShard
-	sh.load(log, arenaLen) // size the scratch
-	if allocs := testing.AllocsPerRun(100, func() {
-		gen := sh.load(log, arenaLen)
-		if gen == 0 {
-			t.Fatal("load returned generation 0 for a non-empty log")
-		}
-		if !sh.maybeHas(1) {
-			t.Fatal("maybeHas(1) = false for a superseded id")
-		}
-		if end := sh.chase(1, gen); end != 9 {
-			t.Fatalf("chase(1) = %d, want 9", end)
-		}
-		if sh.maybeHas(37) && sh.mark[37] == gen {
-			t.Fatal("id 37 reported superseded")
-		}
-	}); allocs != 0 {
-		t.Fatalf("fwdShard load/maybeHas/chase allocates %v times per round", allocs)
-	}
-}
-
 // TestProposeSplitRangedZeroAllocs pins the range-fed grow proposal:
 // drawing a split from cached bounds must not allocate (it runs once
 // per grow-eligible particle per observation).
@@ -221,8 +188,7 @@ func TestDescendRecordZeroAllocs(t *testing.T) {
 
 // TestLeafOfBatchZeroAllocs pins the partition descent: routing a
 // block of rows through a grown tree with caller-provided scratch must
-// not allocate (it runs once per scoring slot per round, and once per
-// sweep with root misses).
+// not allocate (it runs once per scoring slot per ALCScores call).
 func TestLeafOfBatchZeroAllocs(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Particles = 4
@@ -247,53 +213,5 @@ func TestLeafOfBatchZeroAllocs(t *testing.T) {
 		f.leafOfBatch(root, rows, idx, tmp, out)
 	}); allocs != 0 {
 		t.Fatalf("leafOfBatch allocates %v times per block", allocs)
-	}
-}
-
-// TestEnsureRoutedSteadyStateZeroAllocs pins the route-repair sweep:
-// with warm shard scratch and a non-empty pending redirect log (the
-// slot-redirect machinery from PR 5 active, not idle), repeated
-// ensureRouted calls over the full pool allocate at most the one
-// closure header handed to parallelFor — nothing proportional to the
-// pool, the particles or the redirect log. Workers=1 keeps the pool
-// dispatch itself out of the count, as in
-// TestIndexedScoringAllocsBounded.
-func TestEnsureRoutedSteadyStateZeroAllocs(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Particles = 20
-	cfg.ScoreParticles = 0 // every slot scores
-	cfg.Workers = 1
-	f, err := New(cfg, 2, rng.New(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := poolRows(60, 2, 65)
-	ids := allIDs(len(rows))
-	f.BindPool(rows)
-	r := rng.New(66)
-	for i := 0; i < 80; i++ {
-		id := r.Intn(len(rows))
-		f.Update(rows[id], rows[id][0]+rows[id][1]+r.NormMS(0, 0.05))
-	}
-	f.ALMIndexed(ids) // populate every slab
-	// More training creates fresh pending redirects (path copies and
-	// prunes against the now-populated slabs).
-	for i := 0; i < 20; i++ {
-		id := r.Intn(len(rows))
-		f.Update(rows[id], rows[id][0]+rows[id][1]+r.NormMS(0, 0.05))
-	}
-	pend := 0
-	for _, l := range f.cache.pending {
-		pend += l.total()
-	}
-	if pend == 0 {
-		t.Fatal("no pending redirects recorded; the test is not exercising the chase path")
-	}
-	f.warmLin()
-	f.ensureRouted(ids) // warm pass: repairs routes, sizes shard scratch
-	if allocs := testing.AllocsPerRun(20, func() {
-		f.ensureRouted(ids)
-	}); allocs > 1 {
-		t.Fatalf("steady-state ensureRouted allocates %v times per call, want <= 1 (the parallelFor closure header)", allocs)
 	}
 }

@@ -35,7 +35,7 @@ type Config struct {
 	LeafModel LeafModel
 	// Workers bounds the goroutines used by the batched scoring entry
 	// points (PredictBatch, ALMBatch, ALCScores, AvgVariance, the
-	// *Indexed pool-interned variants) and the particle-reweighting
+	// *Indexed bound-pool variants) and the particle-reweighting
 	// step of Update. 0 means GOMAXPROCS; 1 runs everything inline.
 	// Scoring is read-only and consumes no randomness, and all
 	// cross-shard reductions happen in index order, so results are
@@ -138,7 +138,7 @@ type Forest struct {
 	// particles) outgrows live nodes.
 	lastLive int
 
-	cache *routeCache // nil until BindPool
+	pool [][]float64 // candidate rows bound by BindPool; nil when unbound
 
 	// tabs memoises the integer-keyed transcendental terms of the NIG
 	// closed forms, shared by both leaf priors; extended serially in
@@ -356,8 +356,8 @@ func (f *Forest) ensureSplitTab(depth int) {
 	}
 }
 
-// leafOf descends from root (any node id, in fact — descents may
-// resume from a cached interior node) to the leaf containing x.
+// leafOf descends from root (any node id, in fact) to the leaf
+// containing x.
 func (f *Forest) leafOf(root int32, x []float64) int32 {
 	dim, cut, left, right := f.ar.dim, f.ar.cut, f.ar.left, f.ar.right
 	cur := root
@@ -638,8 +638,8 @@ func (f *Forest) ensureShardXa() {
 // permutation (new slot → surviving source slot, non-decreasing), or
 // nil when the cloud is unchanged — degenerate weights, or a resample
 // in which every particle survived exactly once (the permutation is
-// the identity, so root copying, shared marking and cache remapping
-// are all no-ops and are skipped).
+// the identity, so root copying and shared marking are no-ops and
+// are skipped).
 func (f *Forest) resample() []int32 {
 	n := len(f.roots)
 	maxW := math.Inf(-1)
@@ -708,9 +708,6 @@ func (f *Forest) resample() []int32 {
 	}
 	copy(f.roots, out)
 	f.outBuf, f.srcBuf = out, src
-	if f.cache != nil {
-		f.cache.remap(src)
-	}
 	return src
 }
 
@@ -943,10 +940,8 @@ func (f *Forest) propCommit(slot, h, idx int, x []float64, y float64) {
 
 	case movePrune:
 		// Parent becomes a leaf holding both children's points plus the
-		// new one; routes cached at either child redirect to it.
+		// new one.
 		pn := f.makeWritable(slot, chain[:len(chain)-1])
-		f.supersede(slot, leaf, pn)
-		f.supersede(slot, sib, pn)
 		pts := make([]int, 0, len(f.ar.pts[leaf])+len(f.ar.pts[sib])+1)
 		pts = append(pts, f.ar.pts[leaf]...)
 		pts = append(pts, f.ar.pts[sib]...)
@@ -959,10 +954,6 @@ func (f *Forest) propCommit(slot, h, idx int, x []float64, y float64) {
 		f.ar.lin[pn] = p.mergedLin
 
 	case moveGrow:
-		// An in-place grow (target == leaf) records no redirect: the
-		// leaf id stays in the tree as an interior node, and cached
-		// routes through it stay valid — ensureRouted resumes the
-		// descent from the node when it finds it interior.
 		target := f.makeWritable(slot, chain)
 		l := f.materializeChild(&f.growL, f.ar.depth[target]+1)
 		r := f.materializeChild(&f.growR, f.ar.depth[target]+1)
@@ -995,12 +986,9 @@ func (f *Forest) materializeChild(c *childScratch, depth int32) int32 {
 // (chain runs root → … → write target). Nodes from the first shared
 // one onward are replaced with fresh copies relinked top-down; the
 // off-path child of every cloned interior node gains a second
-// referencing tree and is marked shared; superseded originals
-// redirect to their copies in slot's routing cache (a copy routes
-// exactly the original's region, so cached routes survive the clone).
-// With no shared node on the chain this is a no-op returning the
-// target itself — the common case for a particle that survived
-// resampling uniquely.
+// referencing tree and is marked shared. With no shared node on the
+// chain this is a no-op returning the target itself — the common case
+// for a particle that survived resampling uniquely.
 func (f *Forest) makeWritable(slot int, chain []int32) int32 {
 	ar := &f.ar
 	first := -1
@@ -1020,7 +1008,6 @@ func (f *Forest) makeWritable(slot int, chain []int32) int32 {
 	for i := first; i < len(chain); i++ {
 		orig := chain[i]
 		cp := ar.copyNode(orig)
-		f.supersede(slot, orig, cp)
 		if i < len(chain)-1 {
 			// Both the original and the copy now reference the
 			// off-path child.
@@ -1043,81 +1030,22 @@ func (f *Forest) makeWritable(slot int, chain []int32) int32 {
 	return prev
 }
 
-// supersede records that node old left slot's tree, replaced by node
-// nu (a path copy with identical routing, or the parent leaf a prune
-// collapsed into — either way nu routes every input old did), so
-// slot's cached routes through old redirect to nu — and only slot's.
-// Structural sharing means the departing node may still sit in other
-// particles' trees (a path copy supersedes it in the writing tree
-// only; a prune unlinks it from the pruning tree only), and those
-// particles' cached routes to it stay valid, so the redirect is
-// recorded against the slot's own pending list rather than any
-// global clock.
-//
-// Nothing to record when no pool is bound, or when the slot's tree
-// was never scored: a slot without a slab holds no cached routes, and
-// — the invariant the slot-scoped scheme makes explicit — its
-// departures cannot invalidate any other slab, because the node stays
-// live in every other tree that references it. ensureRouted asserts
-// the contrapositive (a slab-less slot never has pending redirects),
-// and TestSlablessSlotRetirePreservesSharedRoutes pins that a
-// slab-holding sharer's routes survive a slab-less slot's path copies.
-func (f *Forest) supersede(slot int, old, nu int32) {
-	c := f.cache
-	if c == nil || c.slabs[slot] == nil {
-		return
-	}
-	if c.overflow[slot] {
-		return // the slab is already marked for a wholesale reset
-	}
-	l := c.pending[slot]
-	if l.total() >= c.maxPend {
-		// Defensive valve, unreachable in normal operation (the
-		// wantCompact request below truncates logs at half this): more
-		// redirects than replaying them is worth — re-route the whole
-		// slab on its next use instead.
-		c.overflow[slot] = true
-		c.pending[slot] = nil
-		return
-	}
-	if l == nil || l.shared {
-		l = &pendLog{parent: l, prior: l.total()}
-		c.pending[slot] = l
-	}
-	l.ids = append(l.ids, old, nu)
-	if l.total() >= c.maxPend/2 {
-		c.wantCompact = true
-	}
-}
-
 // maybeCompact rebuilds the arena when superseded path copies and
 // dead particles outgrow the live trees. Compaction preserves
 // structural sharing (and recomputes exact shared flags) and renames
-// every node id; the routing cache invalidates itself wholesale
-// (routeCache.translate) and rematerialises scored slabs by batch
-// partition descent on their next use. Renaming is observationally
-// invisible (descents follow structure, scoring kernels use ids only
-// to group identical leaves, no randomness is consumed), so the
-// threshold is a pure space/time knob: with a bound pool the arena is
-// let grow further, because every compaction costs the cache a
-// whole-pool re-route per scored slab.
+// every node id. Renaming is observationally invisible (descents
+// follow structure, scoring kernels use ids only to group identical
+// leaves, no randomness is consumed), so the threshold is a pure
+// space/time knob.
 func (f *Forest) maybeCompact() {
-	if f.ar.len() > f.compactAt() || (f.cache != nil && f.cache.wantCompact) {
+	if f.ar.len() > f.compactAt() {
 		f.compact()
 	}
 }
 
 // compactAt is the arena size that triggers the next compaction.
 func (f *Forest) compactAt() int {
-	mult := 8
-	if f.cache != nil {
-		// With a bound pool every compaction also costs the routing
-		// cache a whole-pool re-route per scored slab, so the arena is
-		// let grow further; the cache requests a compaction itself
-		// (wantCompact) when its redirect logs need truncating.
-		mult = 32
-	}
-	return mult*f.lastLive + 1024
+	return 8*f.lastLive + 1024
 }
 
 func (f *Forest) compact() {
@@ -1178,9 +1106,6 @@ func (f *Forest) compact() {
 	// One reallocation out to the next compaction trigger keeps every
 	// newLeaf/copyNode append between compactions growslice-free.
 	f.ar.reserve(f.compactAt())
-	if f.cache != nil {
-		f.cache.translate()
-	}
 }
 
 // PhaseTimes reports cumulative wall clock spent in the update path's

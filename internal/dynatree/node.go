@@ -20,16 +20,14 @@ type point struct {
 // structurally (copy-on-write): resampling duplicates a particle by
 // duplicating its root id, and propagate clones only the root-to-leaf
 // path it actually rewrites (see Forest.propagate). The flat layout
-// keeps the descent hot loop (dim/cut/left/right) cache-friendly and
-// makes node ids stable keys for the routing cache of route.go.
+// keeps the descent hot loop (dim/cut/left/right) cache-friendly.
 //
 // A node is a leaf iff left < 0. Internal nodes always have both
 // children, and their (dim, cut) never change after creation, so the
 // region of feature space routed into a given node id is an invariant
 // of the id: every particle that references a node routes exactly the
-// same inputs into it. Both the ALC kernel's claimed per-leaf
-// reference counts and the routing cache's partial-descent repair
-// rely on this invariant.
+// same inputs into it. The ALC kernel's claimed per-leaf reference
+// counts rely on this invariant.
 type nodes struct {
 	depth []int32
 	dim   []int32

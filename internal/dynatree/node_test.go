@@ -47,8 +47,8 @@ func TestDescendRoutesCorrectly(t *testing.T) {
 			t.Fatalf("leafOf(%v) = %d, want %d", c.x, got, c.want)
 		}
 	}
-	// Descents may resume from an interior node (the routing cache's
-	// self-heal path): starting at the right child must agree.
+	// Descents may start at an interior node: starting at the right
+	// child must agree.
 	r := f.ar.left[root] // sanity: left is a leaf
 	if f.ar.left[r] >= 0 {
 		t.Fatal("left child should be a leaf")

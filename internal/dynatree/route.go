@@ -1,763 +1,49 @@
 package dynatree
 
-import (
-	"runtime"
-	"sync/atomic"
-)
-
-// The pool-interned scoring path. Algorithm 1 scores the same
-// candidate pool round after round, yet the historical entry points
-// re-routed every row through every scoring particle's tree from
-// scratch on every call — O(particles × |pool| × depth) of repeated
-// descent over a pool that never changes. BindPool interns the pool
-// rows once; the forest then memoises (particle, pool row) → leaf id
-// across rounds and the *Indexed entry points only re-descend rows
-// whose cached node actually left that particle's tree.
-//
-// Correctness rests on two invariants of the flat arena:
-//
-//   - A node id's routing region is immutable (internal (dim, cut)
-//     never change; path copies preserve them), so a cached id that
-//     is still part of a particle's tree routes its row correctly —
-//     and if the cached node has since grown into an interior node in
-//     place, the descent can simply resume from it.
-//   - A node only leaves a particle's tree through an event propagate
-//     can see, and every such event names a live replacement that
-//     routes a superset of the departing node's region: a
-//     copy-on-write path clone supersedes a node with a copy that has
-//     identical (dim, cut) and children, and a prune collapses two
-//     leaves into their parent. supersede() records the redirect at
-//     that moment — against the departing slot only. Structural
-//     sharing means the same node id can sit in many particles' trees
-//     at once; a departure from one tree says nothing about the
-//     others, so invalidation is slot-scoped: each slot keeps a
-//     pending list of (superseded → replacement) redirects for *its*
-//     tree, and only that slot's cached routes through those ids are
-//     rewritten — onto the replacement, not discarded, so a path copy
-//     or prune costs the cache nothing but a pointer chase.
-//
-// Slabs (per-particle route tables) travel with their trees through
-// resampling: duplicated particles share a slab reference-counted
-// copy-on-write, mirroring how the particles themselves share tree
-// structure — and the pending redirect lists travel (and are
-// duplicated) the same way, so a privatised slab observes exactly the
-// supersessions of its own tree's history and never another slot's.
-// A tree that drifts out of the scoring subsample keeps its slab and
-// pending list; with the redirects applied the routes are still valid
-// if it drifts back in later rounds.
-//
-// Because routing happens only inside ensureRouted — which applies a
-// slot's pending redirects before descending anything — and
-// supersessions happen only inside Update, a cached entry can never
-// postdate a redirect of its own node: node ids are never reused, so
-// membership in the redirect map is the whole validity test — no
-// per-entry clock is needed. Chains of redirects terminate because
-// the record times strictly increase along a chain: a redirect's
-// target is in the tree when recorded, its source has already left,
-// and ids never return — so a hop's node can only have been
-// superseded later than the hop that produced it, and no cycle can
-// close. (Ids alone do not order a chain: a prune's redirect target
-// is the collapsed parent, an older id than the leaves it absorbs.)
-// Arena compaction renames every node id; rather than renaming
-// cached entries through the compaction's id map, the cache drops
-// every slab and log and rebuilds scored slabs by batch partition
-// descent on next use — compactions are rare enough that a fresh
-// whole-pool route costs less than carrying stale history across
-// (routeCache.translate).
-
-// slab is one particle's cached route table over the bound pool.
-type slab struct {
-	ref  int32   // particle slots currently sharing this slab
-	seen uint32  // last resample round that adopted this slab (remap scratch)
-	leaf []int32 // per pool row: cached node id (-1 = no valid route)
-}
-
-// pendLog is one chunk of a slot's persistent redirect log. A chunk
-// is appended to in place while exactly one slot owns it as its head;
-// the moment resampling hands the head to more than one adopter it is
-// marked shared, and every later append goes through a fresh private
-// head chunk parented on the shared prefix. Ancestor chunks are
-// therefore always shared and immutable, so any number of slots can
-// hang their diverging histories off one inherited prefix without
-// copying it.
-type pendLog struct {
-	parent *pendLog
-	prior  int   // redirect ints accumulated in ancestor chunks
-	shared bool  // head of more than one slot, or an ancestor: frozen
-	adopt  int32 // resample remap scratch
-	ids    []int32
-}
-
-// total returns the log's length in int32s, prefix included.
-func (l *pendLog) total() int {
-	if l == nil {
-		return 0
-	}
-	return l.prior + len(l.ids)
-}
-
-// routeCache is the forest's cross-round routing memo over a bound
-// candidate pool.
-type routeCache struct {
-	rows  [][]float64
-	slabs []*slab // per particle slot; nil until the slot's tree is first scored
-	tmp   []*slab // resample remap scratch
-
-	// pending[slot] is the persistent chunked log of (superseded id,
-	// replacement id) redirect pairs slot's tree accumulated since
-	// the log was last truncated (a compaction translate, an overflow
-	// sweep). Logs fork structurally at resample — adopters share the
-	// inherited prefix and append through private head chunks — so
-	// remap moves them by pointer instead of copying, keeping
-	// resampling O(particles) regardless of log sizes. overflow[slot]
-	// marks a log that outgrew maxPend and was dropped: the slab is
-	// then re-routed wholesale on its next use instead of replaying
-	// an arbitrarily long history.
-	pending  []*pendLog
-	pendTmp  []*pendLog
-	overflow []bool
-	overTmp  []bool
-	maxPend  int
-
-	// sweptLog / sweptTotal memoise the pending-log identity each
-	// slot's repair sweep last saw. A log that has not grown between
-	// two sweeps belongs to a tree that is not being updated, so the
-	// second sweep folds it into the slab and truncates: a steady
-	// scoring loop (selects with no updates in between) reaches empty
-	// logs and skips the redirect machinery entirely, while
-	// mid-session sweeps — whose logs grow every round — keep the
-	// per-requested-id chases that touch only the rows asked for.
-	// Folding is unconditionally safe, so a coincidental match after
-	// a resample moves logs between slots merely folds early.
-	sweptLog   []*pendLog
-	sweptTotal []int
-
-	// wantCompact asks the forest for an arena compaction: some log
-	// passed maxPend/2, and compaction's translate pass is the natural
-	// point that folds and truncates every log. Keeping logs short this
-	// way means the defensive overflow drop (at maxPend, losing the
-	// slab) never fires in normal operation.
-	wantCompact bool
-
-	// serialFwd is the dense redirect map used by the serial repair
-	// path (translate); the slot-parallel repair pass uses one
-	// fwdShard per worker from shards instead (two slots' maps cannot
-	// share one scratch — the same superseded id may redirect
-	// differently per slot).
-	serialFwd fwdShard
-
-	shards   []fwdShard
-	shardIdx atomic.Int32
-
-	// free recycles slabs dropped when their particle lineages die in
-	// a resample, so copy-on-write privatisation (a clone per freshly
-	// duplicated scoring slot per round) reuses buffers instead of
-	// churning the allocator.
-	free  []*slab
-	round uint32 // resample round counter for slab liveness marking
-
-	// Per-slot route-repair tallies (test-only observability — see
-	// Forest.routeStats). Indexed by particle slot; the parallel
-	// repair pass writes only its own slot's entries. statDone marks
-	// slots whose whole-pool routing was already charged by the
-	// serial phase, so the parallel pass does not count those rows a
-	// second time.
-	statHits    []uint64
-	statResumes []uint64
-	statMisses  []uint64
-	statDone    []bool
-
-	// Partition-descent scratch for the serial whole-pool routing path
-	// (routePool); the parallel repair pass keeps per-shard equivalents.
-	batchIdx []int32
-	batchTmp []int32
-}
-
-// remap moves every slab — and its slot's pending retirements — with
-// its tree when resampling permutes the particle slots, recounting
-// references (one slab may be adopted by several duplicated trees;
-// each adopter gets its own copy of the pending list, so their
-// histories diverge independently from here on). ensureRouted
-// privatises a shared slab before writing through it.
-func (c *routeCache) remap(src []int32) {
-	for i, s := range src {
-		c.tmp[i] = c.slabs[s]
-		c.pendTmp[i] = c.pending[s]
-		c.overTmp[i] = c.overflow[s]
-	}
-	c.round++
-	for _, sl := range c.tmp {
-		if sl != nil {
-			sl.ref = 0
-			sl.seen = c.round
-		}
-	}
-	for _, sl := range c.tmp {
-		if sl != nil {
-			sl.ref++
-		}
-	}
-	// Slabs whose lineages died (no adopter this round) go to the
-	// free list for privatisation-clone reuse.
-	for _, sl := range c.slabs {
-		if sl != nil && sl.seen != c.round {
-			sl.seen = c.round // collect once even if several slots shared it
-			c.free = append(c.free, sl)
-		}
-	}
-	// Log heads adopted by more than one slot freeze: the adopters'
-	// histories diverge from here, each through its own head chunk.
-	for _, l := range c.pendTmp {
-		if l != nil {
-			l.adopt = 0
-		}
-	}
-	for _, l := range c.pendTmp {
-		if l != nil {
-			l.adopt++
-		}
-	}
-	for _, l := range c.pendTmp {
-		if l != nil && l.adopt > 1 {
-			l.shared = true
-		}
-	}
-	copy(c.slabs, c.tmp)
-	c.pending, c.pendTmp = c.pendTmp, c.pending
-	c.overflow, c.overTmp = c.overTmp, c.overflow
-}
-
-// translate carries the cache across an arena compaction by dropping
-// every slab and pending log wholesale. An earlier design renamed
-// each entry through the compaction's old→new id map, but that meant
-// privatising every shared slab (one copy per adopter slot — their
-// redirect histories had diverged) and folding every slot's pending
-// log first, and what it preserved was largely stale: slabs spend
-// most rounds attached to non-scoring slots where nothing repairs
-// them, so renamed entries were dominated by long-superseded routes
-// that forced root re-descents anyway. Rematerialising a scored
-// slot's slab is one partition descent over the pool (routePool) —
-// about the cost of the rename sweep it replaces — and hands back a
-// fully fresh slab. Compactions are rare (once per tens of rounds),
-// so the occasional whole-pool re-route is cheaper than keeping
-// rename machinery honest across fork-sharing logs.
-func (c *routeCache) translate() {
-	c.wantCompact = false
-	for slot := range c.slabs {
-		sl := c.slabs[slot]
-		if sl == nil {
-			continue
-		}
-		if sl.ref > 1 {
-			sl.ref--
-		} else {
-			c.free = append(c.free, sl)
-		}
-		c.slabs[slot] = nil
-		c.overflow[slot] = false
-		c.pending[slot] = nil
-	}
-}
-
-// fwdShard is one repair worker's private dense redirect map, in the
-// same generation-stamped layout as the cache-level fwd scratch, plus
-// a small cache-resident bloom filter over the superseded ids: the
-// sweep over a slab tests every row's cached node, and almost every
-// test is negative, so the hot-path probe must not be a random access
-// into the arena-sized mark array.
-type fwdShard struct {
-	mark   []uint32
-	to     []int32
-	gen    uint32
-	chunks []*pendLog // load scratch: chunk chain, reversed to oldest-first
-	// Partition-descent scratch for batching a sweep's root re-descents
-	// (missPos holds the request positions that missed).
-	missPos []int32
-	idxBuf  []int32
-	tmpBuf  []int32
-	bloom   [fwdBloomWords]uint64
-}
-
-// fwdBloomWords sizes the per-shard bloom filter (× 64 bits). Sized so
-// steady-state logs (hundreds of redirect pairs between truncations)
-// keep the false-positive rate low: a false positive only costs the
-// exact mark probe, but that probe is a random access into an
-// arena-sized array — exactly what the filter exists to avoid.
-const fwdBloomWords = 128
-
-// load stamps a slot's pending redirects into this shard's scratch,
-// returning the generation (0 when nothing is pending). Chunks are
-// stamped oldest-first so that when the same id was redirected twice —
-// a leaf grown in place (self-redirect) and later superseded by a path
-// copy — the later redirect wins.
-func (sh *fwdShard) load(log *pendLog, arenaLen int) uint32 {
-	if log == nil {
-		return 0
-	}
-	if len(sh.mark) < arenaLen {
-		if grown := 2 * len(sh.mark); grown > arenaLen {
-			arenaLen = grown
-		}
-		sh.mark = make([]uint32, arenaLen)
-		sh.to = make([]int32, arenaLen)
-		sh.gen = 0
-	}
-	sh.gen++
-	if sh.gen == 0 { // uint32 wraparound: stale marks could collide
-		for i := range sh.mark {
-			sh.mark[i] = 0
-		}
-		sh.gen = 1
-	}
-	sh.bloom = [fwdBloomWords]uint64{}
-	chunks := sh.chunks[:0]
-	for l := log; l != nil; l = l.parent {
-		chunks = append(chunks, l)
-	}
-	sh.chunks = chunks
-	gen := sh.gen
-	for ci := len(chunks) - 1; ci >= 0; ci-- {
-		l := chunks[ci]
-		for i := 0; i < len(l.ids); i += 2 {
-			id := l.ids[i]
-			sh.mark[id] = gen
-			sh.to[id] = l.ids[i+1]
-			h := uint32(id) * 2654435761 // Fibonacci hash: ids cluster, buckets must not
-			sh.bloom[h>>6%fwdBloomWords] |= 1 << (h & 63)
-		}
-	}
-	return gen
-}
-
-// maybeHas is the bloom pre-filter: false means id is definitely not
-// superseded; true falls through to the exact mark check.
-//
-//alic:noalloc
-func (sh *fwdShard) maybeHas(id int32) bool {
-	h := uint32(id) * 2654435761
-	return sh.bloom[h>>6%fwdBloomWords]&(1<<(h&63)) != 0
-}
-
-// chase follows nd's redirect chain to its live end, path-compressing
-// so later rows sharing the chain chase once. The caller has already
-// established mark[nd] == gen. A chain may end in a self-redirect —
-// an in-place grow logs (leaf → leaf) so the routing cache knows the
-// node went interior — so both loops must treat to[end] == end as a
-// terminal, not follow it forever.
-//
-//alic:noalloc
-func (sh *fwdShard) chase(nd int32, gen uint32) int32 {
-	end := sh.to[nd]
-	for sh.mark[end] == gen && sh.to[end] != end {
-		end = sh.to[end]
-	}
-	for sh.mark[nd] == gen && nd != end {
-		nd, sh.to[nd] = sh.to[nd], end
-	}
-	return end
-}
-
-// takeSlab returns a recycled slab from the free list (its previous
-// contents fully overwritten by the caller) or a fresh one.
-func (c *routeCache) takeSlab() *slab {
-	if n := len(c.free); n > 0 {
-		sl := c.free[n-1]
-		c.free = c.free[:n-1]
-		sl.ref = 1
-		return sl
-	}
-	return &slab{ref: 1, leaf: make([]int32, len(c.rows))}
-}
-
-// privatise gives the slot its own copy of a shared slab, recycling a
-// dead slab's buffer when one is available.
-func (c *routeCache) privatise(slot int32, sl *slab) *slab {
-	sl.ref--
-	cp := c.takeSlab()
-	copy(cp.leaf, sl.leaf)
-	c.slabs[slot] = cp
-	return cp
-}
-
-// BindPool interns the candidate pool: rows become addressable by
-// index through ALMIndexed, ALCIndexed and PredictMeanFastIndexed,
-// and the forest memoises per-particle pool-row routes across rounds,
-// re-descending only rows whose cached node left that particle's tree
-// since the round that cached them. The rows slice is retained and
-// must stay unchanged while bound; rebinding (or binding an empty
-// pool) discards every cached route. Indexed scores are bit-identical
-// to the row-based entry points on the same rows.
-//
-// Binding routes the whole pool through every particle slot up front
-// — not just the scoring subsample. Particle lineages coalesce under
-// resampling, so any slot's tree may be the ancestor of a future
-// scoring slot's tree; a slab born with full coverage keeps its
-// descendants hitting the cache for the rest of the run (routes
-// survive path copies, prunes and compaction via redirects). Bound
-// before the first update — where Algorithm 1 binds, with every tree
-// a root leaf — the eager routing costs one arena lookup per (slot,
-// row); slots sharing a root share one slab.
+// BindPool binds the candidate pool: rows become addressable by index
+// through ALMIndexed, ALCIndexed and PredictMeanFastIndexed. The rows
+// slice is retained and must stay unchanged while bound; binding an
+// empty pool unbinds. The indexed entry points gather the bound rows
+// into reusable scratch and call the row-based entry points, so their
+// results are the row path's, bit for bit.
 func (f *Forest) BindPool(rows [][]float64) {
 	if len(rows) == 0 {
-		f.cache = nil
-		return
+		rows = nil
 	}
-	n := len(f.roots)
-	maxPend := 2 * len(rows) // (superseded, replacement) pairs
-	if maxPend < 512 {
-		maxPend = 512
-	}
-	f.cache = &routeCache{
-		rows:        rows,
-		slabs:       make([]*slab, n),
-		tmp:         make([]*slab, n),
-		pending:     make([]*pendLog, n),
-		pendTmp:     make([]*pendLog, n),
-		overflow:    make([]bool, n),
-		overTmp:     make([]bool, n),
-		maxPend:     maxPend,
-		statHits:    make([]uint64, n),
-		statResumes: make([]uint64, n),
-		statMisses:  make([]uint64, n),
-		statDone:    make([]bool, n),
-		sweptLog:    make([]*pendLog, n),
-		sweptTotal:  make([]int, n),
-	}
-	// One slab per distinct root — slots duplicated by resampling
-	// share trees and therefore routes — routed in parallel, then
-	// shared across slots copy-on-write like any resample adoption.
-	// The routing loop writes every entry, so the -1 fill is skipped.
-	order := make([]int32, 0, n)
-	slabFor := make(map[int32]*slab, n)
-	for _, root := range f.roots {
-		if _, ok := slabFor[root]; !ok {
-			slabFor[root] = &slab{ref: 1, leaf: make([]int32, len(rows))}
-			order = append(order, root)
-		}
-	}
-	parallelFor(f.workers(), len(order), func(start, end int) {
-		for i := start; i < end; i++ {
-			root := order[i]
-			sl := slabFor[root] // read-only map access across shards
-			if f.ar.left[root] < 0 {
-				// The tree is a single root leaf — the usual bind point,
-				// before the first update — so every row routes to it
-				// without a descent.
-				for row := range rows {
-					sl.leaf[row] = root
-				}
-				continue
-			}
-			for row, x := range rows {
-				sl.leaf[row] = f.leafOf(root, x)
-			}
-		}
-	})
-	for slot, root := range f.roots {
-		sl := slabFor[root]
-		f.cache.slabs[slot] = sl
-		sl.ref = 0
-	}
-	for _, sl := range f.cache.slabs {
-		sl.ref++
-	}
-}
-
-// routePool (re)routes a slot's entire slab from scratch through one
-// partition descent, charging the whole pool as misses.
-func (c *routeCache) routePool(f *Forest, slot int32, sl *slab) {
-	n := len(c.rows)
-	if cap(c.batchIdx) < n {
-		c.batchIdx = make([]int32, n)
-		c.batchTmp = make([]int32, n)
-	}
-	idx := c.batchIdx[:n]
-	for row := range idx {
-		idx[row] = int32(row)
-	}
-	f.leafOfBatch(f.roots[slot], c.rows, idx, c.batchTmp[:n], sl.leaf)
-	c.statMisses[slot] += uint64(n)
-	c.statDone[slot] = true // already charged: whole pool descended
+	f.pool = rows
 }
 
 // mustBound guards the indexed entry points.
-func (f *Forest) mustBound() *routeCache {
-	if f.cache == nil {
+func (f *Forest) mustBound() [][]float64 {
+	if f.pool == nil {
 		panic("dynatree: indexed scoring requires a bound pool (call BindPool first)")
 	}
-	return f.cache
+	return f.pool
 }
 
-// routeStats sums the per-slot route-repair tallies since the last
-// resetRouteStats: cache hits, mid-tree descent resumes (cached leaf
-// grew in place), and full root re-descents. Test-only observability
-// for the invalidation contract.
-func (f *Forest) routeStats() (hits, resumes, misses uint64) {
-	c := f.mustBound()
-	for i := range c.statHits {
-		hits += c.statHits[i]
-		resumes += c.statResumes[i]
-		misses += c.statMisses[i]
-	}
-	return hits, resumes, misses
-}
-
-func (f *Forest) resetRouteStats() {
-	c := f.mustBound()
-	for i := range c.statHits {
-		c.statHits[i] = 0
-		c.statResumes[i] = 0
-		c.statMisses[i] = 0
-	}
-}
-
-// ensureRouted repairs the cached routes of every scoring particle
-// for the given pool rows. Per slot: the pending redirect log is
-// loaded into a dense map (it is NOT consumed — entries are chased
-// lazily per requested row, and the log lives until compaction or an
-// overflow sweep truncates it, so unrequested rows stay repairable);
-// then each requested row chases its redirects, rows whose node is
-// (or became) interior resume the descent from it (regions are
-// immutable, so the partial descent is exact), rows without a route
-// re-descend from the root, and everything else is a hit. Re-chasing
-// an already-repaired entry is sound because node ids are never
-// reused: a live entry can never equal the superseded side of an
-// older redirect.
-func (f *Forest) ensureRouted(ids []int) { f.ensureRoutedInto(ids, nil) }
-
-// ensureRoutedInto is ensureRouted fused with the gather pass of the
-// ALC kernel: when out is non-nil it receives the repaired leaf ids
-// in K×len(ids) layout (K = scoring slots, slot-major), saving a
-// separate sweep over every (slot, id) pair.
-//
-//alic:noalloc
-func (f *Forest) ensureRoutedInto(ids []int, out []int32) {
-	c := f.cache
-	// Serial phase per scoring slot: materialise, wholesale-refresh or
-	// privatise the slab. The parallel pass then owns its slots
-	// exclusively: each shard loads a slot's redirect map into its own
-	// scratch (two slots' maps cannot share one — the same superseded
-	// id may redirect differently per slot) and chases, classifies and
-	// descends in a single fused sweep over the requested rows.
-	for _, slot := range f.scoreSlots {
-		sl := c.slabs[slot]
-		if sl == nil {
-			// A slot without a slab has no cached routes, so it can
-			// have no recorded redirects either (supersede drops them)
-			// — the invariant TestSlablessSlotRetirePreservesSharedRoutes
-			// pins from the outside. Route the whole pool at
-			// materialisation so the slab is born fully covered.
-			if c.pending[slot] != nil || c.overflow[slot] {
-				panic("dynatree: pending redirects recorded for a slot with no slab")
-			}
-			sl = c.takeSlab()
-			c.routePool(f, slot, sl)
-			c.slabs[slot] = sl
-			continue
-		}
-		if sl.ref > 1 {
-			sl = c.privatise(slot, sl)
-		}
-		if c.overflow[slot] {
-			// The redirect history was dropped; re-route wholesale.
-			c.overflow[slot] = false
-			c.pending[slot] = nil
-			c.routePool(f, slot, sl)
-			continue
-		}
-	}
-	workers := f.workers()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(f.scoreSlots) {
-		workers = len(f.scoreSlots)
-	}
-	for len(c.shards) < workers {
-		c.shards = append(c.shards, fwdShard{})
-	}
-	c.shardIdx.Store(0)
-	arenaLen := f.ar.len()
-	parallelFor(workers, len(f.scoreSlots), func(start, end int) {
-		sh := &c.shards[int(c.shardIdx.Add(1))-1]
-		for k := start; k < end; k++ {
-			slot := f.scoreSlots[k]
-			sl := c.slabs[slot]
-			root := f.roots[slot]
-			left := f.ar.left
-			var gather []int32
-			if out != nil {
-				gather = out[k*len(ids) : (k+1)*len(ids)]
-			}
-			log := c.pending[slot]
-			gen := sh.load(log, arenaLen)
-			if gen != 0 && (log.total() > len(c.rows)/8 ||
-				(c.sweptLog[slot] == log && c.sweptTotal[slot] == log.total())) {
-				// Fold the redirect log into the slab in one chase
-				// sweep and truncate it, in two cases. A log that
-				// outgrew the cost of the sweep: short logs keep load
-				// cheap, chase chains shallow and the bloom sparse
-				// (long-lived logs would saturate the bloom by late
-				// session, turning every probe into a random access
-				// into the mark array). And a log unchanged since the
-				// last sweep: its tree is not being updated, so one
-				// fold makes every later sweep of a steady scoring
-				// loop skip the redirect machinery entirely (gen==0).
-				// Mid-session logs grow every round and stay under the
-				// size cut, keeping the cheap per-requested-id chases
-				// below — folding unconditionally was tried and costs
-				// sessions more than it saves, because the sweep
-				// touches every pool row, not just the requested ones.
-				for row, nd := range sl.leaf {
-					if nd >= 0 && sh.maybeHas(nd) && sh.mark[nd] == gen {
-						sl.leaf[row] = sh.chase(nd, gen)
-					}
-				}
-				c.pending[slot] = nil
-				gen = 0
-			}
-			c.sweptLog[slot] = c.pending[slot]
-			c.sweptTotal[slot] = c.pending[slot].total()
-			var hits, resumes, misses uint64
-			sh.missPos = sh.missPos[:0]
-			for i, id := range ids {
-				nd := sl.leaf[id]
-				if gen != 0 && nd >= 0 && sh.maybeHas(nd) && sh.mark[nd] == gen {
-					nd = sh.chase(nd, gen)
-					sl.leaf[id] = nd
-				}
-				switch {
-				case nd < 0:
-					misses++
-				case left[nd] >= 0:
-					// The cached node grew in place (no redirect is
-					// recorded for that — the id stays in the tree).
-					// By the node-region invariant (node.go) a fresh
-					// root descent lands on the same leaf a resume
-					// from nd would, so both repairs share the batch.
-					resumes++
-				default:
-					hits++
-					if gather != nil {
-						gather[i] = nd
-					}
-					continue
-				}
-				// Rows with no route and rows whose route went stale
-				// re-descend from the root; they are collected and
-				// batched into one partition descent after the sweep.
-				// Stale entries cluster — a single in-place grow
-				// invalidates every row cached at that leaf, and slabs
-				// inherit rounds of staleness through resampling — so
-				// one shared tree walk beats per-row descents.
-				sh.missPos = append(sh.missPos, int32(i))
-			}
-			if len(sh.missPos) > 0 {
-				if cap(sh.idxBuf) < len(ids) {
-					//alic:allow noalloc per-shard partition scratch grows to the largest request width once, then is reused across every sweep
-					sh.idxBuf = make([]int32, len(ids))
-					sh.tmpBuf = make([]int32, len(ids)) //alic:allow noalloc sized with idxBuf above
-				}
-				idx := sh.idxBuf[:0]
-				for _, pos := range sh.missPos {
-					idx = append(idx, int32(ids[pos]))
-				}
-				f.leafOfBatch(root, c.rows, idx, sh.tmpBuf[:len(idx)], sl.leaf)
-				if gather != nil {
-					for _, pos := range sh.missPos {
-						gather[pos] = sl.leaf[ids[pos]]
-					}
-				}
-			}
-			if c.statDone[slot] {
-				// The serial phase descended the whole pool for this
-				// slot and charged it as misses; counting the same
-				// rows again would skew the hit-rate tallies.
-				c.statDone[slot] = false
-				continue
-			}
-			c.statHits[slot] += hits
-			c.statResumes[slot] += resumes
-			c.statMisses[slot] += misses
-		}
-	})
-}
-
-// PredictMeanFastIndexed is PredictMeanFast over bound pool rows:
+// PredictMeanFastIndexed is PredictMeanFastBatch over bound pool rows:
 // entry i is bit-identical to PredictMeanFast(rows[ids[i]]).
 func (f *Forest) PredictMeanFastIndexed(ids []int) []float64 {
-	c := f.mustBound()
-	f.warmLin()
-	f.ensureRouted(ids)
-	out := make([]float64, len(ids))
-	parallelFor(f.workers(), len(ids), func(start, end int) {
-		xa := f.shardLinScratch()
-		for i := start; i < end; i++ {
-			id := ids[i]
-			x := c.rows[id]
-			sum := 0.0
-			for _, slot := range f.scoreSlots {
-				leaf := c.slabs[slot].leaf[id]
-				loc, _ := f.leafPredict(leaf, x, xa)
-				sum += loc
-			}
-			out[i] = sum / float64(len(f.scoreSlots))
-		}
-	})
-	return out
+	return f.PredictMeanFastBatch(gatherRows(&f.sc.candRows, f.mustBound(), ids))
 }
 
 // ALMIndexed is ALMBatch over bound pool rows: entry i is
 // bit-identical to ALM(rows[ids[i]]).
 func (f *Forest) ALMIndexed(ids []int) []float64 {
-	c := f.mustBound()
-	f.warmLin()
-	f.ensureRouted(ids)
-	scores := make([]float64, len(ids))
-	parallelFor(f.workers(), len(ids), func(start, end int) {
-		xa := f.shardLinScratch()
-		for i := start; i < end; i++ {
-			id := ids[i]
-			x := c.rows[id]
-			sumM, sumV, sumM2 := 0.0, 0.0, 0.0
-			for _, slot := range f.scoreSlots {
-				leaf := c.slabs[slot].leaf[id]
-				loc, v := f.leafPredict(leaf, x, xa)
-				sumM += loc
-				sumM2 += loc * loc
-				sumV += v
-			}
-			scores[i] = almFinish(sumM, sumV, sumM2, float64(len(f.scoreSlots)))
-		}
-	})
-	return scores
+	return f.ALMBatch(gatherRows(&f.sc.candRows, f.mustBound(), ids))
 }
 
-// ALCIndexed is ALCScores over bound pool rows: entry i is
-// bit-identical to the row-based call on the same rows, but a round's
-// scoring touches only rows whose cached route died since last round
-// instead of re-routing the whole pool.
+// ALCIndexed is ALCScores over bound pool rows. Passing the same ids
+// slice as cands and refs gathers once, so ALCScores routes the rows
+// once too.
 func (f *Forest) ALCIndexed(cands, refs []int) []float64 {
-	c := f.mustBound()
-	if len(refs) == 0 || len(cands) == 0 {
-		return make([]float64, len(cands))
-	}
-	f.warmLin()
-	sameIDs := len(cands) == len(refs) && &cands[0] == &refs[0]
-	K := len(f.scoreSlots)
-	candLeaf := matrix(&f.sc.candLeaf, K, len(cands))
-	f.ensureRoutedInto(cands, candLeaf)
-	refLeaf := candLeaf
-	if !sameIDs {
-		refLeaf = matrix(&f.sc.refLeaf, K, len(refs))
-		f.ensureRoutedInto(refs, refLeaf)
-	}
-	candRows := gatherRows(&f.sc.candRows, c.rows, cands)
+	rows := f.mustBound()
+	candRows := gatherRows(&f.sc.candRows, rows, cands)
 	refRows := candRows
-	if !sameIDs {
-		refRows = gatherRows(&f.sc.refRows, c.rows, refs)
+	if !sameSlice(cands, refs) {
+		refRows = gatherRows(&f.sc.refRows, rows, refs)
 	}
-	return f.alcFromMatrices(candLeaf, refLeaf, candRows, refRows, K)
+	return f.ALCScores(candRows, refRows)
 }
 
 // gatherRows copies the pool rows for ids into reusable scratch.
@@ -768,4 +54,9 @@ func gatherRows(buf *[][]float64, rows [][]float64, ids []int) [][]float64 {
 	}
 	*buf = out
 	return out
+}
+
+// sameSlice reports whether a and b are the same non-empty slice.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }

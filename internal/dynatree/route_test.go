@@ -1,7 +1,6 @@
 package dynatree
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -82,10 +81,9 @@ func TestScoringParticlesStride(t *testing.T) {
 	}
 }
 
-// TestIndexedMatchesRowScoringAfterEveryUpdate is the
-// epoch-invalidation contract: after any Update — resampling slab
-// remaps, copy-on-write path clones, prunes, in-place grows,
-// compaction — cached indexed scores must equal freshly-computed
+// TestIndexedMatchesRowScoringAfterEveryUpdate is the PoolBinder
+// contract: after any Update — resampling, copy-on-write path clones,
+// prunes, in-place grows, compaction — indexed scores must equal
 // row-based scores for the whole pool, bit for bit.
 func TestIndexedMatchesRowScoringAfterEveryUpdate(t *testing.T) {
 	for _, tc := range []struct {
@@ -115,8 +113,7 @@ func TestIndexedMatchesRowScoringAfterEveryUpdate(t *testing.T) {
 				steps = 60 // linear ALC is O(K x cands x refs-in-leaf) solves
 			}
 			for step := 0; step < steps; step++ {
-				// Train on pool rows so cached routes go stale in every
-				// way an acquisition loop can make them stale.
+				// Train on pool rows, as an acquisition loop does.
 				id := r.Intn(len(rows))
 				x := rows[id]
 				f.Update(x, x[0]+2*x[1]*x[1]+r.NormMS(0, 0.1))
@@ -185,8 +182,8 @@ func TestIndexedRequiresBoundPool(t *testing.T) {
 	f.ALMIndexed([]int{0})
 }
 
-// TestRebindResetsCache: rebinding a different pool must discard every
-// cached route (ids now address different rows).
+// TestRebindResetsCache: after rebinding a different pool, ids address
+// the new rows.
 func TestRebindResetsCache(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Particles = 20
@@ -199,7 +196,7 @@ func TestRebindResetsCache(t *testing.T) {
 		x := r.Float64()
 		f.Update([]float64{x}, 3*x+r.NormMS(0, 0.1))
 	}
-	f.ALMIndexed(allIDs(30)) // populate slabs against rowsA
+	f.ALMIndexed(allIDs(30)) // score against rowsA first
 	f.BindPool(rowsB)
 	got := f.ALMIndexed(allIDs(30))
 	want := f.ALMBatch(rowsB)
@@ -266,278 +263,7 @@ func TestIndexedScoringAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestRouteCacheReusesRoutesAcrossRounds asserts the cache actually
-// caches: in a steady scoring loop the number of full root descents
-// per round must be far below one per (particle, row) — i.e. most
-// lookups are hits (this is the perf contract behind BENCH_model).
-// With slot-scoped invalidation an update kills only the mutating
-// tree's own written-path routes, so the floor is much higher than
-// the 0.5 the global die epoch could promise.
-func TestRouteCacheReusesRoutesAcrossRounds(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Particles = 50
-	cfg.ScoreParticles = 20
-	f, _ := New(cfg, 2, rng.New(49))
-	rows := poolRows(200, 2, 50)
-	ids := allIDs(len(rows))
-	f.BindPool(rows)
-	r := rng.New(51)
-	for i := 0; i < 150; i++ {
-		id := r.Intn(len(rows))
-		f.Update(rows[id], rows[id][0]*rows[id][1]+r.NormMS(0, 0.05))
-	}
-	f.ALMIndexed(ids) // populate
-	f.resetRouteStats()
-	for round := 0; round < 20; round++ {
-		id := r.Intn(len(rows))
-		f.Update(rows[id], rows[id][0]*rows[id][1]+r.NormMS(0, 0.05))
-		f.ALMIndexed(ids)
-	}
-	hits, resumes, misses := f.routeStats()
-	total := hits + resumes + misses
-	if total == 0 {
-		t.Fatal("no route lookups recorded")
-	}
-	if frac := float64(hits) / float64(total); frac < 0.7 {
-		t.Fatalf("cross-round cache hit rate %.2f (hits %d, resumes %d, misses %d), want >= 0.7 in steady state",
-			frac, hits, resumes, misses)
-	}
-}
-
-// descendChain returns the root → … → leaf node chain of slot's tree
-// for x, in the layout makeWritable expects.
-func descendChain(f *Forest, slot int, x []float64) []int32 {
-	var chain []int32
-	cur := f.roots[slot]
-	for f.ar.left[cur] >= 0 {
-		chain = append(chain, cur)
-		if x[f.ar.dim[cur]] < f.ar.cut[cur] {
-			cur = f.ar.left[cur]
-		} else {
-			cur = f.ar.right[cur]
-		}
-	}
-	return append(chain, cur)
-}
-
-// shareTree duplicates slot src's tree into slot dst the way resample
-// would: dst adopts the root (structural sharing) and, when moveSlab
-// is set, src's slab and pending list travel to both via remap — the
-// full resample behaviour. With moveSlab false only the tree is
-// shared, modelling duplicates whose common ancestor was never scored
-// (their slots hold no slab even though their nodes are shared).
-func shareTree(f *Forest, src, dst int, moveSlab bool) {
-	f.ar.shared[f.roots[src]] = true
-	f.roots[dst] = f.roots[src]
-	if !moveSlab {
-		return
-	}
-	remap := make([]int32, len(f.roots))
-	for i := range remap {
-		remap[i] = int32(i)
-	}
-	remap[dst] = int32(src)
-	f.cache.remap(remap)
-}
-
-// TestSlablessSlotRetirePreservesSharedRoutes pins the retire()
-// invariant the slot-scoped scheme makes explicit: a slot whose tree
-// was never scored (no slab) can path-copy nodes it shares with a
-// slab-holding slot, and the latter's valid routes must survive —
-// the departure happened in the slab-less slot's tree only.
-func TestSlablessSlotRetirePreservesSharedRoutes(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Particles = 4
-	cfg.ScoreParticles = 2 // scoring slots {0, 2}; slots 1 and 3 never get slabs
-	f, err := New(cfg, 2, rng.New(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := poolRows(40, 2, 56)
-	ids := allIDs(len(rows))
-	r := rng.New(57)
-	for i := 0; i < 60; i++ {
-		id := r.Intn(len(rows))
-		f.Update(rows[id], rows[id][0]+rows[id][1]+r.NormMS(0, 0.05))
-	}
-	// Slot 1 adopts slot 0's tree, then has its slab severed —
-	// constructing the slab-less sharer state the supersede guard
-	// protects (BindPool materialises slabs eagerly, so the state is
-	// built explicitly here).
-	shareTree(f, 0, 1, false)
-	f.BindPool(rows)
-	f.ALMIndexed(ids)
-	if sl := f.cache.slabs[1]; sl != nil {
-		sl.ref--
-		f.cache.slabs[1] = nil
-		f.cache.pending[1] = nil
-	}
-
-	// The slab-less slot path-copies the chains of several rows —
-	// every makeWritable call supersedes the shared chain nodes in
-	// slot 1's tree; with no slab there, nothing may be recorded.
-	for _, id := range []int{0, 7, 19, 33} {
-		f.makeWritable(1, descendChain(f, 1, rows[id]))
-	}
-	if got := f.cache.pending[1].total(); got != 0 {
-		t.Fatalf("slab-less slot recorded %d pending redirect ints, want 0", got)
-	}
-
-	// Slot 0 shares those nodes and must keep every route: all hits.
-	f.resetRouteStats()
-	f.warmLin()
-	f.ensureRouted(ids)
-	if m := f.cache.statMisses[0]; m != 0 {
-		t.Fatalf("slab-holding sharer lost %d routes to a slab-less slot's path copies", m)
-	}
-	if m := f.cache.statMisses[2]; m != 0 {
-		t.Fatalf("untouched scoring slot lost %d routes", m)
-	}
-
-	// And the indexed path must still match the row path exactly.
-	alm := f.ALMBatch(rows)
-	almIdx := f.ALMIndexed(ids)
-	for i := range alm {
-		if alm[i] != almIdx[i] {
-			t.Fatalf("ALM[%d] row %v != indexed %v", i, alm[i], almIdx[i])
-		}
-	}
-}
-
-// TestSharedSlabIsolatedInvalidation pins the heart of slot-scoped
-// invalidation: two scoring slots sharing tree structure (and, via
-// remap, a copy-on-write slab), only one of which mutates. The
-// non-mutating slot's cache must stay fully hit — its tree never
-// changed — and the mutating slot's routes survive too, redirected
-// onto the path copies that superseded its written chain.
-func TestSharedSlabIsolatedInvalidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Particles = 2
-	cfg.ScoreParticles = 0 // both slots score
-	f, err := New(cfg, 2, rng.New(58))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := poolRows(80, 2, 59)
-	ids := allIDs(len(rows))
-	r := rng.New(60)
-	for i := 0; i < 80; i++ {
-		id := r.Intn(len(rows))
-		f.Update(rows[id], 2*rows[id][0]-rows[id][1]+r.NormMS(0, 0.05))
-	}
-	f.BindPool(rows)
-	f.ALMIndexed(ids) // populate both slabs
-
-	// Slot 1 adopts slot 0's tree and slab, as a resample duplicate
-	// would, then path-copies one row's chain: the only departures are
-	// from slot 1's tree.
-	shareTree(f, 0, 1, true)
-	if f.cache.slabs[0] != f.cache.slabs[1] || f.cache.slabs[0].ref != 2 {
-		t.Fatal("remap did not share the slab between the duplicated slots")
-	}
-	chain := descendChain(f, 1, rows[3])
-	f.makeWritable(1, chain)
-	if got := f.cache.pending[0].total(); got != 0 {
-		t.Fatalf("non-mutating sharer recorded %d pending redirect ints", got)
-	}
-	if got, want := f.cache.pending[1].total(), 2*len(chain); got != want {
-		t.Fatalf("mutating slot recorded %d pending redirect ints, want %d (one pair per copied chain node)", got, want)
-	}
-
-	f.resetRouteStats()
-	f.warmLin()
-	f.ensureRouted(ids)
-	if m := f.cache.statMisses[0]; m != 0 {
-		t.Fatalf("non-mutating sharer re-descended %d rows, want 0 (slot-scoped invalidation)", m)
-	}
-	if m := f.cache.statMisses[1]; m != 0 {
-		t.Fatalf("mutating slot re-descended %d rows, want 0 (supersession forwarding)", m)
-	}
-	// The redirected routes must point at the mutating slot's fresh
-	// copies, not the superseded originals the sharer still uses.
-	if a, b := f.cache.slabs[0].leaf[3], f.cache.slabs[1].leaf[3]; a == b {
-		t.Fatalf("mutated slot's route for the written row still aliases the shared original (%d)", a)
-	}
-
-	// Exactness: indexed ≡ row through the diverged pair.
-	alm := f.ALMBatch(rows)
-	almIdx := f.ALMIndexed(ids)
-	for i := range alm {
-		if alm[i] != almIdx[i] {
-			t.Fatalf("ALM[%d] row %v != indexed %v", i, alm[i], almIdx[i])
-		}
-	}
-}
-
-// TestAdversarialInvalidationSessions drives update-heavy sessions
-// engineered for deep structural sharing — pure-noise targets make
-// prune moves compete (prune-heavy), heavy-tailed targets concentrate
-// resampling weight so duplication is constant (resample-heavy) — and
-// asserts indexed ≡ row after every single update, with the cache
-// still earning a meaningful hit rate under the churn.
-func TestAdversarialInvalidationSessions(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		target  func(x []float64, r *rng.Stream) float64
-		minHits float64
-	}{
-		{"prune-heavy", func(x []float64, r *rng.Stream) float64 {
-			return r.NormMS(0, 1) // no structure: grown splits get pruned back
-		}, 0.3},
-		{"resample-heavy", func(x []float64, r *rng.Stream) float64 {
-			y := x[0] + x[1]
-			if r.Float64() < 0.25 {
-				y += r.NormMS(0, 5) // heavy tail: weights collapse, duplicates abound
-			}
-			return y + r.NormMS(0, 0.05)
-		}, 0.3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallConfig()
-			cfg.Particles = 30
-			cfg.ScoreParticles = 0 // every slot scores: sharing hits the cache head-on
-			f, err := New(cfg, 2, rng.New(61))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows := poolRows(60, 2, 62)
-			ids := allIDs(len(rows))
-			f.BindPool(rows)
-			r := rng.New(63)
-			f.ALMIndexed(ids)
-			f.resetRouteStats()
-			for step := 0; step < 100; step++ {
-				id := r.Intn(len(rows))
-				f.Update(rows[id], tc.target(rows[id], r))
-				alm := f.ALMBatch(rows)
-				almIdx := f.ALMIndexed(ids)
-				for i := range alm {
-					if alm[i] != almIdx[i] {
-						t.Fatalf("step %d: ALM[%d] row %v != indexed %v", step, i, alm[i], almIdx[i])
-					}
-				}
-				if step%10 != 0 {
-					continue
-				}
-				alc := f.ALCScores(rows, rows)
-				alcIdx := f.ALCIndexed(ids, ids)
-				for i := range alc {
-					if alc[i] != alcIdx[i] {
-						t.Fatalf("step %d: ALC[%d] row %v != indexed %v", step, i, alc[i], alcIdx[i])
-					}
-				}
-			}
-			hits, resumes, misses := f.routeStats()
-			total := hits + resumes + misses
-			if frac := float64(hits) / float64(total); frac < tc.minHits {
-				t.Fatalf("hit rate %.2f under churn (hits %d, resumes %d, misses %d), want >= %.2f",
-					frac, hits, resumes, misses, tc.minHits)
-			}
-		})
-	}
-}
-
-// TestIndexedThroughWorkerCounts: indexed scoring must stay
+// TestIndexedWorkerDeterminism: indexed scoring must stay
 // bit-identical across worker counts, like every other batched entry
 // point.
 func TestIndexedWorkerDeterminism(t *testing.T) {
@@ -568,31 +294,5 @@ func TestIndexedWorkerDeterminism(t *testing.T) {
 				t.Fatalf("%s[%d]: workers=1 %v != workers=8 %v", name, i, pair[0][i], pair[1][i])
 			}
 		}
-	}
-}
-
-func BenchmarkALCIndexedSteadyState(b *testing.B) {
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Particles = 300
-			cfg.ScoreParticles = 100
-			cfg.Workers = w
-			f, _ := New(cfg, 4, rng.New(7))
-			rows := poolRows(500, 4, 11)
-			ids := allIDs(len(rows))
-			f.BindPool(rows)
-			r := rng.New(13)
-			for i := 0; i < 300; i++ {
-				id := r.Intn(len(rows))
-				x := rows[id]
-				f.Update(x, x[0]+2*x[1]*x[2]+x[3]*x[3]+r.NormMS(0, 0.05))
-			}
-			f.ALCIndexed(ids, ids)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.ALCIndexed(ids, ids)
-			}
-		})
 	}
 }

@@ -2,27 +2,34 @@ package dynatree
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"alic/internal/linalg"
 )
 
-// This file holds the batched scoring entry points and the ALC kernel
-// shared by the row-based and pool-interned (indexed) paths. Both
-// paths resolve (scoring particle, input) → leaf id into flat
-// matrices first — by fresh descent here, from the routing cache in
-// route.go — and then hand the matrices to the same kernel, so the
-// two entry-point families are bit-identical by construction.
+// This file holds the batched scoring entry points and the ALC
+// kernel. ALCScores resolves (scoring particle, input) → leaf id into
+// flat matrices by partition descent, then hands the matrices to the
+// kernel. The indexed entry points in route.go gather bound pool rows
+// and call these same functions.
 
-// scoreScratch is the per-forest scoring scratch: leaf-id matrices
-// plus dense, generation-stamped per-leaf tables sized to the arena.
-// Reusing it across rounds keeps steady-state indexed scoring at O(1)
-// allocations per call (pinned by regression tests).
+// scoreScratch is the per-forest scoring scratch: leaf-id matrices,
+// descent and gather buffers, plus dense, generation-stamped per-leaf
+// tables sized to the arena. Reusing it across rounds keeps
+// steady-state scoring at O(1) allocations per call (pinned by
+// regression tests).
 type scoreScratch struct {
 	refLeaf  []int32 // K x nRefs leaf ids
 	candLeaf []int32 // K x nCands leaf ids
 	candRows [][]float64
 	refRows  [][]float64
 	partials []float64
+
+	// descent holds one (idx, tmp) partition-descent pair per ALCScores
+	// shard; shard hands each shard its pair.
+	descent []int32
+	shard   atomic.Int32
 
 	// Dense per-leaf tables, valid when mark == gen: the claimed
 	// reference count of the constant-model closed form, the memoised
@@ -189,7 +196,7 @@ func (f *Forest) almSlots(x, xa []float64) float64 {
 }
 
 // almFinish folds the particle sums into the law-of-total-variance
-// score, shared by the row-based and indexed ALM paths.
+// score.
 func almFinish(sumM, sumV, sumM2, n float64) float64 {
 	mean := sumM / n
 	variance := sumV/n + sumM2/n - mean*mean
@@ -228,33 +235,42 @@ func (f *Forest) ALMBatch(xs [][]float64) []float64 {
 // reference-dependent, and the kernel uses the exact rank-1
 // hypothetical-refit update instead (see alcLinearFromMatrices).
 //
-// This row-based entry point re-routes every input through every
-// scoring particle on each call; when the candidate set lives in a
-// bound pool, ALCIndexed reuses cross-round cached routes and is
-// bit-identical to this method.
+// The indexed entry point ALCIndexed gathers bound pool rows and
+// calls this method. Passing the same slice as cands and refs routes
+// the rows once.
 func (f *Forest) ALCScores(cands, refs [][]float64) []float64 {
 	if len(refs) == 0 || len(cands) == 0 {
 		return make([]float64, len(cands))
 	}
 	f.warmLin()
 	K := len(f.scoreSlots)
+	same := sameSlice(cands, refs)
 	refLeaf := matrix(&f.sc.refLeaf, K, len(refs))
-	candLeaf := matrix(&f.sc.candLeaf, K, len(cands))
-	parallelFor(f.workers(), K, func(start, end int) {
-		// Per-worker partition-descent scratch; two short-lived slices
-		// per scoring round.
-		n := len(refs)
-		if len(cands) > n {
-			n = len(cands)
-		}
-		idx := make([]int32, n)
-		tmp := make([]int32, n)
+	candLeaf := refLeaf
+	if !same {
+		candLeaf = matrix(&f.sc.candLeaf, K, len(cands))
+	}
+	n := max(len(refs), len(cands))
+	workers := f.workers()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, K)
+	descent := matrix(&f.sc.descent, workers, 2*n)
+	f.sc.shard.Store(0)
+	parallelFor(workers, K, func(start, end int) {
+		s := int(f.sc.shard.Add(1)) - 1
+		idx := descent[2*s*n : (2*s+1)*n]
+		tmp := descent[(2*s+1)*n : (2*s+2)*n]
 		for k := start; k < end; k++ {
 			root := f.roots[f.scoreSlots[k]]
 			for j := range refs {
 				idx[j] = int32(j)
 			}
 			f.leafOfBatch(root, refs, idx[:len(refs)], tmp, refLeaf[k*len(refs):(k+1)*len(refs)])
+			if same {
+				continue
+			}
 			for i := range cands {
 				idx[i] = int32(i)
 			}

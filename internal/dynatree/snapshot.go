@@ -13,11 +13,12 @@ const forestFormat = 1
 // configuration, training points, particle roots, the node arena
 // as-is (dead nodes included, so compaction timing and node ids are
 // preserved exactly), and the rng stream position — into a payload
-// restorable with Restore. Pure caches are deliberately omitted: the
-// routing cache (rebuilt by BindPool), the NIG memo tables, the split
-// prior tables, and every lazily-cached linear-leaf posterior (all
-// bit-identical when recomputed). The restored forest therefore
-// produces byte-identical predictions, draws and updates.
+// restorable with Restore. The bound pool is not part of the model
+// (call BindPool again after Restore), and pure caches are
+// deliberately omitted: the NIG memo tables, the split prior tables,
+// and every lazily-cached linear-leaf posterior (all bit-identical
+// when recomputed). The restored forest therefore produces
+// byte-identical predictions, draws and updates.
 func (f *Forest) Snapshot() []byte {
 	e := snapshot.NewEncoder(1024 + 64*f.ar.len() + 16*len(f.points)*f.dim)
 	e.Int(forestFormat)
@@ -102,10 +103,9 @@ func (f *Forest) Snapshot() []byte {
 // Restore reconstructs a forest from a Snapshot payload. Structural
 // invariants (id ranges, slice lengths, point indices) are verified
 // before use, so corrupt input that survived the container checksum
-// still fails with a typed error rather than a panic. The routing
-// cache is not part of the snapshot: call BindPool afterwards to
-// re-enable pool-interned scoring (the rebuilt cache is pure
-// memoization and does not affect results).
+// still fails with a typed error rather than a panic. The bound pool
+// is not part of the snapshot: call BindPool afterwards to re-enable
+// the indexed entry points.
 func Restore(payload []byte) (*Forest, error) {
 	const sec = "dynatree.forest"
 	d := snapshot.NewDecoder(sec, payload)
@@ -134,13 +134,16 @@ func Restore(payload []byte) (*Forest, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, snapshot.Corruptf(sec, "invalid config: %v", err)
 	}
-	if dim < 1 {
-		return nil, snapshot.Corruptf(sec, "dimension %d", dim)
+	// Every node carries 2*dim range floats and there is at least one
+	// node, so a dimension the payload cannot hold is rejected before
+	// anything is sized by it.
+	if dim < 1 || dim > d.Remaining()/16 {
+		return nil, snapshot.Corruptf(sec, "dimension %d with %d bytes left", dim, d.Remaining())
 	}
 	if cfg.LeafModel != ConstantLeaf && cfg.LeafModel != LinearLeaf {
 		return nil, snapshot.Corruptf(sec, "unknown leaf model %d", int(cfg.LeafModel))
 	}
-	if npts < 0 || npts > d.Remaining()/8 {
+	if npts < 0 || npts > d.Remaining()/(8*dim) {
 		return nil, snapshot.Corruptf(sec, "point count %d with %d bytes left", npts, d.Remaining())
 	}
 
@@ -199,6 +202,9 @@ func Restore(payload []byte) (*Forest, error) {
 		ar.pts[id] = d.Ints()
 		ar.s[id] = suff{n: d.Int(), sumY: d.F64(), sumY2: d.F64()}
 		if d.Bool() {
+			if (dim+1)*(dim+1) > d.Remaining()/8 {
+				return nil, snapshot.Corruptf(sec, "node %d linear statistics of dim %d with %d bytes left", id, dim, d.Remaining())
+			}
 			lin := newLinSuff(dim)
 			lin.n = d.Int()
 			for i := 0; i < lin.d; i++ {
@@ -227,15 +233,24 @@ func Restore(payload []byte) (*Forest, error) {
 	}
 
 	// Structural validation: every reference must be in range before
-	// any descent touches the arena.
+	// any descent touches the arena. Depths are non-negative, every
+	// child sits one level below its parent and every root at depth 0,
+	// so depth strictly grows along every child link and no descent
+	// can cycle.
 	for id := 0; id < n; id++ {
 		l, r := ar.left[id], ar.right[id]
+		if ar.depth[id] < 0 {
+			return nil, snapshot.Corruptf(sec, "node %d depth %d", id, ar.depth[id])
+		}
 		if (l < 0) != (r < 0) {
 			return nil, snapshot.Corruptf(sec, "node %d has one child", id)
 		}
 		if l >= 0 {
 			if int(l) >= n || int(r) >= n {
 				return nil, snapshot.Corruptf(sec, "node %d children %d/%d out of range", id, l, r)
+			}
+			if ar.depth[l] != ar.depth[id]+1 || ar.depth[r] != ar.depth[id]+1 {
+				return nil, snapshot.Corruptf(sec, "node %d at depth %d has children at depths %d/%d", id, ar.depth[id], ar.depth[l], ar.depth[r])
 			}
 			if int(ar.dim[id]) < 0 || int(ar.dim[id]) >= dim {
 				return nil, snapshot.Corruptf(sec, "node %d split dimension %d", id, ar.dim[id])
@@ -253,8 +268,13 @@ func Restore(payload []byte) (*Forest, error) {
 		if root < 0 || int(root) >= n {
 			return nil, snapshot.Corruptf(sec, "root %d id %d out of range", i, root)
 		}
+		if ar.depth[root] != 0 {
+			return nil, snapshot.Corruptf(sec, "root %d at depth %d", i, ar.depth[root])
+		}
 	}
-	if lastLive < 0 {
+	// lastLive sizes the arena reservation below; it never exceeds the
+	// arena it was measured on.
+	if lastLive < 0 || lastLive > n {
 		return nil, snapshot.Corruptf(sec, "lastLive %d", lastLive)
 	}
 

@@ -1,6 +1,8 @@
 package dynatree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -10,7 +12,7 @@ import (
 
 // trainForest builds a forest with some absorbed observations for the
 // round-trip tests.
-func snapTrainForest(t *testing.T, leaf LeafModel, n int) (*Forest, [][]float64, []float64) {
+func snapTrainForest(t testing.TB, leaf LeafModel, n int) (*Forest, [][]float64, []float64) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Particles = 60
@@ -69,9 +71,10 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripIndexed pins the routing-cache-free
-// reconstruction rule: restore, re-bind the pool, and the indexed
-// scoring path must match the original's bit for bit.
+// TestSnapshotRoundTripIndexed pins the reconstruction rule for a
+// bound pool, which the snapshot does not carry: restore, re-bind the
+// pool, and the indexed scoring path must match the original's bit
+// for bit.
 func TestSnapshotRoundTripIndexed(t *testing.T) {
 	f, xs, _ := snapTrainForest(t, ConstantLeaf, 50)
 	pool := xs[:20]
@@ -80,9 +83,7 @@ func TestSnapshotRoundTripIndexed(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Warm the original's cache so the snapshot is taken with live
-	// cached routes (which must NOT be needed for the restore).
-	_ = f.ALMIndexed(idx)
+	_ = f.ALMIndexed(idx) // score before the snapshot, as a learner does
 
 	g, err := Restore(f.Snapshot())
 	if err != nil {
@@ -155,4 +156,121 @@ func TestRestoreCorrupt(t *testing.T) {
 			t.Fatalf("truncation to %d: err = %v", n, err)
 		}
 	}
+}
+
+// seedForest is a forest small enough for a fuzz seed: a few
+// particles over a handful of 2-d observations, with grown splits.
+func seedForest(tb testing.TB, leaf LeafModel) *Forest {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.Particles = 4
+	cfg.ScoreParticles = 0
+	cfg.LeafModel = leaf
+	f, err := New(cfg, 2, rng.New(71))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rng.New(72)
+	for i := 0; i < 12; i++ {
+		x := []float64{r.Float64(), r.Float64()}
+		f.Update(x, 4*x[0]-x[1]+r.NormMS(0, 0.05))
+	}
+	return f
+}
+
+// hostileSnapshots returns forest payloads that the container
+// checksum cannot catch (anyone can recompute it) and that earlier
+// builds accepted or crashed on: a dimension no payload can hold,
+// which panicked inside Restore; a negative node depth, which made the
+// next Update panic on a pool goroutine; a child link back to its
+// ancestor, which made PredictMeanFast loop forever; and a lastLive
+// beyond the arena, which sized an arena reservation of terabytes.
+func hostileSnapshots(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	valid := seedForest(tb, ConstantLeaf).Snapshot()
+	mutate := func(edit func(g *Forest, root, child int32)) []byte {
+		g, err := Restore(valid)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, root := range g.roots {
+			if child := g.ar.left[root]; child >= 0 {
+				edit(g, root, child)
+				return g.Snapshot()
+			}
+		}
+		tb.Fatal("no particle has grown a split")
+		return nil
+	}
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(huge[96:], 1<<40) // the dim field
+	return map[string][]byte{
+		"huge-dim": huge,
+		"negative-depth": mutate(func(g *Forest, _, child int32) {
+			for g.ar.left[child] >= 0 {
+				child = g.ar.left[child]
+			}
+			g.ar.depth[child] = -7
+		}),
+		"cycle": mutate(func(g *Forest, root, child int32) {
+			if g.ar.left[child] < 0 {
+				g.ar.right[child] = root
+			}
+			g.ar.left[child] = root
+		}),
+		"huge-lastlive": mutate(func(g *Forest, _, _ int32) {
+			g.lastLive = 1 << 40
+		}),
+	}
+}
+
+// TestSnapshotRejectsHostilePayloads: each crafted payload fails with
+// a typed corruption error instead of panicking or being accepted.
+func TestSnapshotRejectsHostilePayloads(t *testing.T) {
+	for name, payload := range hostileSnapshots(t) {
+		t.Run(name, func(t *testing.T) {
+			g, err := Restore(payload)
+			if err == nil {
+				t.Fatalf("Restore accepted the payload (%d nodes)", g.ar.len())
+			}
+			if !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+				t.Fatalf("untyped error %v", err)
+			}
+		})
+	}
+}
+
+// FuzzForestRestore: Restore never panics and rejects only with a
+// typed corruption error, and any forest it accepts can predict,
+// score, absorb an observation and round-trip through Snapshot bit
+// for bit. The seed corpus in testdata/fuzz holds valid constant- and
+// linear-leaf snapshots plus the payloads of hostileSnapshots.
+func FuzzForestRestore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		g, err := Restore(payload)
+		if err != nil {
+			if !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		g.SetWorkers(1)
+		x := make([]float64, g.dim)
+		y := make([]float64, g.dim)
+		for i := range x {
+			x[i], y[i] = 0.5, float64(i)
+		}
+		g.PredictMeanFast(x)
+		rows := [][]float64{x, y}
+		g.ALCScores(rows, rows)
+		g.Update(x, 1)
+		snap := g.Snapshot()
+		h, err := Restore(snap)
+		if err != nil {
+			t.Fatalf("restoring an accepted forest's snapshot: %v", err)
+		}
+		if !bytes.Equal(h.Snapshot(), snap) {
+			t.Fatal("snapshot of the restored forest differs from the original")
+		}
+	})
 }

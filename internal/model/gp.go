@@ -76,9 +76,8 @@ type gpModel struct {
 	pending int
 
 	// Bound pool rows (PoolBinder) plus reusable gather scratch. The
-	// GP has no per-candidate state worth caching across rounds, so
-	// the indexed entry points simply gather rows and fall back to the
-	// row-based scorers — bit-identical by construction.
+	// indexed entry points gather rows and call the row-based scorers,
+	// bit-identical by construction.
 	rows       [][]float64
 	gatherBufA [][]float64
 	gatherBufB [][]float64
@@ -86,7 +85,7 @@ type gpModel struct {
 
 var _ PoolBinder = (*gpModel)(nil)
 
-// BindPool interns the pool rows for the indexed fallback adapters.
+// BindPool binds the pool rows for the indexed adapters.
 func (m *gpModel) BindPool(rows [][]float64) { m.rows = rows }
 
 // gather copies the bound rows for ids into buf.

@@ -62,19 +62,16 @@ type Model interface {
 }
 
 // PoolBinder is an optional Model extension for backends that can
-// intern the learner's candidate pool. The learner binds the pool's
+// bind the learner's candidate pool. The learner binds the pool's
 // feature rows once at seeding time; afterwards the scoring loop
 // addresses candidates by stable pool index instead of gathering row
-// slices, which lets a backend memoise per-candidate work across
-// rounds (the dynatree backend caches particle routing between
-// acquisitions and re-descends only rows whose cached tree node died;
-// the gp backend falls back to gathering rows internally).
+// slices. The built-in backends (dynatree and gp) gather the bound
+// rows internally and call their row-based entry points.
 //
 // Contract: for the same model state, every *Indexed entry point must
 // return results bit-identical to its row-based counterpart called on
-// the bound rows — the indexed path is a cache, never an
-// approximation. Bound rows are retained by the backend and must stay
-// unchanged while bound.
+// the bound rows — never an approximation. Bound rows are retained by
+// the backend and must stay unchanged while bound.
 type PoolBinder interface {
 	// BindPool interns the pool's feature rows; rows[i] backs pool
 	// index i in the *Indexed calls. Binding replaces any previous

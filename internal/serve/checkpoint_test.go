@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"alic/internal/snapshot"
 )
 
 // requireSameSessionResult pins bit-identical terminal state across a
@@ -402,5 +405,84 @@ func TestDeleteRemovesCheckpoint(t *testing.T) {
 	defer rec.Close()
 	if n, err := rec.Recover(); n != 0 || err != nil {
 		t.Fatalf("deleted session resurrected: n=%d err=%v", n, err)
+	}
+}
+
+// rewriteSection returns the container data with the named section's
+// payload replaced by edit(payload), checksums recomputed as any
+// client can.
+func rewriteSection(t *testing.T, data []byte, name string, edit func([]byte) []byte) []byte {
+	t.Helper()
+	c, err := snapshot.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := snapshot.NewWriter(&buf)
+	for _, n := range c.Names() {
+		pay, _ := c.Section(n)
+		if n == name {
+			pay = edit(pay)
+		}
+		if err := w.Section(n, pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestCheckpointRestoreRejectsHostileModel: a checkpoint whose model
+// section carries a forest with a dimension no payload can hold gets a
+// 4xx from the restore endpoint, and the server keeps serving.
+func TestCheckpointRestoreRejectsHostileModel(t *testing.T) {
+	srv := NewServer(Options{})
+	defer srv.Close()
+	web := httptest.NewServer(srv.Handler())
+	defer web.Close()
+
+	s, err := srv.CreateSession(tinySpec("acme", "origin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, time.Minute)
+	snap, err := srv.SnapshotSession("acme", "origin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := rewriteSection(t, snap, secLearner, func(learner []byte) []byte {
+		return rewriteSection(t, learner, "core.model", func(pay []byte) []byte {
+			d := snapshot.NewDecoder("core.model", pay)
+			_ = d.String() // backend name; the forest payload follows
+			forest := len(pay) - d.Remaining()
+			out := append([]byte(nil), pay...)
+			binary.LittleEndian.PutUint64(out[forest+96:], 1<<40) // the forest's dim field
+			return out
+		})
+	})
+
+	restore := func(name string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(web.URL+"/v1/tenants/acme/sessions/"+name+"/restore",
+			"application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("restore %s: %v", name, err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if code, msg := restore("hostile", hostile); code < 400 || code >= 500 {
+		t.Fatalf("hostile model: HTTP %d (%s), want 4xx", code, msg)
+	}
+	if code, msg := restore("copy", snap); code != http.StatusCreated {
+		t.Fatalf("server stopped serving restores after the hostile one: HTTP %d (%s)", code, msg)
+	}
+	resp, err := http.Get(web.URL + "/v1/tenants/acme/sessions/origin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session info after the hostile restore: HTTP %d", resp.StatusCode)
 	}
 }
