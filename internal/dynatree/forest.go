@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"alic/internal/rng"
 	"alic/internal/stats"
@@ -188,10 +187,13 @@ type Forest struct {
 	spare    nodes
 	remapBuf []int32
 
-	// Cumulative wall clock (ns) of the update path's two phases, for
-	// PhaseTimes. Timing floats never feed model arithmetic.
-	weightNS int64
-	propNS   int64
+	// Stay-commit memo, one generation per observation (see
+	// makeWritable): when stayMark[id] == stayGen, a stay commit of the
+	// current observation copied node id to stayCopy[id]. Indexed by the
+	// ids of the arena as the observation found it.
+	stayGen  uint32
+	stayMark []uint32
+	stayCopy []int32
 }
 
 // propState is the read-only move-weight computation for one particle
@@ -293,7 +295,7 @@ func New(cfg Config, dim int, r *rng.Stream) (*Forest, error) {
 	}
 	f.scoreSlots = scoreSlotsFor(cfg.Particles, cfg.ScoreParticles)
 	f.lastLive = f.ar.len()
-	f.ar.reserve(f.compactAt())
+	f.reserveArena()
 	return f, nil
 }
 
@@ -503,7 +505,6 @@ func (f *Forest) appendPoint(x []float64, y float64) int {
 func (f *Forest) updateObs(idx int, x []float64, y float64, wantPred bool) float64 {
 	pred := math.NaN()
 	f.ensurePropScratch()
-	t0 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed model arithmetic
 	// Step 1: importance weights = posterior predictive density at the
 	// new observation. Each particle's weight is independent and —
 	// after pre-warming any lazily-cached linear-leaf posteriors, which
@@ -556,15 +557,11 @@ func (f *Forest) updateObs(idx int, x []float64, y float64, wantPred bool) float
 		}
 		f.chainPerm = nil
 	}
-	t1 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed model arithmetic
-	f.weightNS += t1.Sub(t0).Nanoseconds()
 
 	// Step 2: propagate every particle with a local tree move, then
 	// insert the point.
 	f.propagateAll(idx, x, y)
 	f.maybeCompact()
-	t2 := time.Now() //alic:allow detfloat wall-clock phase accounting only; durations never feed model arithmetic
-	f.propNS += t2.Sub(t1).Nanoseconds()
 	return pred
 }
 
@@ -776,6 +773,7 @@ func (f *Forest) propagateAll(idx int, x []float64, y float64) {
 	})
 
 	// Phase B: serial draws and commits, in slot order.
+	f.nextStayMemo(ar.len())
 	for i := 0; i < n; i++ {
 		f.propCommit(i, int(head[i]), idx, x, y)
 	}
@@ -876,7 +874,9 @@ func (f *Forest) propPrepare(i int, x []float64, y float64) {
 // propCommit assembles slot's move distribution from the prepared
 // phase-A state at h (its dup-group head), draws the grow proposal and
 // move choice from the single rng stream, and commits the chosen move
-// — the write side of the old serial propagate, unchanged.
+// — the write side of the old serial propagate. A stay whose path an
+// earlier slot's stay already copied links that copy and writes
+// nothing (see makeWritable).
 func (f *Forest) propCommit(slot, h, idx int, x []float64, y float64) {
 	ar := &f.ar
 	p := &f.prop[h]
@@ -932,7 +932,10 @@ func (f *Forest) propCommit(slot, h, idx int, x []float64, y float64) {
 
 	switch move {
 	case moveStay:
-		target := f.makeWritable(slot, chain)
+		target, fresh := f.makeWritable(slot, chain, true)
+		if !fresh {
+			break // an earlier slot's stay already wrote this leaf
+		}
 		f.ar.pts[target] = append(f.ar.pts[target], idx)
 		f.ar.s[target] = p.sNew
 		f.ar.lin[target] = p.linNew
@@ -941,7 +944,7 @@ func (f *Forest) propCommit(slot, h, idx int, x []float64, y float64) {
 	case movePrune:
 		// Parent becomes a leaf holding both children's points plus the
 		// new one.
-		pn := f.makeWritable(slot, chain[:len(chain)-1])
+		pn, _ := f.makeWritable(slot, chain[:len(chain)-1], false)
 		pts := make([]int, 0, len(f.ar.pts[leaf])+len(f.ar.pts[sib])+1)
 		pts = append(pts, f.ar.pts[leaf]...)
 		pts = append(pts, f.ar.pts[sib]...)
@@ -954,7 +957,7 @@ func (f *Forest) propCommit(slot, h, idx int, x []float64, y float64) {
 		f.ar.lin[pn] = p.mergedLin
 
 	case moveGrow:
-		target := f.makeWritable(slot, chain)
+		target, _ := f.makeWritable(slot, chain, false)
 		l := f.materializeChild(&f.growL, f.ar.depth[target]+1)
 		r := f.materializeChild(&f.growR, f.ar.depth[target]+1)
 		f.ar.dim[target] = int32(growDim)
@@ -989,7 +992,20 @@ func (f *Forest) materializeChild(c *childScratch, depth int32) int32 {
 // referencing tree and is marked shared. With no shared node on the
 // chain this is a no-op returning the target itself — the common case
 // for a particle that survived resampling uniquely.
-func (f *Forest) makeWritable(slot int, chain []int32) int32 {
+//
+// A stay commit (stay true) writes the same bytes into the target
+// whichever slot makes it: the leaf a chain reaches is a function of
+// its nodes and x, and the stay payload of the observation and that
+// leaf. So stay commits share their copies through the per-observation
+// memo. Each node a stay commit copies is recorded; a later stay whose
+// chain reaches a recorded node links that copy in place of cloning,
+// marks it shared, and gets fresh == false: the target already holds
+// the stay's payload and must not be written. Duplicates left by a
+// resample then clone their shared path once per observation instead
+// of once per slot. Grow and prune targets are slot-specific and always
+// copy. Node ids are observationally invisible (see maybeCompact), so
+// the memo changes arena size and sharing, never results.
+func (f *Forest) makeWritable(slot int, chain []int32, stay bool) (target int32, fresh bool) {
 	ar := &f.ar
 	first := -1
 	for i, id := range chain {
@@ -999,7 +1015,7 @@ func (f *Forest) makeWritable(slot int, chain []int32) int32 {
 		}
 	}
 	if first < 0 {
-		return chain[len(chain)-1]
+		return chain[len(chain)-1], true
 	}
 	prev := int32(-1)
 	if first > 0 {
@@ -1007,14 +1023,24 @@ func (f *Forest) makeWritable(slot int, chain []int32) int32 {
 	}
 	for i := first; i < len(chain); i++ {
 		orig := chain[i]
-		cp := ar.copyNode(orig)
-		if i < len(chain)-1 {
-			// Both the original and the copy now reference the
-			// off-path child.
-			if ar.left[orig] == chain[i+1] {
-				ar.shared[ar.right[orig]] = true
-			} else {
-				ar.shared[ar.left[orig]] = true
+		memo := stay && f.stayMark[orig] == f.stayGen
+		var cp int32
+		if memo {
+			cp = f.stayCopy[orig]
+			ar.shared[cp] = true
+		} else {
+			cp = ar.copyNode(orig)
+			if stay {
+				f.stayMark[orig], f.stayCopy[orig] = f.stayGen, cp
+			}
+			if i < len(chain)-1 {
+				// Both the original and the copy now reference the
+				// off-path child.
+				if ar.left[orig] == chain[i+1] {
+					ar.shared[ar.right[orig]] = true
+				} else {
+					ar.shared[ar.left[orig]] = true
+				}
 			}
 		}
 		switch {
@@ -1025,9 +1051,31 @@ func (f *Forest) makeWritable(slot int, chain []int32) int32 {
 		default:
 			ar.right[prev] = cp
 		}
+		if memo {
+			// The copy's subtree already holds the memoised copies of
+			// the rest of the chain, the target's last.
+			return f.stayCopy[chain[len(chain)-1]], false
+		}
 		prev = cp
 	}
-	return prev
+	return prev, true
+}
+
+// nextStayMemo begins the stay-commit memo of a new observation over
+// an arena of n nodes. The tables grow geometrically, like
+// scoreScratch's, and the generation stamp invalidates every entry
+// without clearing them.
+func (f *Forest) nextStayMemo(n int) {
+	if len(f.stayMark) < n {
+		n = max(n, 2*len(f.stayMark))
+		f.stayMark = make([]uint32, n)
+		f.stayCopy = make([]int32, n)
+	}
+	f.stayGen++
+	if f.stayGen == 0 { // uint32 wraparound: stale stamps could collide
+		clear(f.stayMark)
+		f.stayGen = 1
+	}
 }
 
 // maybeCompact rebuilds the arena when superseded path copies and
@@ -1103,18 +1151,26 @@ func (f *Forest) compact() {
 	}
 	f.spare = old
 	f.lastLive = na.len()
-	// One reallocation out to the next compaction trigger keeps every
-	// newLeaf/copyNode append between compactions growslice-free.
-	f.ar.reserve(f.compactAt())
+	f.reserveArena()
 }
 
-// PhaseTimes reports cumulative wall clock spent in the update path's
-// two phases since construction: the weight pass (fused descent +
-// reweighting + resampling) and propagation (move weights, commits,
-// compaction). Purely observational — the timings never feed any
-// model arithmetic.
-func (f *Forest) PhaseTimes() (weight, propagate time.Duration) {
-	return time.Duration(f.weightNS), time.Duration(f.propNS)
+// reserveArena sizes the arena for every append until the next
+// compaction: out to the compaction trigger plus one update's
+// worst-case growth, because maybeCompact runs only after an update
+// and the update that crosses the trigger still appends. Per particle
+// an update appends at most a root-to-leaf path copy plus two grow
+// children, depth+3 nodes at the deepest leaf. Trees deepen between
+// compactions, so the headroom is measured, not guaranteed: an arena
+// that outgrows it falls back to append growth. The headroom is capped
+// at the trigger itself, so a restored payload with crafted depths
+// cannot size a reservation beyond twice what its arena justifies.
+func (f *Forest) reserveArena() {
+	maxD := int32(0)
+	for _, d := range f.ar.depth {
+		maxD = max(maxD, d)
+	}
+	at := f.compactAt()
+	f.ar.reserve(at + min(len(f.roots)*(int(maxD)+3), at))
 }
 
 // sampleLog samples an index proportionally to exp(logw).

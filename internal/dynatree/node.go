@@ -19,7 +19,7 @@ type point struct {
 // Particles are root ids into the arena and share subtrees
 // structurally (copy-on-write): resampling duplicates a particle by
 // duplicating its root id, and propagate clones only the root-to-leaf
-// path it actually rewrites (see Forest.propagate). The flat layout
+// path it actually rewrites (see Forest.makeWritable). The flat layout
 // keeps the descent hot loop (dim/cut/left/right) cache-friendly.
 //
 // A node is a leaf iff left < 0. Internal nodes always have both
@@ -37,9 +37,11 @@ type nodes struct {
 
 	// shared marks nodes reachable from more than one particle — a
 	// lazily-maintained over-approximation: resample marks duplicated
-	// roots, and path copies mark the off-path children of every
-	// cloned node. propagate must clone a shared node before writing
-	// to it; unshared nodes are mutated in place.
+	// roots, path copies mark the off-path children of every cloned
+	// node, and a stay copy linked into a second tree is marked too.
+	// Every node with more than one reference is marked
+	// (unsharedAlias). propagate must clone a shared node before
+	// writing to it; unshared nodes are mutated in place.
 	shared []bool
 
 	// Leaf payloads.
@@ -75,27 +77,113 @@ func (a *nodes) truncate(featDim int) {
 	a.featDim = featDim
 }
 
-// reserve grows every arena array's capacity to at least n in one
-// reallocation, so the append-per-field hot paths (newLeaf, copyNode)
-// run without growslice copies until the arena crosses n. Forest
-// sizes n to the compaction threshold after every compaction, which
+// reserve grows every arena array's capacity to at least n (n*featDim
+// for the range blocks), reallocating only the arrays that fall short,
+// so the append-per-field hot paths (newLeaf, copyNode) run without
+// growslice copies until the arena crosses n. Append growth rounds
+// each field's capacity to its own size class, so every field is
+// checked. Forest sizes n after every compaction (reserveArena), which
 // makes arena growth between compactions allocation-free.
 func (a *nodes) reserve(n int) {
-	if cap(a.left) >= n {
-		return
+	a.depth = withCap(a.depth, n)
+	a.dim = withCap(a.dim, n)
+	a.cut = withCap(a.cut, n)
+	a.left = withCap(a.left, n)
+	a.right = withCap(a.right, n)
+	a.shared = withCap(a.shared, n)
+	a.pts = withCap(a.pts, n)
+	a.s = withCap(a.s, n)
+	a.lin = withCap(a.lin, n)
+	a.rlo = withCap(a.rlo, n*a.featDim)
+	a.rhi = withCap(a.rhi, n*a.featDim)
+}
+
+// withCap returns s with capacity at least n. A short array is copied
+// into one of at least twice its capacity: the compaction trigger
+// moves up and down with the live set, and the two arena generations
+// take turns, so exact-size growth would reallocate on most
+// compactions.
+func withCap[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
 	}
-	l := a.len()
-	a.depth = append(make([]int32, 0, n), a.depth[:l]...)
-	a.dim = append(make([]int32, 0, n), a.dim[:l]...)
-	a.cut = append(make([]float64, 0, n), a.cut[:l]...)
-	a.left = append(make([]int32, 0, n), a.left[:l]...)
-	a.right = append(make([]int32, 0, n), a.right[:l]...)
-	a.shared = append(make([]bool, 0, n), a.shared[:l]...)
-	a.pts = append(make([]([]int), 0, n), a.pts[:l]...)
-	a.s = append(make([]suff, 0, n), a.s[:l]...)
-	a.lin = append(make([]*linSuff, 0, n), a.lin[:l]...)
-	a.rlo = append(make([]float64, 0, n*a.featDim), a.rlo[:l*a.featDim]...)
-	a.rhi = append(make([]float64, 0, n*a.featDim), a.rhi[:l*a.featDim]...)
+	return append(make([]T, 0, max(n, 2*cap(s))), s...)
+}
+
+// unsharedAlias returns a node that is referenced more than once —
+// root references and child links, dead nodes' links included — but
+// not marked shared, or -1 when there is none. Updates write unshared
+// nodes in place, so such a node would take every write once per tree
+// that reaches it. Honest arenas never hold one: resample flags
+// duplicated roots, makeWritable flags every node it gives a second
+// reference, and compaction recomputes the flags exactly. Every id
+// must be in range.
+func (a *nodes) unsharedAlias(roots []int32) int32 {
+	seen := make([]bool, a.len())
+	ref := func(id int32) bool {
+		if seen[id] && !a.shared[id] {
+			return true
+		}
+		seen[id] = true
+		return false
+	}
+	for _, r := range roots {
+		if ref(r) {
+			return r
+		}
+	}
+	for id, l := range a.left {
+		if l < 0 {
+			continue
+		}
+		if ref(l) {
+			return l
+		}
+		if r := a.right[id]; ref(r) {
+			return r
+		}
+	}
+	return -1
+}
+
+// miscountedTree returns the first slot whose tree's leaves do not
+// hold exactly want point entries, counted with multiplicity, and the
+// count it found (saturated at want+1); slot is -1 when every tree
+// holds want. Each observation lands in exactly one leaf of every
+// tree, so an honest forest holds one entry per point in each. Counts
+// are memoised per node, so shared subtrees are summed once. Every id
+// must be in range and child links must increase depth.
+func (a *nodes) miscountedTree(roots []int32, want int) (slot, got int) {
+	count := make([]int, a.len())
+	for i := range count {
+		count[i] = -1
+	}
+	var stack []int32
+	for i, root := range roots {
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			if count[id] >= 0 {
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			l, r := a.left[id], a.right[id]
+			switch {
+			case l < 0:
+				count[id] = min(len(a.pts[id]), want+1)
+			case count[l] < 0:
+				stack = append(stack, l)
+			case count[r] < 0:
+				stack = append(stack, r)
+			default:
+				count[id] = min(count[l]+count[r], want+1)
+			}
+		}
+		if count[root] != want {
+			return i, count[root]
+		}
+	}
+	return -1, 0
 }
 
 // newLeaf appends a fresh leaf at the given depth and returns its id.
@@ -158,11 +246,12 @@ func (a *nodes) mergeRange(id, l, r int32) {
 // copyNode appends a fresh copy of src for a copy-on-write path clone
 // and returns its id. The copy starts unshared; the caller is
 // responsible for marking children that gain a second referencing
-// tree. The pts slice is shared with capacity clamped to length, so
-// an append by either side reallocates instead of scribbling on the
-// other's backing array; the lin pointer is shared because every
-// mutation path installs a freshly built linSuff rather than writing
-// through the old one.
+// tree, and for marking the copy itself when it links it into a
+// second tree (makeWritable's stay memo does both). The pts slice is
+// shared with capacity clamped to length, so an append by either side
+// reallocates instead of scribbling on the other's backing array; the
+// lin pointer is shared because every mutation path installs a freshly
+// built linSuff rather than writing through the old one.
 func (a *nodes) copyNode(src int32) int32 {
 	// Direct appends rather than newLeaf + field overwrites: the copy
 	// path is the hottest arena producer (every COW path copy), and

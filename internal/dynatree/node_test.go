@@ -96,8 +96,8 @@ func TestMakeWritableClonesSharedPath(t *testing.T) {
 
 	x := []float64{0.7, 0.1} // routes to the right child's left leaf
 	chain := []int32{root, f.ar.right[root], f.leafOf(root, x)}
-	target := f.makeWritable(0, chain)
-	if target == chain[2] {
+	target, fresh := f.makeWritable(0, chain, false)
+	if !fresh || target == chain[2] {
 		t.Fatal("shared leaf was not cloned")
 	}
 	if f.roots[0] == root {
@@ -125,8 +125,50 @@ func TestMakeWritableClonesSharedPath(t *testing.T) {
 	}
 	// An exclusively-owned chain is returned as-is.
 	chain1 := []int32{f.roots[0], f.ar.right[f.roots[0]], f.leafOf(f.roots[0], x)}
-	if got := f.makeWritable(0, chain1); got != chain1[2] {
+	if got, fresh := f.makeWritable(0, chain1, false); !fresh || got != chain1[2] {
 		t.Fatal("unshared chain was cloned")
+	}
+}
+
+// TestMakeWritableSharesStayCopies: within one observation, a second
+// stay commit through a shared path links the first one's copy instead
+// of cloning again, and marks it shared; a grow or prune through the
+// same path still clones, and the next observation starts a new memo.
+func TestMakeWritableSharesStayCopies(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Particles = 3
+	f, err := New(cfg, 2, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _, _, _ := mkTree(&f.ar)
+	f.roots[0], f.roots[1], f.roots[2] = root, root, root
+	f.ar.shared[root] = true
+	x := []float64{0.7, 0.1}
+	chain := []int32{root, f.ar.right[root], f.leafOf(root, x)}
+
+	f.nextStayMemo(f.ar.len())
+	n0 := f.ar.len()
+	t0, fresh := f.makeWritable(0, chain, true)
+	if !fresh || f.ar.len() != n0+len(chain) {
+		t.Fatalf("first stay: fresh=%v, %d nodes appended, want a fresh %d-node path", fresh, f.ar.len()-n0, len(chain))
+	}
+	t1, fresh := f.makeWritable(1, chain, true)
+	if fresh || t1 != t0 || f.roots[1] != f.roots[0] || f.ar.len() != n0+len(chain) {
+		t.Fatalf("second stay: fresh=%v target %d (first %d), roots %d/%d, %d nodes appended",
+			fresh, t1, t0, f.roots[1], f.roots[0], f.ar.len()-n0)
+	}
+	if !f.ar.shared[f.roots[0]] {
+		t.Fatal("memoised copy linked into a second tree is not marked shared")
+	}
+	if t2, fresh := f.makeWritable(2, chain, false); !fresh || t2 == t0 || f.ar.len() != n0+2*len(chain) {
+		t.Fatal("a non-stay commit reused the stay memo")
+	}
+
+	f.nextStayMemo(f.ar.len())
+	chain0 := []int32{f.roots[0], f.ar.right[f.roots[0]], t0}
+	if got, fresh := f.makeWritable(0, chain0, true); !fresh || got == t0 {
+		t.Fatal("a stale memo entry survived into the next observation")
 	}
 }
 
@@ -358,4 +400,54 @@ func TestCompactionPreservesSharing(t *testing.T) {
 			t.Fatalf("compaction changed Predict(%v): %v -> %v", x, before[i], m)
 		}
 	}
+}
+
+// TestCompactionTriggerUpdateAppendsInPlace pins the arena headroom:
+// the update that crosses the compaction trigger still appends before
+// maybeCompact runs, so the reservation must cover it. Every field of
+// the arena that update retires to the spare generation must be the
+// backing array it started on — no growslice copied the arena on the
+// way to the trigger.
+func TestCompactionTriggerUpdateAppendsInPlace(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Particles = 200
+	f, err := New(cfg, 3, rng.New(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := rng.New(82)
+	compactions := 0
+	for i := 0; i < 300; i++ {
+		before := arenaArrays(&f.ar)
+		x := []float64{gen.Float64(), gen.Float64(), gen.Float64()}
+		f.Update(x, x[0]*x[1]-x[2]+gen.NormMS(0, 0.05))
+		now, retired := arenaArrays(&f.ar), arenaArrays(&f.spare)
+		for k := range before {
+			if before[k] == now[k] {
+				continue
+			}
+			if before[k] != retired[k] {
+				t.Fatalf("update %d reallocated arena field %d before compacting", i, k)
+			}
+			if k == 0 {
+				compactions++
+			}
+		}
+	}
+	if compactions < 3 {
+		t.Fatalf("only %d compactions in 300 updates; the test no longer crosses the trigger", compactions)
+	}
+}
+
+// arenaArrays returns the backing array of every arena field.
+func arenaArrays(a *nodes) []any {
+	return []any{base(a.depth), base(a.dim), base(a.cut), base(a.left), base(a.right),
+		base(a.shared), base(a.pts), base(a.s), base(a.lin), base(a.rlo), base(a.rhi)}
+}
+
+func base[T any](s []T) *T {
+	if cap(s) == 0 {
+		return nil
+	}
+	return &s[:cap(s)][0]
 }

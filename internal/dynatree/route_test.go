@@ -296,3 +296,32 @@ func TestIndexedWorkerDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestALCScratchGrowsGeometrically pins the scoring scratch against a
+// candidate set that grows every round, as revisits grow it in a
+// learning session: the leaf matrices and descent buffers must grow
+// geometrically, so a round that outgrows them reallocates only now
+// and then instead of every time.
+func TestALCScratchGrowsGeometrically(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Particles = 40
+	cfg.ScoreParticles = 10
+	cfg.Workers = 1
+	f, _ := New(cfg, 2, rng.New(56))
+	rows := poolRows(400, 2, 57)
+	r := rng.New(58)
+	for i := 0; i < 100; i++ {
+		id := r.Intn(len(rows))
+		f.Update(rows[id], rows[id][0]+rows[id][1]+r.NormMS(0, 0.05))
+	}
+	refs := rows[:50]
+	n := 100
+	steady := testing.AllocsPerRun(20, func() { f.ALCScores(rows[:n], refs) })
+	growing := testing.AllocsPerRun(100, func() {
+		n++
+		f.ALCScores(rows[:n], refs)
+	})
+	if growing > steady+0.2 {
+		t.Fatalf("ALCScores allocates %v times per round over a growing candidate set, %v at a fixed one", growing, steady)
+	}
+}

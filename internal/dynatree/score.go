@@ -77,12 +77,15 @@ func (sc *scoreScratch) next(n int) {
 	sc.touched = sc.touched[:0]
 }
 
-// matrix resizes buf to rows*cols.
+// matrix resizes buf to rows*cols. The backing array grows
+// geometrically: candidate sets grow by a few revisits every round,
+// and an exact-size reallocation would recur on each of them.
 func matrix(buf *[]int32, rows, cols int) []int32 {
-	if cap(*buf) < rows*cols {
-		*buf = make([]int32, rows*cols)
+	n := rows * cols
+	if cap(*buf) < n {
+		*buf = make([]int32, max(n, 2*cap(*buf)))
 	}
-	*buf = (*buf)[:rows*cols]
+	*buf = (*buf)[:n]
 	return *buf
 }
 

@@ -272,6 +272,16 @@ func Restore(payload []byte) (*Forest, error) {
 			return nil, snapshot.Corruptf(sec, "root %d at depth %d", i, ar.depth[root])
 		}
 	}
+	// Copy-on-write and point bookkeeping: a payload that aliases an
+	// unflagged node would have updates write it once per referencing
+	// tree, and a tree that miscounts its points would feed grow
+	// partitions and posteriors the wrong data.
+	if id := ar.unsharedAlias(roots); id >= 0 {
+		return nil, snapshot.Corruptf(sec, "node %d is referenced more than once but not marked shared", id)
+	}
+	if slot, got := ar.miscountedTree(roots, npts); slot >= 0 {
+		return nil, snapshot.Corruptf(sec, "particle %d's leaves hold %d point entries for %d points", slot, got, npts)
+	}
 	// lastLive sizes the arena reservation below; it never exceeds the
 	// arena it was measured on.
 	if lastLive < 0 || lastLive > n {
@@ -299,7 +309,7 @@ func Restore(payload []byte) (*Forest, error) {
 		augBuf:   make([]float64, linScratchLen(dim)),
 	}
 	f.scoreSlots = scoreSlotsFor(cfg.Particles, cfg.ScoreParticles)
-	f.ar.reserve(f.compactAt())
+	f.reserveArena()
 	return f, nil
 }
 

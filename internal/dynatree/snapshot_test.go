@@ -183,8 +183,10 @@ func seedForest(tb testing.TB, leaf LeafModel) *Forest {
 // builds accepted or crashed on: a dimension no payload can hold,
 // which panicked inside Restore; a negative node depth, which made the
 // next Update panic on a pool goroutine; a child link back to its
-// ancestor, which made PredictMeanFast loop forever; and a lastLive
-// beyond the arena, which sized an arena reservation of terabytes.
+// ancestor, which made PredictMeanFast loop forever; a lastLive
+// beyond the arena, which sized an arena reservation of terabytes; two
+// roots aliasing one unflagged node, whose leaves then took every
+// point once per alias; and a leaf listing a point twice.
 func hostileSnapshots(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	valid := seedForest(tb, ConstantLeaf).Snapshot()
@@ -221,7 +223,62 @@ func hostileSnapshots(tb testing.TB) map[string][]byte {
 		"huge-lastlive": mutate(func(g *Forest, _, _ int32) {
 			g.lastLive = 1 << 40
 		}),
+		"aliased-roots": mutate(func(g *Forest, root, _ int32) {
+			for i := range g.roots {
+				g.roots[i] = root
+			}
+			g.ar.shared[root] = false
+		}),
+		"duplicated-point": mutate(func(g *Forest, _, child int32) {
+			for g.ar.left[child] >= 0 {
+				child = g.ar.left[child]
+			}
+			g.ar.pts[child] = append(g.ar.pts[child], g.ar.pts[child][0])
+		}),
 	}
+}
+
+// TestSnapshotRejectsAliasedUnsharedNode shows what the aliased-roots
+// payload would do if Restore accepted it: the particles that alias
+// one unflagged tree write it in place once each, so after 30 updates
+// its leaves list every new point once per alias.
+func TestSnapshotRejectsAliasedUnsharedNode(t *testing.T) {
+	payload := hostileSnapshots(t)["aliased-roots"]
+	if _, err := Restore(payload); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+		t.Fatalf("Restore = %v, want a typed corruption error", err)
+	}
+	// Bypass the check to show the damage it prevents.
+	g, err := Restore(seedForest(t, ConstantLeaf).Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.roots {
+		g.roots[i] = g.roots[0]
+	}
+	g.ar.shared[g.roots[0]] = false
+	before := leafPointEntries(&g.ar, g.roots[0], map[int32]int{})
+	r := rng.New(73)
+	for i := 0; i < 30; i++ {
+		g.Update([]float64{r.Float64(), r.Float64()}, r.Float64())
+	}
+	if got, want := leafPointEntries(&g.ar, g.roots[0], map[int32]int{}), before+30; got == want {
+		t.Fatalf("aliased forest kept %d point entries; the unflagged alias did no damage", got)
+	}
+}
+
+// leafPointEntries counts the point entries in the leaves of the tree
+// rooted at id, with multiplicity, memoised per node so shared
+// subtrees cost one visit.
+func leafPointEntries(ar *nodes, id int32, memo map[int32]int) int {
+	if n, ok := memo[id]; ok {
+		return n
+	}
+	n := len(ar.pts[id])
+	if ar.left[id] >= 0 {
+		n = leafPointEntries(ar, ar.left[id], memo) + leafPointEntries(ar, ar.right[id], memo)
+	}
+	memo[id] = n
+	return n
 }
 
 // TestSnapshotRejectsHostilePayloads: each crafted payload fails with
@@ -242,8 +299,9 @@ func TestSnapshotRejectsHostilePayloads(t *testing.T) {
 
 // FuzzForestRestore: Restore never panics and rejects only with a
 // typed corruption error, and any forest it accepts can predict,
-// score, absorb an observation and round-trip through Snapshot bit
-// for bit. The seed corpus in testdata/fuzz holds valid constant- and
+// score, absorb an observation — after which every tree's leaves hold
+// one entry per point — and round-trip through Snapshot bit for bit.
+// The seed corpus in testdata/fuzz holds valid constant- and
 // linear-leaf snapshots plus the payloads of hostileSnapshots.
 func FuzzForestRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -264,6 +322,12 @@ func FuzzForestRestore(f *testing.F) {
 		rows := [][]float64{x, y}
 		g.ALCScores(rows, rows)
 		g.Update(x, 1)
+		memo := map[int32]int{}
+		for i, root := range g.roots {
+			if got := leafPointEntries(&g.ar, root, memo); got != len(g.points) {
+				t.Fatalf("after an update, particle %d's leaves hold %d point entries for %d points", i, got, len(g.points))
+			}
+		}
 		snap := g.Snapshot()
 		h, err := Restore(snap)
 		if err != nil {

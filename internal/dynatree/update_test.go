@@ -196,3 +196,87 @@ func TestLeafOfBatchMatchesLeafOf(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyOnWriteSoundness pins the invariant every in-place write
+// relies on: after every update, a node referenced more than once
+// (root references and child links, dead nodes' links included) is
+// marked shared. Stay commits that link a memoised copy into a second
+// tree must flag it; so must resample and every path clone. Both leaf
+// models, at one and four workers.
+func TestCopyOnWriteSoundness(t *testing.T) {
+	for _, model := range []LeafModel{ConstantLeaf, LinearLeaf} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", model, workers), func(t *testing.T) {
+				cfg := smallConfig()
+				cfg.Particles = 80
+				cfg.LeafModel = model
+				cfg.Workers = workers
+				f, err := New(cfg, 2, rng.New(61))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen := rng.New(62)
+				for i := 0; i < 150; i++ {
+					x := []float64{gen.Float64(), gen.Float64()}
+					f.Update(x, 3*x[0]-2*x[1]*x[1]+gen.NormMS(0, 0.05))
+					if id := f.ar.unsharedAlias(f.roots); id >= 0 {
+						t.Fatalf("update %d: node %d is referenced more than once but not marked shared", i, id)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStayCommitsOncePerSourceNode pins the stay-commit memo: with
+// grow moves ruled out every particle stays a single root leaf, so
+// after a duplicating resample an update copies each shared root at
+// most once, however many slots inherited it. Without the memo every
+// duplicate clones its own copy.
+func TestStayCommitsOncePerSourceNode(t *testing.T) {
+	for _, model := range []LeafModel{ConstantLeaf, LinearLeaf} {
+		t.Run(model.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Particles = 64
+			cfg.LeafModel = model
+			cfg.MinLeafForSplit = 1 << 20 // every move is a stay
+			f, err := New(cfg, 2, rng.New(63))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := rng.New(64)
+			obs := func() ([]float64, float64) {
+				x := []float64{gen.Float64(), gen.Float64()}
+				return x, x[0] + gen.NormMS(0, 0.1)
+			}
+			f.Update(obs())
+			// The arena stays far below the compaction trigger
+			// (1024 + 8*64 nodes), so every appended node is visible.
+			for round := 0; round < 10; round++ {
+				// Identical single-leaf particles weigh the same, so skew
+				// the weights by hand: the resample keeps the heavy
+				// slots several times and drops the light ones.
+				for i := range f.logW {
+					f.logW[i] = float64(i % 4)
+				}
+				f.resample()
+				distinct := make(map[int32]bool)
+				for _, r := range f.roots {
+					distinct[r] = true
+				}
+				if len(distinct) == len(f.roots) {
+					t.Fatalf("round %d: the resample duplicated no particle", round)
+				}
+				before := f.ar.len()
+				f.Update(obs())
+				appended := f.ar.len() - before
+				if appended < 0 {
+					t.Fatalf("round %d: the arena compacted; the bound below is unobservable", round)
+				}
+				if appended > len(distinct) {
+					t.Fatalf("round %d: %d nodes appended for %d distinct roots", round, appended, len(distinct))
+				}
+			}
+		})
+	}
+}
