@@ -16,9 +16,16 @@
 //
 // # Quick start
 //
-//	k, _ := alic.KernelByName("mm")
-//	res, _ := alic.Learn(k, alic.DefaultLearnOptions())
+//	sp, _ := alic.SpaceByName("mm")
+//	res, _ := alic.Learn(context.Background(), sp, alic.DefaultLearnOptions())
 //	fmt.Println("model RMSE:", res.FinalError)
+//
+// The facade has one function per user-facing behaviour: Learn (a
+// model over a generated §4.5 corpus), LearnLive (a model learned by
+// measuring directly), NewSpaceSession (a profiling session) and
+// GenerateSpaceDataset (a corpus). All four take a Space; a SPAPT
+// *Kernel, including one retargeted with WithMachine, becomes one
+// through WrapKernel.
 //
 // # Pluggable backends
 //
@@ -37,9 +44,10 @@
 //
 // # Step-wise execution
 //
-// Learn owns the whole loop; long-running services instead construct a
-// step-wise engine with NewLearner and drive it one acquisition round
-// at a time:
+// Learn generates its corpus and runs the whole loop; callers that own
+// a corpus (from GenerateSpaceDataset), and long-running services,
+// instead construct a step-wise engine with NewLearner and drive it
+// one acquisition round at a time:
 //
 //	l, _ := alic.NewLearner(ds, opts.Learner)
 //	for {
@@ -49,9 +57,11 @@
 //		}
 //	}
 //	res := l.Result()
+//	l.Close()
 //
-// Learner.Run accepts a context.Context for cancellation and reports
-// progress through LearnerOptions.Progress.
+// Learner.Run runs the loop to completion under a context.Context
+// (the same call Learn makes) and reports progress through
+// LearnerOptions.Progress.
 //
 // # Parallel scoring
 //
@@ -120,7 +130,7 @@ import (
 // Sentinel errors returned (wrapped) by the facade; assert with
 // errors.Is.
 var (
-	// ErrNilKernel reports a nil *Kernel argument.
+	// ErrNilKernel reports a nil *Kernel argument to WrapKernel.
 	ErrNilKernel = errors.New("alic: nil kernel")
 	// ErrNilDataset reports a nil *Dataset argument.
 	ErrNilDataset = errors.New("alic: nil dataset")
@@ -323,7 +333,7 @@ func PlanByName(name string) (SamplingPlan, error) { return core.PlanByName(name
 func PlanNames() []string { return core.PlanNames() }
 
 // RegisterSpace makes a search space selectable by name through
-// SpaceByName, LearnSpace, the -space flag of cmd/alic, and serving
+// SpaceByName, the -space flag of cmd/alic, and serving
 // session specs. Call it from an init function (see
 // examples/custom-space).
 func RegisterSpace(s Space) { space.Register(s) }
@@ -378,8 +388,15 @@ func SpaceSizeOf(params []SpaceParam) float64 { return space.SizeOf(params) }
 func ValidateSpaceParams(params []SpaceParam) error { return space.ValidateParams(params) }
 
 // WrapKernel adapts a SPAPT kernel — including unregistered ones, e.g.
-// retargeted via WithMachine — to the Space interface.
-func WrapKernel(k *Kernel) (Space, error) { return spaptspace.Wrap(k) }
+// retargeted via WithMachine — to the Space interface that Learn,
+// LearnLive, NewSpaceSession and GenerateSpaceDataset take. A nil
+// kernel fails with ErrNilKernel.
+func WrapKernel(k *Kernel) (Space, error) {
+	if k == nil {
+		return nil, ErrNilKernel
+	}
+	return spaptspace.Wrap(k)
+}
 
 // Kernels returns the 11-kernel SPAPT suite used in the paper's
 // evaluation.
@@ -391,30 +408,11 @@ func KernelNames() []string { return spapt.Names() }
 // KernelByName returns one kernel of the suite.
 func KernelByName(name string) (*Kernel, error) { return spapt.ByName(name) }
 
-// NewSession opens a simulated profiling session for a kernel. Equal
-// seeds reproduce identical noise.
-func NewSession(k *Kernel, seed uint64) (*Session, error) {
-	sp, err := spaptspace.Wrap(k)
-	if err != nil {
-		return nil, ErrNilKernel
-	}
-	return measure.NewSession(sp, seed)
-}
-
 // NewSpaceSession opens a profiling session for any search space. For
 // simulated spaces equal seeds reproduce identical noise; live spaces
 // measure the real machine.
 func NewSpaceSession(sp Space, seed uint64) (*Session, error) {
 	return measure.NewSession(sp, seed)
-}
-
-// GenerateDataset builds a dataset per §4.5 of the paper.
-func GenerateDataset(k *Kernel, opts DatasetOptions) (*Dataset, error) {
-	sp, err := spaptspace.Wrap(k)
-	if err != nil {
-		return nil, ErrNilKernel
-	}
-	return dataset.Generate(sp, opts)
 }
 
 // GenerateSpaceDataset builds a §4.5-style corpus for any simulated
@@ -463,49 +461,19 @@ type LearnResult struct {
 	Dataset *Dataset
 }
 
-// Learn builds a runtime model for the kernel with the configured
-// sampling plan and backend, profiling (simulated) binaries on demand
-// and charging their cost as the paper does. The returned curve tracks
-// test RMSE against cumulative profiling seconds.
-func Learn(k *Kernel, opts LearnOptions) (*LearnResult, error) {
-	return LearnContext(context.Background(), k, opts)
-}
-
-// LearnContext is Learn under a context: cancellation ends the run
-// gracefully after the current acquisition round with
-// StoppedBy == StopCancelled (partial model and curve intact) instead
-// of abandoning it.
-func LearnContext(ctx context.Context, k *Kernel, opts LearnOptions) (*LearnResult, error) {
-	if k == nil {
-		return nil, ErrNilKernel
-	}
-	sp, err := spaptspace.Wrap(k)
-	if err != nil {
-		return nil, ErrNilKernel
-	}
-	return learnSpace(ctx, sp, opts)
-}
-
-// LearnSpace builds a runtime model for any registered simulated
-// search space — the space-generic Learn. Live spaces are rejected
-// with ErrLiveSpace (use LearnLive).
-func LearnSpace(name string, opts LearnOptions) (*LearnResult, error) {
-	return LearnSpaceContext(context.Background(), name, opts)
-}
-
-// LearnSpaceContext is LearnSpace under a context.
-func LearnSpaceContext(ctx context.Context, name string, opts LearnOptions) (*LearnResult, error) {
-	sp, err := space.ByName(name)
-	if err != nil {
+// Learn builds a runtime model for a simulated search space with the
+// configured sampling plan and backend: it generates a §4.5 corpus of
+// PoolSize+TestSize configurations, then runs Algorithm 1 over it,
+// profiling (simulated) binaries on demand and charging their cost as
+// the paper does. The returned curve tracks test RMSE against
+// cumulative profiling seconds. Live spaces are rejected with
+// ErrLiveSpace (use LearnLive); SPAPT kernels enter through WrapKernel.
+// Cancelling ctx ends the run gracefully after the current acquisition
+// round with StoppedBy == StopCancelled (partial model and curve
+// intact) instead of abandoning it.
+func Learn(ctx context.Context, sp Space, opts LearnOptions) (*LearnResult, error) {
+	if err := checkPool(opts); err != nil {
 		return nil, err
-	}
-	return learnSpace(ctx, sp, opts)
-}
-
-func learnSpace(ctx context.Context, sp Space, opts LearnOptions) (*LearnResult, error) {
-	if opts.PoolSize < opts.Learner.NInit {
-		return nil, fmt.Errorf("%w: PoolSize %d below NInit %d",
-			ErrPoolTooSmall, opts.PoolSize, opts.Learner.NInit)
 	}
 	if opts.TestSize < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadTestSize, opts.TestSize)
@@ -519,11 +487,25 @@ func learnSpace(ctx context.Context, sp Space, opts LearnOptions) (*LearnResult,
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunOnDatasetContext(ctx, ds, opts.Learner)
+	learner, err := NewLearner(ds, opts.Learner)
+	if err != nil {
+		return nil, err
+	}
+	defer learner.Close()
+	res, err := learner.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return &LearnResult{LearnerResult: res, Dataset: ds}, nil
+}
+
+// checkPool rejects a training pool too small to seed the learner.
+func checkPool(opts LearnOptions) error {
+	if opts.PoolSize < opts.Learner.NInit {
+		return fmt.Errorf("%w: PoolSize %d below NInit %d",
+			ErrPoolTooSmall, opts.PoolSize, opts.Learner.NInit)
+	}
+	return nil
 }
 
 // LiveResult is the outcome of LearnLive.
@@ -547,21 +529,15 @@ type LiveResult struct {
 // spaces too. There is no held-out test set, so the result carries no
 // RMSE curve; the winner is the model's predicted-best pool
 // configuration.
-func LearnLive(sp Space, opts LearnOptions) (*LiveResult, error) {
-	return LearnLiveContext(context.Background(), sp, opts)
-}
-
-// LearnLiveContext is LearnLive under a context.
-func LearnLiveContext(ctx context.Context, sp Space, opts LearnOptions) (*LiveResult, error) {
+func LearnLive(ctx context.Context, sp Space, opts LearnOptions) (*LiveResult, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("alic: nil space")
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.PoolSize < opts.Learner.NInit {
-		return nil, fmt.Errorf("%w: PoolSize %d below NInit %d",
-			ErrPoolTooSmall, opts.PoolSize, opts.Learner.NInit)
+	if err := checkPool(opts); err != nil {
+		return nil, err
 	}
 
 	// Sample the candidate pool exactly as dataset generation does,
@@ -662,24 +638,6 @@ func ResumeLearner(ds *Dataset, opts LearnerOptions, r io.Reader) (*Learner, err
 		return nil, err
 	}
 	return l, nil
-}
-
-// RunOnDataset runs the configured learner over a pre-generated
-// dataset to completion (see NewLearner for the wiring).
-func RunOnDataset(ds *Dataset, opts LearnerOptions) (*LearnerResult, error) {
-	return RunOnDatasetContext(nil, ds, opts)
-}
-
-// RunOnDatasetContext is RunOnDataset under a context (nil means
-// background): cancellation stops the run gracefully after the
-// current round with StoppedBy == StopCancelled.
-func RunOnDatasetContext(ctx context.Context, ds *Dataset, opts LearnerOptions) (*LearnerResult, error) {
-	learner, err := NewLearner(ds, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer learner.Close()
-	return learner.Run(ctx)
 }
 
 // Tune performs model-driven configuration search (§4.1): rank random

@@ -1,6 +1,7 @@
 package alic
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -37,8 +38,7 @@ func TestKernelSuiteAccessors(t *testing.T) {
 }
 
 func TestLearnEndToEnd(t *testing.T) {
-	k, _ := KernelByName("mvt")
-	res, err := Learn(k, quickLearnOptions())
+	res, err := Learn(context.Background(), mustSpace(t, "mvt"), quickLearnOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,24 +57,27 @@ func TestLearnEndToEnd(t *testing.T) {
 }
 
 func TestLearnValidation(t *testing.T) {
-	if _, err := Learn(nil, quickLearnOptions()); !errors.Is(err, ErrNilKernel) {
-		t.Fatalf("nil kernel error = %v, want ErrNilKernel", err)
+	if sp, err := WrapKernel(nil); sp != nil || !errors.Is(err, ErrNilKernel) {
+		t.Fatalf("WrapKernel(nil) = %v, %v; want nil, ErrNilKernel", sp, err)
 	}
-	k, _ := KernelByName("mvt")
+	sp := mustSpace(t, "mvt")
 	bad := quickLearnOptions()
 	bad.PoolSize = 1
-	if _, err := Learn(k, bad); !errors.Is(err, ErrPoolTooSmall) {
+	if _, err := Learn(context.Background(), sp, bad); !errors.Is(err, ErrPoolTooSmall) {
 		t.Fatalf("tiny pool error = %v, want ErrPoolTooSmall", err)
+	}
+	if _, err := LearnLive(context.Background(), sp, bad); !errors.Is(err, ErrPoolTooSmall) {
+		t.Fatalf("LearnLive tiny pool error = %v, want ErrPoolTooSmall", err)
 	}
 	bad2 := quickLearnOptions()
 	bad2.TestSize = 0
-	if _, err := Learn(k, bad2); !errors.Is(err, ErrBadTestSize) {
+	if _, err := Learn(context.Background(), sp, bad2); !errors.Is(err, ErrBadTestSize) {
 		t.Fatalf("zero test size error = %v, want ErrBadTestSize", err)
 	}
 	if _, err := ModelByName("no-such-backend"); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("bogus backend error = %v, want ErrUnknownModel", err)
 	}
-	if _, err := RunOnDataset(nil, quickLearnOptions().Learner); !errors.Is(err, ErrNilDataset) {
+	if _, err := NewLearner(nil, quickLearnOptions().Learner); !errors.Is(err, ErrNilDataset) {
 		t.Fatalf("nil dataset error = %v, want ErrNilDataset", err)
 	}
 	if _, err := Tune(nil, nil, nil, TunerOptions{}); !errors.Is(err, ErrNilDataset) {
@@ -82,11 +85,46 @@ func TestLearnValidation(t *testing.T) {
 	}
 }
 
+// TestNilSpaceRejected pins that every facade entry point taking a
+// Space reports a nil one as an error instead of panicking.
+func TestNilSpaceRejected(t *testing.T) {
+	opts := quickLearnOptions()
+	for name, call := range map[string]func() error{
+		"Learn": func() error {
+			_, err := Learn(context.Background(), nil, opts)
+			return err
+		},
+		"LearnLive": func() error {
+			_, err := LearnLive(context.Background(), nil, opts)
+			return err
+		},
+		"NewSpaceSession": func() error {
+			_, err := NewSpaceSession(nil, 1)
+			return err
+		},
+		"GenerateSpaceDataset": func() error {
+			_, err := GenerateSpaceDataset(nil, DatasetOptions{NConfigs: 10, NObs: 1, TrainFrac: 0.5, Seed: 1})
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("nil space panicked: %v", r)
+				}
+			}()
+			if err := call(); err == nil {
+				t.Fatal("nil space accepted")
+			}
+		})
+	}
+}
+
 // TestCrossBackendSmoke runs the same learning problem through every
 // registered backend and checks the invariants any healthy run obeys:
 // a finite final RMSE and a strictly cost-increasing learning curve.
 func TestCrossBackendSmoke(t *testing.T) {
-	k, _ := KernelByName("mvt")
+	sp := mustSpace(t, "mvt")
 	for _, backend := range ModelNames() {
 		t.Run(backend, func(t *testing.T) {
 			opts := quickLearnOptions()
@@ -97,7 +135,7 @@ func TestCrossBackendSmoke(t *testing.T) {
 			opts.Learner.Model = b
 			opts.Learner.NMax = 40
 			opts.Learner.NCand = 30
-			res, err := Learn(k, opts)
+			res, err := Learn(context.Background(), sp, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,8 +174,7 @@ func (exploitAcq) Select(m Model, feats [][]float64, batch int, _ Rand) ([]int, 
 // path that needs no access to internal/core.
 func TestStepWiseCustomAcquisition(t *testing.T) {
 	RegisterAcquisition(exploitAcq{})
-	k, _ := KernelByName("lu")
-	ds, err := GenerateDataset(k, DatasetOptions{
+	ds, err := GenerateSpaceDataset(mustSpace(t, "lu"), DatasetOptions{
 		NConfigs: 500, NObs: 8, TrainCount: 400, Seed: 5,
 	})
 	if err != nil {
@@ -177,7 +214,6 @@ func TestStepWiseCustomAcquisition(t *testing.T) {
 // PoolSize/(PoolSize+TestSize), whose float truncation loses a
 // configuration for pairs like 15/7 (int(22 * (15.0/22.0)) == 14).
 func TestLearnExactSplit(t *testing.T) {
-	k, _ := KernelByName("mvt")
 	opts := quickLearnOptions()
 	opts.PoolSize = 15
 	opts.TestSize = 7
@@ -185,7 +221,7 @@ func TestLearnExactSplit(t *testing.T) {
 	opts.Learner.NObs = 4
 	opts.Learner.NMax = 10
 	opts.Learner.NCand = 10
-	res, err := Learn(k, opts)
+	res, err := Learn(context.Background(), mustSpace(t, "mvt"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +236,7 @@ func TestLearnExactSplit(t *testing.T) {
 func TestRunOnDatasetPlansDiffer(t *testing.T) {
 	// The fixed-35 plan must cost dramatically more than the variable
 	// plan for the same number of acquisitions.
-	k, _ := KernelByName("lu")
-	ds, err := GenerateDataset(k, DatasetOptions{
+	ds, err := GenerateSpaceDataset(mustSpace(t, "lu"), DatasetOptions{
 		NConfigs: 500, NObs: 12, TrainFrac: 0.8, Seed: 3,
 	})
 	if err != nil {
@@ -210,17 +245,11 @@ func TestRunOnDatasetPlansDiffer(t *testing.T) {
 	opts := quickLearnOptions().Learner
 	opts.NObs = 12
 
-	varRes, err := RunOnDataset(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	varRes := runToEnd(t, ds, opts)
 	fixed := opts
 	fixed.Plan = FixedPlan
 	fixed.PlanObs = 12
-	fixedRes, err := RunOnDataset(ds, fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixedRes := runToEnd(t, ds, fixed)
 	if varRes.Cost >= fixedRes.Cost {
 		t.Fatalf("variable cost %v not below fixed cost %v", varRes.Cost, fixedRes.Cost)
 	}
@@ -231,12 +260,12 @@ func TestRunOnDatasetPlansDiffer(t *testing.T) {
 }
 
 func TestTuneEndToEnd(t *testing.T) {
-	k, _ := KernelByName("mvt")
-	res, err := Learn(k, quickLearnOptions())
+	sp := mustSpace(t, "mvt")
+	res, err := Learn(context.Background(), sp, quickLearnOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(k, 42)
+	sess, err := NewSpaceSession(sp, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +284,11 @@ func TestTuneEndToEnd(t *testing.T) {
 }
 
 func TestLearnWithStopError(t *testing.T) {
-	k, _ := KernelByName("lu")
 	opts := quickLearnOptions()
 	opts.Learner.NMax = 3000
 	opts.Learner.StopError = 10 // trivially loose: fires as soon as the window fills
 	opts.Learner.StopWindow = 10
-	res, err := Learn(k, opts)
+	res, err := Learn(context.Background(), mustSpace(t, "lu"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +301,8 @@ func TestLearnWithStopError(t *testing.T) {
 }
 
 func TestModelImportanceThroughFacade(t *testing.T) {
-	k, _ := KernelByName("jacobi")
-	res, err := Learn(k, quickLearnOptions())
+	sp := mustSpace(t, "jacobi")
+	res, err := Learn(context.Background(), sp, quickLearnOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +310,9 @@ func TestModelImportanceThroughFacade(t *testing.T) {
 	if !ok {
 		t.Fatalf("dynatree backend %T lost feature importance", res.Model)
 	}
-	imp := fi.Importance(k.Dim())
-	if len(imp) != k.Dim() {
-		t.Fatalf("importance dims %d, want %d", len(imp), k.Dim())
+	imp := fi.Importance(sp.Dim())
+	if len(imp) != sp.Dim() {
+		t.Fatalf("importance dims %d, want %d", len(imp), sp.Dim())
 	}
 	sum := 0.0
 	for _, v := range imp {
@@ -293,4 +321,29 @@ func TestModelImportanceThroughFacade(t *testing.T) {
 	if sum <= 0.99 {
 		t.Fatalf("importance sums to %v; model learned nothing?", sum)
 	}
+}
+
+// mustSpace returns a registered search space.
+func mustSpace(tb testing.TB, name string) Space {
+	tb.Helper()
+	sp, err := SpaceByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sp
+}
+
+// runToEnd runs a step-wise learner over ds to completion.
+func runToEnd(tb testing.TB, ds *Dataset, opts LearnerOptions) *LearnerResult {
+	tb.Helper()
+	l, err := NewLearner(ds, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer l.Close()
+	res, err := l.Run(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }

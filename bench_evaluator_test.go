@@ -38,11 +38,7 @@ func benchPipelineOptions(workers int) LearnOptions {
 
 func benchPipelineDataset(tb testing.TB, opts LearnOptions) *Dataset {
 	tb.Helper()
-	k, err := KernelByName("gemver")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ds, err := GenerateDataset(k, DatasetOptions{
+	ds, err := GenerateSpaceDataset(mustSpace(tb, "gemver"), DatasetOptions{
 		NConfigs:   opts.PoolSize + opts.TestSize,
 		NObs:       opts.Learner.NObs,
 		TrainCount: opts.PoolSize,
@@ -59,10 +55,7 @@ func benchLearnPipeline(b *testing.B, workers int) {
 	ds := benchPipelineDataset(b, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunOnDataset(ds, opts.Learner)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runToEnd(b, ds, opts.Learner)
 		if res.Acquired != opts.Learner.NMax {
 			b.Fatalf("acquired %d", res.Acquired)
 		}
@@ -92,11 +85,8 @@ func TestEvalWorkersSpeedup(t *testing.T) {
 		var fastest time.Duration
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			res, err := RunOnDataset(ds, opts.Learner)
+			res := runToEnd(t, ds, opts.Learner)
 			elapsed := time.Since(start)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if res.Acquired != opts.Learner.NMax {
 				t.Fatalf("acquired %d, want %d", res.Acquired, opts.Learner.NMax)
 			}

@@ -9,6 +9,7 @@
 package alic
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -156,10 +157,6 @@ func BenchmarkFigure6(b *testing.B) {
 // tweak and returns the final error.
 func learnOnce(b *testing.B, mutate func(*LearnOptions)) float64 {
 	b.Helper()
-	k, err := KernelByName("jacobi")
-	if err != nil {
-		b.Fatal(err)
-	}
 	opts := DefaultLearnOptions()
 	opts.PoolSize = 500
 	opts.TestSize = 150
@@ -169,7 +166,7 @@ func learnOnce(b *testing.B, mutate func(*LearnOptions)) float64 {
 	opts.Learner.Tree.Particles = 120
 	opts.Learner.Tree.ScoreParticles = 30
 	mutate(&opts)
-	res, err := Learn(k, opts)
+	res, err := Learn(context.Background(), mustSpace(b, "jacobi"), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -307,11 +304,8 @@ func BenchmarkAblationGP(b *testing.B) {
 // §1 framing of iterative compilation): both spend comparable
 // profiling seconds; the metric is the speedup over -O2 each finds.
 func BenchmarkAblationTunerSearch(b *testing.B) {
-	prep := func() (*LearnResult, *Kernel) {
-		k, err := KernelByName("gemver")
-		if err != nil {
-			b.Fatal(err)
-		}
+	prep := func() (*LearnResult, Space) {
+		sp := mustSpace(b, "gemver")
 		opts := DefaultLearnOptions()
 		opts.PoolSize = 600
 		opts.TestSize = 150
@@ -320,17 +314,17 @@ func BenchmarkAblationTunerSearch(b *testing.B) {
 		opts.Learner.EvalEvery = 0
 		opts.Learner.Tree.Particles = 150
 		opts.Learner.Tree.ScoreParticles = 30
-		res, err := Learn(k, opts)
+		res, err := Learn(context.Background(), sp, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res, k
+		return res, sp
 	}
 	b.Run("model-driven", func(b *testing.B) {
 		var speedup float64
 		for i := 0; i < b.N; i++ {
-			res, k := prep()
-			sess, err := NewSession(k, 77)
+			res, sp := prep()
+			sess, err := NewSpaceSession(sp, 77)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -347,8 +341,8 @@ func BenchmarkAblationTunerSearch(b *testing.B) {
 	b.Run("random-search", func(b *testing.B) {
 		var speedup float64
 		for i := 0; i < b.N; i++ {
-			_, k := prep()
-			sess, err := NewSession(k, 77)
+			_, sp := prep()
+			sess, err := NewSpaceSession(sp, 77)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -399,10 +393,6 @@ func BenchmarkAblationStopError(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var cost float64
 			for i := 0; i < b.N; i++ {
-				k, err := KernelByName("jacobi")
-				if err != nil {
-					b.Fatal(err)
-				}
 				opts := DefaultLearnOptions()
 				opts.PoolSize = 500
 				opts.TestSize = 150
@@ -413,7 +403,7 @@ func BenchmarkAblationStopError(b *testing.B) {
 				opts.Learner.Tree.ScoreParticles = 30
 				opts.Learner.StopError = cfg.stop
 				opts.Learner.StopWindow = 30
-				res, err := Learn(k, opts)
+				res, err := Learn(context.Background(), mustSpace(b, "jacobi"), opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -281,7 +281,7 @@ func printConfig(sp alic.Space, cfg alic.Config) {
 // against).
 func tuneLive(sp alic.Space, opts alic.LearnOptions) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	res, err := alic.LearnLiveContext(ctx, sp, opts)
+	res, err := alic.LearnLive(ctx, sp, opts)
 	stop()
 	if err != nil {
 		fatal(err)

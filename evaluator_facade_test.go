@@ -1,6 +1,7 @@
 package alic
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -50,15 +51,12 @@ func TestSyncByteIdenticalToPrePipelineGolden(t *testing.T) {
 			"curve acq=90 cost=557.17665314065471 err=0.17223550580615477",
 		},
 	}
-	k, err := KernelByName("gemver")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := mustSpace(t, "gemver")
 	for batch, want := range golden {
 		for _, evalWorkers := range []int{1, 4} {
 			opts := goldenLearnOptions(batch)
 			opts.Learner.EvalWorkers = evalWorkers
-			res, err := Learn(k, opts)
+			res, err := Learn(context.Background(), sp, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,17 +83,14 @@ func TestTunerByteIdenticalToPrePipelineGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full golden replay")
 	}
-	k, err := KernelByName("gemver")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := mustSpace(t, "gemver")
 	opts := goldenLearnOptions(1)
 	opts.Learner.EvalEvery = 0
-	res, err := Learn(k, opts)
+	res, err := Learn(context.Background(), sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(k, 100)
+	sess, err := NewSpaceSession(sp, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -36,12 +37,12 @@ func main() {
 	latency := flag.Duration("latency", 2*time.Millisecond, "simulated per-measurement profiling latency")
 	flag.Parse()
 
-	k, err := alic.KernelByName(*kernel)
+	sp, err := alic.SpaceByName(*kernel)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("batched evaluation on %s: %d acquisitions, %v per measurement\n\n",
-		k.Name, *nmax, *latency)
+		sp.Name(), *nmax, *latency)
 
 	type mode struct {
 		name    string
@@ -64,7 +65,7 @@ func main() {
 	opts.Learner.EvalLatency = *latency
 	opts.Learner.Tree.Particles = 250
 	opts.Learner.Tree.ScoreParticles = 40
-	ds, err := alic.GenerateDataset(k, alic.DatasetOptions{
+	ds, err := alic.GenerateSpaceDataset(sp, alic.DatasetOptions{
 		NConfigs:   opts.PoolSize + opts.TestSize,
 		NObs:       opts.Learner.NObs,
 		TrainCount: opts.PoolSize,
@@ -83,7 +84,12 @@ func main() {
 		lopts.EvalWorkers = m.workers
 
 		start := time.Now()
-		res, err := alic.RunOnDataset(ds, lopts)
+		l, err := alic.NewLearner(ds, lopts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := l.Run(context.Background())
+		l.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,11 +37,15 @@ func main() {
 		opts.Learner.NCand = 100
 		opts.Learner.Tree.Particles = 250
 		opts.Learner.Tree.ScoreParticles = 40
-		res, err := alic.Learn(k, opts)
+		sp, err := alic.WrapKernel(k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sess, err := alic.NewSession(k, 7)
+		res, err := alic.Learn(context.Background(), sp, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sess, err := alic.NewSpaceSession(sp, 7)
 		if err != nil {
 			log.Fatal(err)
 		}

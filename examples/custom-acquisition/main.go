@@ -52,7 +52,7 @@ func main() {
 	nmax := flag.Int("nmax", 150, "acquisition budget")
 	flag.Parse()
 
-	k, err := alic.KernelByName(*kernel)
+	sp, err := alic.SpaceByName(*kernel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func main() {
 	opts.Learner.Tree.Particles = 200
 	opts.Learner.Tree.ScoreParticles = 40
 
-	ds, err := alic.GenerateDataset(k, alic.DatasetOptions{
+	ds, err := alic.GenerateSpaceDataset(sp, alic.DatasetOptions{
 		NConfigs:   opts.PoolSize + opts.TestSize,
 		NObs:       opts.Learner.NObs,
 		TrainCount: opts.PoolSize,
@@ -105,7 +105,7 @@ func main() {
 	}
 
 	fmt.Printf("%s: custom epsilon-greedy (eps=%.2f) vs built-in ALC, %d acquisitions\n\n",
-		k.Name, *epsilon, *nmax)
+		sp.Name(), *epsilon, *nmax)
 	run("epsilon-greedy")
 	run("alc")
 	fmt.Println("\n(epsilon-greedy concentrates observations on promising configurations;")

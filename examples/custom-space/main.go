@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -165,7 +166,7 @@ func main() {
 	opts.Learner.Tree.Particles = 150
 	opts.Learner.Tree.ScoreParticles = 30
 
-	res, err := alic.LearnSpace("example/stencil", opts)
+	res, err := alic.Learn(context.Background(), sp, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

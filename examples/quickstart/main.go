@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,13 +16,13 @@ import (
 func main() {
 	// gemver's optimization space contains configurations about 2x
 	// faster than -O2, so it makes a satisfying tuning target.
-	k, err := alic.KernelByName("gemver")
+	sp, err := alic.SpaceByName("gemver")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("kernel %s: %s\n", k.Name, k.Doc)
+	fmt.Printf("kernel %s: %s\n", sp.Name(), sp.Doc())
 	fmt.Printf("search space: %.3g configurations, %d tunable parameters\n\n",
-		k.SpaceSize(), k.Dim())
+		sp.Size(), sp.Dim())
 
 	// Learn with the paper's plan (Algorithm 1) at a small budget.
 	opts := alic.DefaultLearnOptions()
@@ -33,7 +34,7 @@ func main() {
 	opts.Learner.Tree.ScoreParticles = 50
 
 	fmt.Println("learning (variable-observation plan, ALC scoring)...")
-	res, err := alic.Learn(k, opts)
+	res, err := alic.Learn(context.Background(), sp, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func main() {
 
 	// Model-driven search: rank thousands of configurations with the
 	// model, profile only the most promising.
-	sess, err := alic.NewSession(k, 99)
+	sess, err := alic.NewSpaceSession(sp, 99)
 	if err != nil {
 		log.Fatal(err)
 	}

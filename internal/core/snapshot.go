@@ -312,8 +312,13 @@ func (l *Learner) Restore(r io.Reader) error {
 		if err := bd.Err(); err != nil {
 			return err
 		}
-		if len(begun.chosen) == 0 || begun.n < 1 {
-			return snapshot.Corruptf(secRound, "round of %d items, %d observations each", len(begun.chosen), begun.n)
+		wantN := l.plan.AcquireObservations(l.opts)
+		if begun.seeding {
+			wantN = l.plan.SeedObservations(l.opts)
+		}
+		if len(begun.chosen) == 0 || begun.n != wantN {
+			return snapshot.Corruptf(secRound, "round of %d items, %d observations each (the plan takes %d)",
+				len(begun.chosen), begun.n, wantN)
 		}
 		for _, idx := range begun.chosen {
 			if idx < 0 || idx >= l.pool.Len() {
@@ -383,6 +388,10 @@ func (l *Learner) Restore(r io.Reader) error {
 		}
 	}
 
+	if begun != nil && begun.seeding != (mdl == nil) {
+		return snapshot.Corruptf(secRound, "seeding round %v with a model section %v", begun.seeding, mdl != nil)
+	}
+
 	if err := l.ev.RestoreLedger(ledger); err != nil {
 		return err
 	}
@@ -400,10 +409,13 @@ func (l *Learner) Restore(r io.Reader) error {
 	for i, idx := range order {
 		l.obsCount[idx] = counts[i]
 	}
-	l.preq = &prequential{window: preqWindow, resid2: resid2, nextIdx: preqNext, filled: preqFilled}
-	if l.preq.resid2 == nil {
-		l.preq.resid2 = make([]float64, 0, preqWindow)
+	if resid2 == nil {
+		// The window size is untrusted input: it must not size an
+		// allocation. Beyond the learner's own window the residuals
+		// grow on demand.
+		resid2 = make([]float64, 0, min(preqWindow, l.preq.window))
 	}
+	l.preq = &prequential{window: preqWindow, resid2: resid2, nextIdx: preqNext, filled: preqFilled}
 	if preqNext >= preqWindow {
 		l.preq.nextIdx = 0
 	}

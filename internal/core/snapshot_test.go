@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
@@ -15,7 +17,7 @@ import (
 // options, same pool, a brand-new engine whose ledger is then
 // restored, and a source that reproduces measurement (item, ordinal)
 // pairs bit-identically.
-func snapLearner(t *testing.T, opts Options, pool SlicePool, workers int) *Learner {
+func snapLearner(t testing.TB, opts Options, pool SlicePool, workers int) *Learner {
 	t.Helper()
 	opts.EvalWorkers = workers
 	l, err := New(opts, pool, newFuncSource(pool, stepFn, constSigma(0.05), 0.1, 7), testEval(stepFn))
@@ -439,4 +441,78 @@ func TestSnapshotRejectsAsyncFlag(t *testing.T) {
 	if !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), "Async") {
 		t.Fatalf("restoring an async snapshot = %v, want ErrSnapshotMismatch naming Async", err)
 	}
+}
+
+// resealed returns a copy of data with every section checksum
+// recomputed over its payload, walking the container layout as far as
+// it parses. Random mutations then reach the section decoders instead
+// of stopping at the CRC (TestSnapshotCorruptLearner covers the
+// checksum itself); header and framing damage is left in place.
+func resealed(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	const hdr, secHdr = 12, 2 + 8 + 4
+	for at := hdr; len(out)-at >= secHdr; {
+		nameLen := int(binary.LittleEndian.Uint16(out[at:]))
+		payLen := binary.LittleEndian.Uint64(out[at+2:])
+		start := at + secHdr + nameLen
+		if start > len(out) || payLen > uint64(len(out)-start) {
+			break
+		}
+		end := start + int(payLen)
+		binary.LittleEndian.PutUint32(out[at+10:], crc32.ChecksumIEEE(out[start:end]))
+		at = end
+	}
+	return out
+}
+
+// FuzzLearnerRestore: Restore of arbitrary bytes into a fresh learner
+// never panics and never half-applies. On error the learner snapshots
+// to exactly the bytes it did before the call; on success one Step
+// runs without panicking. Seeds: a fresh snapshot, a mid-run snapshot
+// and the stored parked-round snapshot, all taken with the options the
+// fuzzed learner is built with, so unmutated seeds restore.
+func FuzzLearnerRestore(f *testing.F) {
+	opts := parkedSnapOpts()
+	pool := gridPool(300)
+	snap := func(l *Learner) []byte {
+		var buf bytes.Buffer
+		if err := l.Snapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	l := snapLearner(f, opts, pool, 1)
+	f.Add(snap(l))
+	for i := 0; i < 3; i++ {
+		if _, err := l.Step(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(snap(l))
+	l.Close()
+	stored, err := os.ReadFile("testdata/learner_parked_round.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stored)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l := snapLearner(t, opts, pool, 1)
+		defer l.Close()
+		var before bytes.Buffer
+		if err := l.Snapshot(&before); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Restore(bytes.NewReader(resealed(data))); err != nil {
+			var after bytes.Buffer
+			if err := l.Snapshot(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Fatalf("failed Restore (%v) changed the learner's state", err)
+			}
+			return
+		}
+		l.Step()
+	})
 }

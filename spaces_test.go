@@ -1,6 +1,7 @@
 package alic
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -27,7 +28,7 @@ func syntheticLearnOptions() LearnOptions {
 	return o
 }
 
-// learnWithScorer runs LearnSpace with the named acquisition.
+// learnWithScorer runs Learn with the named acquisition.
 func learnWithScorer(t *testing.T, spaceName, scorer string) *LearnResult {
 	t.Helper()
 	opts := syntheticLearnOptions()
@@ -36,7 +37,7 @@ func learnWithScorer(t *testing.T, spaceName, scorer string) *LearnResult {
 		t.Fatal(err)
 	}
 	opts.Learner.Scorer = acq
-	res, err := LearnSpace(spaceName, opts)
+	res, err := Learn(context.Background(), mustSpace(t, spaceName), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestLearnLiveSimulated(t *testing.T) {
 	opts := syntheticLearnOptions()
 	opts.TestSize = 0 // unused on the live path
 	opts.Learner.NMax = 40
-	res, err := LearnLive(sp, opts)
+	res, err := LearnLive(context.Background(), sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestLearnLiveSimulated(t *testing.T) {
 	}
 
 	// Determinism: the live path over a simulated space is replayable.
-	again, err := LearnLive(sp, opts)
+	again, err := LearnLive(context.Background(), sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestTuneSmallSpaceFailsPromptly(t *testing.T) {
 	}
 	opts := syntheticLearnOptions()
 	opts.Learner.NMax = 10
-	res, err := LearnSpace(sp.Name(), opts)
+	res, err := Learn(context.Background(), sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,19 +204,10 @@ func TestTuneSmallSpaceFailsPromptly(t *testing.T) {
 
 	big := syntheticLearnOptions()
 	big.PoolSize = int(sp.Size())/2 + 1
-	if _, err := LearnLive(sp, big); !errors.Is(err, space.ErrTooManyConfigs) {
+	if _, err := LearnLive(context.Background(), sp, big); !errors.Is(err, space.ErrTooManyConfigs) {
 		t.Fatalf("LearnLive error = %v, want ErrTooManyConfigs", err)
 	}
-	if _, err := LearnSpace(sp.Name(), big); !errors.Is(err, space.ErrTooManyConfigs) {
-		t.Fatalf("LearnSpace error = %v, want ErrTooManyConfigs", err)
+	if _, err := Learn(context.Background(), sp, big); !errors.Is(err, space.ErrTooManyConfigs) {
+		t.Fatalf("Learn error = %v, want ErrTooManyConfigs", err)
 	}
-}
-
-func mustKernel(t *testing.T, name string) *Kernel {
-	t.Helper()
-	k, err := KernelByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
 }
