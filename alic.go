@@ -472,18 +472,11 @@ type LearnResult struct {
 // round with StoppedBy == StopCancelled (partial model and curve
 // intact) instead of abandoning it.
 func Learn(ctx context.Context, sp Space, opts LearnOptions) (*LearnResult, error) {
-	if err := checkPool(opts); err != nil {
+	dopts, err := opts.DatasetOptions()
+	if err != nil {
 		return nil, err
 	}
-	if opts.TestSize < 1 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadTestSize, opts.TestSize)
-	}
-	ds, err := dataset.Generate(sp, dataset.Options{
-		NConfigs:   opts.PoolSize + opts.TestSize,
-		NObs:       opts.Learner.NObs,
-		TrainCount: opts.PoolSize,
-		Seed:       opts.DatasetSeed,
-	})
+	ds, err := dataset.Generate(sp, dopts)
 	if err != nil {
 		return nil, err
 	}
@@ -497,6 +490,25 @@ func Learn(ctx context.Context, sp Space, opts LearnOptions) (*LearnResult, erro
 		return nil, err
 	}
 	return &LearnResult{LearnerResult: res, Dataset: ds}, nil
+}
+
+// DatasetOptions returns the corpus Learn generates for opts: a pool
+// of PoolSize training configurations plus TestSize held-out ones,
+// observed NObs times each, sampled from DatasetSeed. It fails with
+// ErrPoolTooSmall or ErrBadTestSize when the sizes cannot seed a run.
+func (opts LearnOptions) DatasetOptions() (DatasetOptions, error) {
+	if err := checkPool(opts); err != nil {
+		return DatasetOptions{}, err
+	}
+	if opts.TestSize < 1 {
+		return DatasetOptions{}, fmt.Errorf("%w: got %d", ErrBadTestSize, opts.TestSize)
+	}
+	return DatasetOptions{
+		NConfigs:   opts.PoolSize + opts.TestSize,
+		NObs:       opts.Learner.NObs,
+		TrainCount: opts.PoolSize,
+		Seed:       opts.DatasetSeed,
+	}, nil
 }
 
 // checkPool rejects a training pool too small to seed the learner.

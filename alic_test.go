@@ -74,6 +74,12 @@ func TestLearnValidation(t *testing.T) {
 	if _, err := Learn(context.Background(), sp, bad2); !errors.Is(err, ErrBadTestSize) {
 		t.Fatalf("zero test size error = %v, want ErrBadTestSize", err)
 	}
+	if _, err := bad.DatasetOptions(); !errors.Is(err, ErrPoolTooSmall) {
+		t.Fatalf("DatasetOptions tiny pool error = %v, want ErrPoolTooSmall", err)
+	}
+	if _, err := bad2.DatasetOptions(); !errors.Is(err, ErrBadTestSize) {
+		t.Fatalf("DatasetOptions zero test size error = %v, want ErrBadTestSize", err)
+	}
 	if _, err := ModelByName("no-such-backend"); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("bogus backend error = %v, want ErrUnknownModel", err)
 	}
@@ -82,6 +88,26 @@ func TestLearnValidation(t *testing.T) {
 	}
 	if _, err := Tune(nil, nil, nil, TunerOptions{}); !errors.Is(err, ErrNilDataset) {
 		t.Fatalf("Tune nil dataset error = %v, want ErrNilDataset", err)
+	}
+}
+
+// TestLearnOptionsDatasetOptions pins the corpus Learn generates:
+// the pool followed by the held-out test set, every configuration
+// observed NObs times, sampled from DatasetSeed.
+func TestLearnOptionsDatasetOptions(t *testing.T) {
+	opts := quickLearnOptions()
+	got, err := opts.DatasetOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DatasetOptions{
+		NConfigs:   opts.PoolSize + opts.TestSize,
+		NObs:       opts.Learner.NObs,
+		TrainCount: opts.PoolSize,
+		Seed:       opts.DatasetSeed,
+	}
+	if got != want {
+		t.Fatalf("DatasetOptions = %+v, want %+v", got, want)
 	}
 }
 

@@ -302,19 +302,11 @@ func tuneLive(sp alic.Space, opts alic.LearnOptions) {
 // different tuning flags is rejected with ErrSnapshotMismatch rather
 // than silently diverging.
 func learn(ctx context.Context, sp alic.Space, opts alic.LearnOptions, resumePath, snapshotPath string) (*alic.LearnResult, error) {
-	if opts.PoolSize < opts.Learner.NInit {
-		return nil, fmt.Errorf("%w: PoolSize %d below NInit %d",
-			alic.ErrPoolTooSmall, opts.PoolSize, opts.Learner.NInit)
+	dopts, err := opts.DatasetOptions()
+	if err != nil {
+		return nil, err
 	}
-	if opts.TestSize < 1 {
-		return nil, fmt.Errorf("%w: got %d", alic.ErrBadTestSize, opts.TestSize)
-	}
-	ds, err := alic.GenerateSpaceDataset(sp, alic.DatasetOptions{
-		NConfigs:   opts.PoolSize + opts.TestSize,
-		NObs:       opts.Learner.NObs,
-		TrainCount: opts.PoolSize,
-		Seed:       opts.DatasetSeed,
-	})
+	ds, err := alic.GenerateSpaceDataset(sp, dopts)
 	if err != nil {
 		return nil, err
 	}

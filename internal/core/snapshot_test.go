@@ -444,13 +444,18 @@ func TestSnapshotRejectsAsyncFlag(t *testing.T) {
 }
 
 // resealed returns a copy of data with every section checksum
-// recomputed over its payload, walking the container layout as far as
-// it parses. Random mutations then reach the section decoders instead
-// of stopping at the CRC (TestSnapshotCorruptLearner covers the
-// checksum itself); header and framing damage is left in place.
+// recomputed, walking the container layout as far as it parses: over
+// name and payload from container version 2 on, over the payload alone
+// in version 1. Random mutations then reach the section decoders
+// instead of stopping at the CRC (TestSnapshotCorruptLearner covers
+// the checksum itself); header and framing damage is left in place.
 func resealed(data []byte) []byte {
 	out := append([]byte(nil), data...)
 	const hdr, secHdr = 12, 2 + 8 + 4
+	if len(out) < hdr {
+		return out
+	}
+	withName := binary.LittleEndian.Uint32(out[8:]) >= 2
 	for at := hdr; len(out)-at >= secHdr; {
 		nameLen := int(binary.LittleEndian.Uint16(out[at:]))
 		payLen := binary.LittleEndian.Uint64(out[at+2:])
@@ -459,7 +464,11 @@ func resealed(data []byte) []byte {
 			break
 		}
 		end := start + int(payLen)
-		binary.LittleEndian.PutUint32(out[at+10:], crc32.ChecksumIEEE(out[start:end]))
+		from := start
+		if withName {
+			from = at + secHdr
+		}
+		binary.LittleEndian.PutUint32(out[at+10:], crc32.ChecksumIEEE(out[from:end]))
 		at = end
 	}
 	return out

@@ -182,10 +182,10 @@ type Forest struct {
 	waShard   atomic.Int32
 
 	// Compaction scratch: the previous generation's arena backing and
-	// rename map, recycled so steady-state compactions reallocate
-	// nothing.
-	spare    nodes
-	remapBuf []int32
+	// the live-node numbering, recycled so steady-state compactions
+	// reallocate nothing.
+	spare nodes
+	live  liveOrder
 
 	// Stay-commit memo, one generation per observation (see
 	// makeWritable): when stayMark[id] == stayGen, a stay commit of the
@@ -1096,48 +1096,33 @@ func (f *Forest) compactAt() int {
 	return 8*f.lastLive + 1024
 }
 
+// compact rebuilds the arena as the live trees in canonical order
+// (liveOrder), the layout Snapshot encodes.
 func (f *Forest) compact() {
 	old := f.ar
-	oldLen := old.len()
 	// The previous generation's backing arrays (retired by the last
-	// compaction) become this compaction's target arena, and the rename
-	// map reuses its buffer, so steady-state compactions allocate only
-	// when the live set outgrows every earlier generation.
+	// compaction) become this compaction's target arena, and the
+	// numbering reuses its buffers, so steady-state compactions
+	// allocate only when the live set outgrows every earlier
+	// generation.
+	lo := &f.live
+	lo.number(&old, f.roots)
 	na := f.spare
 	na.truncate(old.featDim)
-	if cap(f.remapBuf) < oldLen {
-		f.remapBuf = make([]int32, oldLen)
-	}
-	remap := f.remapBuf[:oldLen]
-	for i := range remap {
-		remap[i] = -1
-	}
-	var clone func(id int32) int32
-	clone = func(id int32) int32 {
-		if nid := remap[id]; nid >= 0 {
-			na.shared[nid] = true
-			return nid
-		}
-		nid := na.newLeaf(old.depth[id])
-		remap[id] = nid
+	for nid, id := range lo.order {
+		na.newLeaf(old.depth[id])
 		na.dim[nid] = old.dim[id]
 		na.cut[nid] = old.cut[id]
+		na.left[nid] = lo.child(old.left[id])
+		na.right[nid] = lo.child(old.right[id])
+		na.shared[nid] = lo.shared[nid]
 		na.pts[nid] = old.pts[id]
 		na.s[nid] = old.s[id]
 		na.lin[nid] = old.lin[id]
-		copy(na.rangeLo(nid), old.rangeLo(id))
-		copy(na.rangeHi(nid), old.rangeHi(id))
-		if old.left[id] >= 0 {
-			l := clone(old.left[id])
-			r := clone(old.right[id])
-			na.left[nid] = l
-			na.right[nid] = r
-		}
-		return nid
+		copy(na.rangeLo(int32(nid)), old.rangeLo(id))
+		copy(na.rangeHi(int32(nid)), old.rangeHi(id))
 	}
-	for i, root := range f.roots {
-		f.roots[i] = clone(root)
-	}
+	copy(f.roots, lo.roots)
 	f.ar = na
 	// Retire the old arena as the next compaction's target. Its point
 	// lists and linear payloads are shared with the live arena; clear

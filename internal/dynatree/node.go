@@ -186,6 +186,59 @@ func (a *nodes) miscountedTree(roots []int32, want int) (slot, got int) {
 	return -1, 0
 }
 
+// liveOrder numbers the nodes reachable from a forest's roots in
+// canonical order: depth-first from the roots in slot order, each node
+// before its left and then its right subtree, a node reached again
+// keeping its first number. Dead nodes get no number. Compaction
+// rebuilds the arena in this order and Snapshot encodes it, so the
+// order depends only on the live trees, never on the arena's history.
+type liveOrder struct {
+	order  []int32 // canonical id → arena id
+	remap  []int32 // arena id → canonical id, -1 for a dead node
+	shared []bool  // canonical id → reached by more than one reference
+	roots  []int32 // slot → canonical root id
+}
+
+// number recomputes the order for arena a and the given roots,
+// reusing lo's buffers. Every id must be in range and child links
+// must increase depth.
+func (lo *liveOrder) number(a *nodes, roots []int32) {
+	lo.remap = withCap(lo.remap[:0], a.len())[:a.len()]
+	for i := range lo.remap {
+		lo.remap[i] = -1
+	}
+	lo.order, lo.shared, lo.roots = lo.order[:0], lo.shared[:0], lo.roots[:0]
+	for _, root := range roots {
+		lo.roots = append(lo.roots, lo.visit(a, root))
+	}
+}
+
+// visit numbers id's subtree and returns id's canonical number.
+func (lo *liveOrder) visit(a *nodes, id int32) int32 {
+	if nid := lo.remap[id]; nid >= 0 {
+		lo.shared[nid] = true
+		return nid
+	}
+	nid := int32(len(lo.order))
+	lo.remap[id] = nid
+	lo.order = append(lo.order, id)
+	lo.shared = append(lo.shared, false)
+	if a.left[id] >= 0 {
+		lo.visit(a, a.left[id])
+		lo.visit(a, a.right[id])
+	}
+	return nid
+}
+
+// child maps a child link to canonical ids; the leaf marker passes
+// through.
+func (lo *liveOrder) child(id int32) int32 {
+	if id < 0 {
+		return id
+	}
+	return lo.remap[id]
+}
+
 // newLeaf appends a fresh leaf at the given depth and returns its id.
 func (a *nodes) newLeaf(depth int32) int32 {
 	id := int32(len(a.left))

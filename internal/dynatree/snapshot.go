@@ -10,17 +10,32 @@ import (
 const forestFormat = 1
 
 // Snapshot serializes the forest's complete model state — resolved
-// configuration, training points, particle roots, the node arena
-// as-is (dead nodes included, so compaction timing and node ids are
-// preserved exactly), and the rng stream position — into a payload
-// restorable with Restore. The bound pool is not part of the model
-// (call BindPool again after Restore), and pure caches are
-// deliberately omitted: the NIG memo tables, the split prior tables,
-// and every lazily-cached linear-leaf posterior (all bit-identical
-// when recomputed). The restored forest therefore produces
-// byte-identical predictions, draws and updates.
+// configuration, training points, the live particle trees and the rng
+// stream position — into a payload restorable with Restore. Only the
+// nodes reachable from the roots are written, numbered in canonical
+// order (liveOrder) with exact shared flags and the live node count as
+// lastLive, so the bytes depend only on the live state: dead path
+// copies never ride along, and two forests with the same trees, points
+// and rng position encode identically whatever their arena history.
+// Node ids are observationally invisible (see maybeCompact), so the
+// renumbering changes no prediction, draw or update. The bound pool is
+// not part of the model (call BindPool again after Restore), and pure
+// caches are deliberately omitted: the NIG memo tables, the split
+// prior tables, and every lazily-cached linear-leaf posterior (all
+// bit-identical when recomputed). The restored forest therefore
+// produces byte-identical predictions, draws and updates. Snapshot
+// only reads the forest.
 func (f *Forest) Snapshot() []byte {
-	e := snapshot.NewEncoder(1024 + 64*f.ar.len() + 16*len(f.points)*f.dim)
+	var lo liveOrder
+	lo.number(&f.ar, f.roots)
+	return f.encode(&lo, len(lo.order))
+}
+
+// encode writes the payload for the arena nodes lo numbers, in lo's
+// order, with lo's roots and shared flags and the given lastLive.
+func (f *Forest) encode(lo *liveOrder, lastLive int) []byte {
+	n := len(lo.order)
+	e := snapshot.NewEncoder(1024 + (64+16*f.dim)*n + 16*len(f.points)*f.dim)
 	e.Int(forestFormat)
 
 	// Resolved configuration (after any CalibratePrior).
@@ -49,29 +64,42 @@ func (f *Forest) Snapshot() []byte {
 		e.F64(p.y)
 	}
 
-	e.Int32s(f.roots)
-	e.Int(f.lastLive)
+	e.Int32s(lo.roots)
+	e.Int(lastLive)
 
 	st := f.r.State()
 	for _, w := range st {
 		e.U64(w)
 	}
 
-	// Node arena, verbatim. Dead nodes ride along so that arena length
-	// — and with it the compaction trigger — matches the uninterrupted
-	// process exactly.
+	// Node count, then one length-prefixed block per field in the
+	// layout Int32s and F64s write, child links renumbered.
 	ar := &f.ar
-	n := ar.len()
 	e.Int(n)
-	e.Int32s(ar.depth)
-	e.Int32s(ar.dim)
-	e.F64s(ar.cut)
-	e.Int32s(ar.left)
-	e.Int32s(ar.right)
-	for _, s := range ar.shared {
+	e.Int(n)
+	for _, id := range lo.order {
+		e.U32(uint32(ar.depth[id]))
+	}
+	e.Int(n)
+	for _, id := range lo.order {
+		e.U32(uint32(ar.dim[id]))
+	}
+	e.Int(n)
+	for _, id := range lo.order {
+		e.F64(ar.cut[id])
+	}
+	e.Int(n)
+	for _, id := range lo.order {
+		e.U32(uint32(lo.child(ar.left[id])))
+	}
+	e.Int(n)
+	for _, id := range lo.order {
+		e.U32(uint32(lo.child(ar.right[id])))
+	}
+	for _, s := range lo.shared {
 		e.Bool(s)
 	}
-	for id := 0; id < n; id++ {
+	for _, id := range lo.order {
 		e.Ints(ar.pts[id])
 		s := ar.s[id]
 		e.Int(s.n)
@@ -95,17 +123,26 @@ func (f *Forest) Snapshot() []byte {
 			e.F64(lin.yty)
 		}
 	}
-	e.F64s(ar.rlo)
-	e.F64s(ar.rhi)
+	for _, block := range []func(int32) []float64{ar.rangeLo, ar.rangeHi} {
+		e.Int(n * f.dim)
+		for _, id := range lo.order {
+			for _, v := range block(id) {
+				e.F64(v)
+			}
+		}
+	}
 	return e.Bytes()
 }
 
 // Restore reconstructs a forest from a Snapshot payload. Structural
 // invariants (id ranges, slice lengths, point indices) are verified
 // before use, so corrupt input that survived the container checksum
-// still fails with a typed error rather than a panic. The bound pool
-// is not part of the snapshot: call BindPool afterwards to re-enable
-// the indexed entry points.
+// still fails with a typed error rather than a panic. The restored
+// arena holds exactly the payload's nodes: the live trees of a
+// Snapshot, or the whole arena with its dead nodes for payloads
+// written by earlier builds, which shared this layout and restore
+// unchanged. The bound pool is not part of the snapshot: call BindPool
+// afterwards to re-enable the indexed entry points.
 func Restore(payload []byte) (*Forest, error) {
 	const sec = "dynatree.forest"
 	d := snapshot.NewDecoder(sec, payload)

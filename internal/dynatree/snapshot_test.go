@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"alic/internal/rng"
@@ -64,10 +65,88 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 			if fs != gs {
 				t.Fatalf("stats diverged: %+v != %+v", fs, gs)
 			}
-			if f.ar.len() != g.ar.len() {
-				t.Fatalf("arena sizes diverged: %d != %d (compaction timing changed)", f.ar.len(), g.ar.len())
+			// Canonical bytes cover the live trees, points and rng
+			// position, whatever each arena's compaction history.
+			if !bytes.Equal(f.Snapshot(), g.Snapshot()) {
+				t.Fatal("snapshots diverged after the lockstep")
 			}
 		})
+	}
+}
+
+// liveNodes counts the distinct nodes reachable from roots.
+func liveNodes(ar *nodes, roots []int32) int {
+	seen := make([]bool, ar.len())
+	n := 0
+	stack := append([]int32(nil), roots...)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		n++
+		if ar.left[id] >= 0 {
+			stack = append(stack, ar.left[id], ar.right[id])
+		}
+	}
+	return n
+}
+
+// TestSnapshotRestoresLiveArena pins what a checkpoint carries: the
+// restored arena holds exactly the source's live nodes, fewer than the
+// source arena once superseded path copies exist, and its lastLive is
+// that count.
+func TestSnapshotRestoresLiveArena(t *testing.T) {
+	for _, leaf := range []LeafModel{ConstantLeaf, LinearLeaf} {
+		t.Run(leaf.String(), func(t *testing.T) {
+			f, _, _ := snapTrainForest(t, leaf, 60)
+			live := liveNodes(&f.ar, f.roots)
+			if live >= f.ar.len() {
+				t.Fatalf("arena of %d nodes has no dead nodes (%d live); the test needs some", f.ar.len(), live)
+			}
+			g, err := Restore(f.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.ar.len() != live || g.lastLive != live {
+				t.Fatalf("restored arena %d nodes, lastLive %d; want the %d live nodes", g.ar.len(), g.lastLive, live)
+			}
+			// Shared flags are exact: set on every node with more than
+			// one root reference or child link, and on no other.
+			refs := make([]int, g.ar.len())
+			for _, r := range g.roots {
+				refs[r]++
+			}
+			for id, l := range g.ar.left {
+				if l >= 0 {
+					refs[l]++
+					refs[g.ar.right[id]]++
+				}
+			}
+			for id, s := range g.ar.shared {
+				if s != (refs[id] > 1) {
+					t.Fatalf("restored node %d: shared=%v with %d references", id, s, refs[id])
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotLeavesForestUntouched pins that Snapshot only reads: a
+// checkpoint taken while another reader predicts from the same forest
+// must not compact or renumber it under that reader.
+func TestSnapshotLeavesForestUntouched(t *testing.T) {
+	f, _, _ := snapTrainForest(t, LinearLeaf, 60)
+	n, roots, arrays := f.ar.len(), append([]int32(nil), f.roots...), arenaArrays(&f.ar)
+	before := verbatimSnapshot(f)
+	f.Snapshot()
+	if f.ar.len() != n || !slices.Equal(f.roots, roots) {
+		t.Fatalf("Snapshot changed the arena (%d -> %d nodes) or the roots", n, f.ar.len())
+	}
+	if !slices.Equal(arenaArrays(&f.ar), arrays) || !bytes.Equal(verbatimSnapshot(f), before) {
+		t.Fatal("Snapshot rewrote the arena")
 	}
 }
 
@@ -178,6 +257,20 @@ func seedForest(tb testing.TB, leaf LeafModel) *Forest {
 	return f
 }
 
+// verbatimSnapshot encodes f's whole arena as it stands — dead nodes,
+// stale shared flags and lastLive included — in the layout Snapshot
+// shares. Hostile payloads are written with it: Snapshot encodes only
+// the live trees in canonical order, which would repair some of them
+// (exact shared flags, lastLive recounted) and cannot walk others.
+func verbatimSnapshot(f *Forest) []byte {
+	n := f.ar.len()
+	lo := liveOrder{order: make([]int32, n), remap: make([]int32, n), shared: f.ar.shared, roots: f.roots}
+	for i := range lo.order {
+		lo.order[i], lo.remap[i] = int32(i), int32(i)
+	}
+	return f.encode(&lo, f.lastLive)
+}
+
 // hostileSnapshots returns forest payloads that the container
 // checksum cannot catch (anyone can recompute it) and that earlier
 // builds accepted or crashed on: a dimension no payload can hold,
@@ -189,7 +282,7 @@ func seedForest(tb testing.TB, leaf LeafModel) *Forest {
 // point once per alias; and a leaf listing a point twice.
 func hostileSnapshots(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	valid := seedForest(tb, ConstantLeaf).Snapshot()
+	valid := verbatimSnapshot(seedForest(tb, ConstantLeaf))
 	mutate := func(edit func(g *Forest, root, child int32)) []byte {
 		g, err := Restore(valid)
 		if err != nil {
@@ -198,7 +291,7 @@ func hostileSnapshots(tb testing.TB) map[string][]byte {
 		for _, root := range g.roots {
 			if child := g.ar.left[root]; child >= 0 {
 				edit(g, root, child)
-				return g.Snapshot()
+				return verbatimSnapshot(g)
 			}
 		}
 		tb.Fatal("no particle has grown a split")
@@ -248,7 +341,7 @@ func TestSnapshotRejectsAliasedUnsharedNode(t *testing.T) {
 		t.Fatalf("Restore = %v, want a typed corruption error", err)
 	}
 	// Bypass the check to show the damage it prevents.
-	g, err := Restore(seedForest(t, ConstantLeaf).Snapshot())
+	g, err := Restore(verbatimSnapshot(seedForest(t, ConstantLeaf)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +395,9 @@ func TestSnapshotRejectsHostilePayloads(t *testing.T) {
 // score, absorb an observation — after which every tree's leaves hold
 // one entry per point — and round-trip through Snapshot bit for bit.
 // The seed corpus in testdata/fuzz holds valid constant- and
-// linear-leaf snapshots plus the payloads of hostileSnapshots.
+// linear-leaf payloads in the verbatim layout of earlier builds, a
+// canonical constant-leaf Snapshot, and one payload of each kind
+// hostileSnapshots builds.
 func FuzzForestRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		g, err := Restore(payload)

@@ -10,7 +10,10 @@ import (
 // serialize their complete state. The contract is the library-wide
 // determinism bar: a model restored from Snapshot must produce
 // byte-identical predictions, scores and updates to the original, at
-// every worker count.
+// every worker count. Snapshot only reads the model, and its bytes
+// depend only on the live state — for the dynatree forest, the live
+// particle trees in canonical order, never the dead path copies its
+// arena still holds — so two models in the same state encode alike.
 type Snapshotter interface {
 	Snapshot() []byte
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -485,4 +486,83 @@ func TestCheckpointRestoreRejectsHostileModel(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("session info after the hostile restore: HTTP %d", resp.StatusCode)
 	}
+}
+
+// TestSnapshotConcurrentResult serves GET …/result and GET …/snapshot
+// side by side on a finished session. Result predicts from the
+// learner's model without the learner lock, so a checkpoint must only
+// read the model: under -race the two never touch the same memory,
+// every checkpoint is byte-identical, and so is every result.
+func TestSnapshotConcurrentResult(t *testing.T) {
+	srv := NewServer(Options{})
+	defer srv.Close()
+	web := httptest.NewServer(srv.Handler())
+	defer web.Close()
+	s, err := srv.CreateSession(tinySpec("acme", "finished"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, time.Minute)
+	base := web.URL + "/v1/tenants/acme/sessions/finished"
+
+	// get fetches path, retrying while a concurrent snapshot holds the
+	// session suspended.
+	get := func(path string) ([]byte, error) {
+		for attempt := 0; ; attempt++ {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				return nil, err
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return nil, err
+			}
+			if resp.StatusCode == http.StatusOK {
+				return body, nil
+			}
+			if resp.StatusCode != http.StatusTooManyRequests || attempt > 100 {
+				return nil, fmt.Errorf("GET %s: HTTP %d: %s", path, resp.StatusCode, body)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	const rounds = 8
+	bodies := map[string][][]byte{"/result": make([][]byte, 2*rounds), "/snapshot": make([][]byte, 2*rounds)}
+	var wg sync.WaitGroup
+	for path, out := range bodies {
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(out); i += 2 {
+					body, err := get(path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					out[i] = body
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for path, out := range bodies {
+		for i, body := range out {
+			if !bytes.Equal(body, out[0]) {
+				t.Fatalf("GET %s #%d differs from #0", path, i)
+			}
+		}
+	}
+	other := NewServer(Options{})
+	defer other.Close()
+	restored, err := other.RestoreSession(bodies["/snapshot"][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSessionResult(t, "restored", sessionResult(t, restored), sessionResult(t, s))
 }

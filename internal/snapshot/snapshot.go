@@ -1,7 +1,7 @@
 // Package snapshot defines the self-describing binary container every
 // persistent alic state dump uses: a magic header with a format
 // version, followed by named sections that each carry their own length
-// and CRC-32 checksum.
+// and a CRC-32 checksum over name and payload.
 //
 // The container deliberately knows nothing about what the sections
 // mean. Producers (dynatree, core, serve, ...) serialize their state
@@ -32,10 +32,27 @@ import (
 // byte-level incompatible rework is detected before any parsing.
 var magic = [8]byte{'a', 'l', 'i', 'c', 's', 'n', 'p', '1'}
 
-// Version is the current container version. Readers accept exactly
-// the versions they understand; unknown sections inside an accepted
-// version are skipped.
-const Version uint32 = 1
+// Version is the container version this build writes. Version 2
+// checksums each section's name together with its payload, so a
+// flipped name byte fails loudly instead of renaming the section into
+// one the reader skips. Version 1 checksummed the payload alone;
+// readers still accept it so earlier checkpoints load. Readers accept
+// exactly the versions they understand; unknown sections inside an
+// accepted version are skipped.
+const Version uint32 = 2
+
+// minVersion is the oldest container version this build reads.
+const minVersion uint32 = 1
+
+// sectionSum is the checksum a container of the given version stores
+// for a section.
+func sectionSum(version uint32, name string, payload []byte) uint32 {
+	sum := uint32(0)
+	if version >= 2 {
+		sum = crc32.Update(sum, crc32.IEEETable, []byte(name))
+	}
+	return crc32.Update(sum, crc32.IEEETable, payload)
+}
 
 // ErrCorruptSnapshot is the sentinel wrapped by every decoding
 // failure: checksum mismatches, truncated payloads, impossible
@@ -98,8 +115,8 @@ func NewWriter(w io.Writer) *Writer {
 	return sw
 }
 
-// Section appends one named section: name length, name bytes, payload
-// length, payload CRC-32 (IEEE), payload bytes.
+// Section appends one named section: name length, payload length,
+// CRC-32 (IEEE) of name then payload, name bytes, payload bytes.
 func (sw *Writer) Section(name string, payload []byte) error {
 	if sw.err != nil {
 		return sw.err
@@ -111,7 +128,7 @@ func (sw *Writer) Section(name string, payload []byte) error {
 	var hdr [2 + 8 + 4]byte
 	binary.LittleEndian.PutUint16(hdr[0:], uint16(len(name)))
 	binary.LittleEndian.PutUint64(hdr[2:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[10:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(hdr[10:], sectionSum(Version, name, payload))
 	if _, sw.err = sw.w.Write(hdr[:]); sw.err != nil {
 		return sw.err
 	}
@@ -159,8 +176,8 @@ func Parse(data []byte) (*Container, error) {
 		}
 	}
 	ver := binary.LittleEndian.Uint32(data[8:])
-	if ver != Version {
-		return nil, fmt.Errorf("%w: container version %d, this build reads %d", ErrUnsupportedVersion, ver, Version)
+	if ver < minVersion || ver > Version {
+		return nil, fmt.Errorf("%w: container version %d, this build reads %d to %d", ErrUnsupportedVersion, ver, minVersion, Version)
 	}
 	c := &Container{}
 	rest := data[12:]
@@ -182,7 +199,7 @@ func Parse(data []byte) (*Container, error) {
 		}
 		payload := rest[:payLen64]
 		rest = rest[payLen64:]
-		if got := crc32.ChecksumIEEE(payload); got != sum {
+		if got := sectionSum(ver, name, payload); got != sum {
 			return nil, corruptf(name, "checksum mismatch: stored %08x, computed %08x", sum, got)
 		}
 		c.sections = append(c.sections, section{name: name, payload: payload})

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -138,6 +140,65 @@ func TestCorruptionDetected(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
+}
+
+// TestCorruptSectionNameDetected flips every byte of every section
+// name: the checksum covers the name, so a flipped byte fails with a
+// typed error instead of renaming the section into one the reader
+// skips.
+func TestCorruptSectionNameDetected(t *testing.T) {
+	data := buildContainer(t)
+	at := 12
+	for _, name := range []string{"alpha", "beta", "empty"} {
+		nameLen := int(binary.LittleEndian.Uint16(data[at:]))
+		payLen := int(binary.LittleEndian.Uint64(data[at+2:]))
+		if got := string(data[at+14 : at+14+nameLen]); got != name {
+			t.Fatalf("section at %d is %q, want %q", at, got, name)
+		}
+		for i := at + 14; i < at+14+nameLen; i++ {
+			for _, bit := range []byte{0x01, 0x20, 0xFF} {
+				mut := append([]byte(nil), data...)
+				mut[i] ^= bit
+				if _, err := Parse(mut); !errors.Is(err, ErrCorruptSnapshot) {
+					t.Fatalf("%s name byte %d flipped by %#x: err = %v", name, i-at-14, bit, err)
+				}
+			}
+		}
+		at += 14 + nameLen + payLen
+	}
+	if at != len(data) {
+		t.Fatalf("walked %d of %d bytes", at, len(data))
+	}
+}
+
+// TestSnapshotReadsVersion1 pins the compatibility rule: containers
+// written before names were checksummed, with a CRC over the payload
+// alone, still parse.
+func TestSnapshotReadsVersion1(t *testing.T) {
+	var v1 []byte
+	v1 = append(v1, magic[:]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	for _, sec := range []struct{ name, payload string }{{"alpha", "first"}, {"beta", ""}} {
+		v1 = binary.LittleEndian.AppendUint16(v1, uint16(len(sec.name)))
+		v1 = binary.LittleEndian.AppendUint64(v1, uint64(len(sec.payload)))
+		v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE([]byte(sec.payload)))
+		v1 = append(v1, sec.name...)
+		v1 = append(v1, sec.payload...)
+	}
+	c, err := Parse(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pay, ok := c.Section("alpha"); !ok || string(pay) != "first" {
+		t.Fatalf("alpha = %q, %v", pay, ok)
+	}
+	if _, ok := c.Section("beta"); !ok {
+		t.Fatal("beta section missing")
+	}
+	v1[12+14+5] ^= 0x01 // a payload byte still fails the checksum
+	if _, err := Parse(v1); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("flipped version 1 payload: err = %v", err)
+	}
 }
 
 // TestMutationNeverPanics is the satellite fuzz test: flip or truncate
