@@ -373,3 +373,83 @@ func runToEnd(tb testing.TB, ds *Dataset, opts LearnerOptions) *LearnerResult {
 	}
 	return res
 }
+
+// errPoisoned is what poisonedSpace's measurer reports.
+var errPoisoned = errors.New("measurer failure")
+
+// poisonedSpace wraps a space so that its measurer fails every request
+// about one configuration and measures the rest as usual.
+type poisonedSpace struct {
+	Space
+	bad uint64 // Key of the failing configuration
+}
+
+func (s poisonedSpace) Measurer(seed uint64) (SpaceMeasurer, error) {
+	m, err := s.Space.Measurer(seed)
+	return poisonedMeasurer{SpaceMeasurer: m, sp: s}, err
+}
+
+type poisonedMeasurer struct {
+	SpaceMeasurer
+	sp poisonedSpace
+}
+
+func (m poisonedMeasurer) check(cfg Config) error {
+	if m.sp.Key(cfg) == m.sp.bad {
+		return errPoisoned
+	}
+	return nil
+}
+
+func (m poisonedMeasurer) TrueMean(cfg Config) (float64, error) {
+	if err := m.check(cfg); err != nil {
+		return 0, err
+	}
+	return m.SpaceMeasurer.TrueMean(cfg)
+}
+
+func (m poisonedMeasurer) CompileCost(cfg Config) (float64, error) {
+	if err := m.check(cfg); err != nil {
+		return 0, err
+	}
+	return m.SpaceMeasurer.CompileCost(cfg)
+}
+
+func (m poisonedMeasurer) Observe(cfg Config, ord int) (float64, error) {
+	if err := m.check(cfg); err != nil {
+		return 0, err
+	}
+	return m.SpaceMeasurer.Observe(cfg, ord)
+}
+
+// TestLearnerRunReportsPoolMeasurerError: the corpus measures its
+// training pool only when the learner acquires it, so a measurer that
+// fails on a pool configuration is first seen by Learner.Run, which
+// must return the error rather than panic.
+func TestLearnerRunReportsPoolMeasurerError(t *testing.T) {
+	dopts := DatasetOptions{NConfigs: 20, NObs: 4, TrainCount: 4, Seed: 3}
+	sp := mustSpace(t, "mm")
+	clean, err := GenerateSpaceDataset(sp, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NInit equals the pool size, so the first round measures every
+	// pool configuration, the poisoned one included.
+	bad := clean.Configs[clean.TrainIdx[2]]
+	ds, err := GenerateSpaceDataset(poisonedSpace{Space: sp, bad: sp.Key(bad)}, dopts)
+	if err != nil {
+		t.Fatalf("generation measured a pool configuration: %v", err)
+	}
+	opts := quickLearnOptions().Learner
+	opts.NInit = 4
+	opts.NCand = 4
+	opts.NMax = 4
+	l, err := NewLearner(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Run(context.Background()); !errors.Is(err, errPoisoned) {
+		t.Fatalf("Run = %v, want the measurer's error", err)
+	}
+}

@@ -363,6 +363,15 @@ func writeSnapshot(l *alic.Learner, path string) error {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "alic:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine formats err for stderr behind one "alic:" prefix: the
+// facade's sentinel errors already carry it.
+func errorLine(err error) string {
+	if msg := err.Error(); strings.HasPrefix(msg, "alic: ") {
+		return msg
+	}
+	return "alic: " + err.Error()
 }

@@ -64,11 +64,22 @@ func main() {
 		}
 		var rt, ct []float64
 		for i := range ds.Configs {
-			rt = append(rt, ds.Observed[i].Mean)
-			ct = append(ct, ds.CompileTime[i])
+			st, err := ds.Stats(i)
+			if err != nil {
+				fatal(err)
+			}
+			c, err := ds.CompileCost(i)
+			if err != nil {
+				fatal(err)
+			}
+			rt = append(rt, st.Mean)
+			ct = append(ct, c)
 		}
 		rts := summarize(rt)
-		vs := ds.VarianceSummary()
+		vs, err := ds.VarianceSummary()
+		if err != nil {
+			fatal(err)
+		}
 		failRate, err := experiment.FailureRates(ds, min(*obs, 5), 0.05, 0.95)
 		if err != nil {
 			fatal(err)
@@ -112,8 +123,19 @@ func summarize(xs []float64) summary {
 func dumpCSV(ds *dataset.Dataset, path string) error {
 	tab := report.NewTable("", "config", "true_mean_s", "observed_mean_s", "variance", "compile_s")
 	for i, cfg := range ds.Configs {
-		tab.AddRow(fmt.Sprintf("%v", cfg), ds.TrueMean[i],
-			ds.Observed[i].Mean, ds.Observed[i].Variance, ds.CompileTime[i])
+		mu, err := ds.TrueMean(i)
+		if err != nil {
+			return err
+		}
+		st, err := ds.Stats(i)
+		if err != nil {
+			return err
+		}
+		ct, err := ds.CompileCost(i)
+		if err != nil {
+			return err
+		}
+		tab.AddRow(fmt.Sprintf("%v", cfg), mu, st.Mean, st.Variance, ct)
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -1,8 +1,12 @@
 // Package dataset materialises the experimental datasets of §4.5 of
 // the paper: for each search space, a corpus of distinct randomly
-// selected configurations, each profiled a fixed number of times (35
-// in the paper), split into a training pool and a held-out test set
-// (7,500 / 2,500), with features standardised by scaling and centring.
+// selected configurations, split into a training pool and a held-out
+// test set (7,500 / 2,500), with features standardised by scaling and
+// centring. Only the test set is profiled a fixed number of times (35
+// in the paper) when the corpus is generated: its means are the ground
+// truth of equation (1). Pool observations, true means and compile
+// costs are computed on demand from (configuration, ordinal), so a
+// learner pays only for the configurations it acquires.
 //
 // Generation is space-generic (any registered space.Space works), but
 // requires a simulated measurer: live spaces, whose observations
@@ -54,7 +58,12 @@ type PointStats struct {
 	Variance float64
 }
 
-// Dataset is a generated corpus for one search space.
+// Dataset is a generated corpus for one search space. It is immutable
+// once Generate returns, so one corpus may serve any number of
+// concurrent learners: every per-configuration quantity beyond the
+// features and the test set's statistics is computed on demand through
+// the corpus measurer (TrueMean, CompileCost, Stats, Observe), which
+// is pure in its arguments.
 type Dataset struct {
 	Space space.Space
 	Opts  Options
@@ -66,23 +75,22 @@ type Dataset struct {
 	// Features are the standardised feature vectors (zero mean, unit
 	// variance over the corpus).
 	Features [][]float64
-	// TrueMean is the noise-free model runtime per configuration.
-	TrueMean []float64
-	// Observed summarises the NObs noisy observations per config; its
-	// Mean is the regression target the paper trains and tests on.
-	Observed []PointStats
-	// CompileTime is the simulated compile time per configuration.
-	CompileTime []float64
 	// TrainIdx and TestIdx partition the corpus.
 	TrainIdx, TestIdx []int
 
 	// Normalizer holds the feature scaling fitted on the corpus.
 	Normalizer *stats.Normalizer
 
+	// test summarises the NObs observations of each test
+	// configuration, in TestIdx order — the held-out targets.
+	test []PointStats
 	meas space.Measurer
 }
 
-// Generate builds the dataset for a search space.
+// Generate builds the dataset for a search space. Only the held-out
+// test set is profiled NObs times; the training pool is observed on
+// demand, as the learner acquires it (§4.5: profiling every
+// configuration 35 times is the cost the learner exists to avoid).
 func Generate(sp space.Space, opts Options) (*Dataset, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("dataset: nil space")
@@ -116,40 +124,10 @@ func Generate(sp space.Space, opts Options) (*Dataset, error) {
 		return nil, err
 	}
 	d := &Dataset{Space: sp, Opts: opts, Configs: cfgs, meas: meas}
-
 	n := len(d.Configs)
-	d.Raw = make([][]float64, n)
-	d.TrueMean = make([]float64, n)
-	d.Observed = make([]PointStats, n)
-	d.CompileTime = make([]float64, n)
-	for i, cfg := range d.Configs {
-		d.Raw[i] = sp.Features(cfg)
-		mu, err := meas.TrueMean(cfg)
-		if err != nil {
-			return nil, err
-		}
-		d.TrueMean[i] = mu
-		ct, err := meas.CompileCost(cfg)
-		if err != nil {
-			return nil, err
-		}
-		d.CompileTime[i] = ct
 
-		var w stats.Welford
-		for j := 0; j < opts.NObs; j++ {
-			y, err := meas.Observe(cfg, j)
-			if err != nil {
-				return nil, err
-			}
-			w.Add(y)
-		}
-		d.Observed[i] = PointStats{Mean: w.Mean(), Variance: w.Variance()}
-	}
-
-	d.Normalizer = stats.FitNormalizer(d.Raw)
-	d.Features = d.Normalizer.TransformAll(d.Raw)
-
-	// Random train/test split.
+	// Random train/test split, drawn from the sampling stream right
+	// after the configurations.
 	perm := r.Perm(n)
 	nTrain := opts.TrainCount
 	if nTrain <= 0 {
@@ -163,6 +141,21 @@ func Generate(sp space.Space, opts Options) (*Dataset, error) {
 	}
 	d.TrainIdx = append([]int(nil), perm[:nTrain]...)
 	d.TestIdx = append([]int(nil), perm[nTrain:]...)
+
+	// The normaliser is fitted on the whole corpus.
+	d.Raw = make([][]float64, n)
+	for i, cfg := range d.Configs {
+		d.Raw[i] = sp.Features(cfg)
+	}
+	d.Normalizer = stats.FitNormalizer(d.Raw)
+	d.Features = d.Normalizer.TransformAll(d.Raw)
+
+	d.test = make([]PointStats, len(d.TestIdx))
+	for t, idx := range d.TestIdx {
+		if d.test[t], err = d.Stats(idx); err != nil {
+			return nil, err
+		}
+	}
 	return d, nil
 }
 
@@ -177,17 +170,49 @@ func SamplePool(sp space.Space, n int, seed uint64) ([]space.Config, *rng.Stream
 	return cfgs, r, err
 }
 
-// Observe regenerates observation obsIdx of configuration i — the same
-// value the dataset saw during generation for obsIdx < NObs, and fresh
-// consistent draws beyond. The corpus measurer is simulated (Generate
-// rejects live spaces) and every configuration here already measured
-// once, so a failure is a programmer error.
-func (d *Dataset) Observe(i, obsIdx int) float64 {
+// Observe returns observation obsIdx of configuration i, the same
+// value on every call. For a test configuration and obsIdx < NObs it
+// is one of the observations behind TestTargets. The training pool is
+// first measured here, so a measurer that fails on a pool
+// configuration reports it when a learner acquires it.
+func (d *Dataset) Observe(i, obsIdx int) (float64, error) {
 	y, err := d.meas.Observe(d.Configs[i], obsIdx)
 	if err != nil {
-		panic(fmt.Sprintf("dataset: regenerating observation (%d, %d): %v", i, obsIdx, err))
+		return 0, fmt.Errorf("dataset: observing config %d at ordinal %d: %w", i, obsIdx, err)
 	}
-	return y
+	return y, nil
+}
+
+// TrueMean returns the noise-free runtime of configuration i.
+func (d *Dataset) TrueMean(i int) (float64, error) {
+	mu, err := d.meas.TrueMean(d.Configs[i])
+	if err != nil {
+		return 0, fmt.Errorf("dataset: true mean of config %d: %w", i, err)
+	}
+	return mu, nil
+}
+
+// CompileCost returns the simulated compile time of configuration i.
+func (d *Dataset) CompileCost(i int) (float64, error) {
+	ct, err := d.meas.CompileCost(d.Configs[i])
+	if err != nil {
+		return 0, fmt.Errorf("dataset: compile cost of config %d: %w", i, err)
+	}
+	return ct, nil
+}
+
+// Stats summarises the first NObs observations of configuration i; its
+// Mean is the regression target the paper trains and tests on.
+func (d *Dataset) Stats(i int) (PointStats, error) {
+	var w stats.Welford
+	for j := 0; j < d.Opts.NObs; j++ {
+		y, err := d.Observe(i, j)
+		if err != nil {
+			return PointStats{}, err
+		}
+		w.Add(y)
+	}
+	return PointStats{Mean: w.Mean(), Variance: w.Variance()}, nil
 }
 
 // TrainFeatures returns the standardised features of the training
@@ -212,9 +237,9 @@ func (d *Dataset) TestFeatures() [][]float64 {
 // TestTargets returns the observed mean runtimes of the test set (the
 // ground truth of equation (1) in the paper).
 func (d *Dataset) TestTargets() []float64 {
-	out := make([]float64, len(d.TestIdx))
-	for i, idx := range d.TestIdx {
-		out[i] = d.Observed[idx].Mean
+	out := make([]float64, len(d.test))
+	for i, st := range d.test {
+		out[i] = st.Mean
 	}
 	return out
 }
@@ -229,13 +254,18 @@ func (d *Dataset) TestRMSE() func(model.Model) float64 {
 }
 
 // VarianceSummary returns the spread of per-configuration observation
-// variances across the corpus — the first column group of Table 2.
-func (d *Dataset) VarianceSummary() stats.Summary {
-	vs := make([]float64, len(d.Observed))
-	for i, o := range d.Observed {
-		vs[i] = o.Variance
+// variances across the corpus — the first column group of Table 2. It
+// profiles every configuration NObs times.
+func (d *Dataset) VarianceSummary() (stats.Summary, error) {
+	vs := make([]float64, len(d.Configs))
+	for i := range d.Configs {
+		st, err := d.Stats(i)
+		if err != nil {
+			return stats.Summary{}, err
+		}
+		vs[i] = st.Variance
 	}
-	return stats.Summarize(vs)
+	return stats.Summarize(vs), nil
 }
 
 // CIOverMeanSummary returns the spread of the 95% CI half-width over
@@ -250,7 +280,11 @@ func (d *Dataset) CIOverMeanSummary(nObs int, confidence float64) (stats.Summary
 	for i := range d.Configs {
 		var w stats.Welford
 		for j := 0; j < nObs; j++ {
-			w.Add(d.Observe(i, j))
+			y, err := d.Observe(i, j)
+			if err != nil {
+				return stats.Summary{}, err
+			}
+			w.Add(y)
 		}
 		ratios[i] = stats.CIOverMean(w.Mean(), w.Stddev(), w.N(), confidence)
 	}

@@ -73,8 +73,8 @@ func TestTrainCountExactSplit(t *testing.T) {
 func TestGenerateShapes(t *testing.T) {
 	d := gen(t, "mvt", smallOpts())
 	n := 300
-	if len(d.Configs) != n || len(d.Features) != n || len(d.TrueMean) != n ||
-		len(d.Observed) != n || len(d.CompileTime) != n {
+	if len(d.Configs) != n || len(d.Raw) != n || len(d.Features) != n ||
+		len(d.TestTargets()) != len(d.TestIdx) {
 		t.Fatal("dataset arrays have inconsistent lengths")
 	}
 	if len(d.TrainIdx)+len(d.TestIdx) != n {
@@ -122,29 +122,70 @@ func TestFeaturesStandardised(t *testing.T) {
 	}
 }
 
+// mustStats reads configuration i's statistics, failing the test on a
+// measurer error.
+func mustStats(t *testing.T, d *Dataset, i int) PointStats {
+	t.Helper()
+	st, err := d.Stats(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestObservedMeanTracksTrueMean(t *testing.T) {
 	d := gen(t, "mm", smallOpts()) // quiet kernel
 	for i := range d.Configs {
-		rel := math.Abs(d.Observed[i].Mean-d.TrueMean[i]) / d.TrueMean[i]
+		st := mustStats(t, d, i)
+		mu, err := d.TrueMean(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := math.Abs(st.Mean-mu) / mu
 		if rel > 0.25 {
-			t.Fatalf("config %d: observed mean %v vs true %v", i, d.Observed[i].Mean, d.TrueMean[i])
+			t.Fatalf("config %d: observed mean %v vs true %v", i, st.Mean, mu)
 		}
 	}
 }
 
 func TestObserveReproducesGeneration(t *testing.T) {
 	d := gen(t, "atax", smallOpts())
-	// Recomputing the observed mean from Observe must give the stored
-	// value exactly.
+	// Recomputing a test configuration's observed mean from Observe
+	// must give the stored target exactly.
+	targets := d.TestTargets()
+	for _, pos := range []int{0, 17, len(d.TestIdx) - 1} {
+		var w stats.Welford
+		for j := 0; j < d.Opts.NObs; j++ {
+			y, err := d.Observe(d.TestIdx[pos], j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Add(y)
+		}
+		if math.Abs(w.Mean()-targets[pos]) > 1e-12 {
+			t.Fatalf("test config %d: regenerated mean %v != stored %v", pos, w.Mean(), targets[pos])
+		}
+	}
+	// Pool statistics, computed on demand, are what a fresh measurer on
+	// the corpus seed observes.
+	meas, err := d.Space.Measurer(d.Opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range []int{0, 17, 299} {
 		var w stats.Welford
 		for j := 0; j < d.Opts.NObs; j++ {
-			w.Add(d.Observe(i, j))
+			y, err := meas.Observe(d.Configs[i], j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Add(y)
 		}
-		if math.Abs(w.Mean()-d.Observed[i].Mean) > 1e-12 {
-			t.Fatalf("config %d: regenerated mean %v != stored %v", i, w.Mean(), d.Observed[i].Mean)
+		st := mustStats(t, d, i)
+		if math.Abs(w.Mean()-st.Mean) > 1e-12 {
+			t.Fatalf("config %d: regenerated mean %v != on-demand %v", i, w.Mean(), st.Mean)
 		}
-		if math.Abs(w.Variance()-d.Observed[i].Variance) > 1e-12 {
+		if math.Abs(w.Variance()-st.Variance) > 1e-12 {
 			t.Fatalf("config %d: regenerated variance mismatch", i)
 		}
 	}
@@ -154,8 +195,14 @@ func TestGenerateDeterministic(t *testing.T) {
 	a := gen(t, "jacobi", smallOpts())
 	b := gen(t, "jacobi", smallOpts())
 	for i := range a.Configs {
-		if a.Observed[i] != b.Observed[i] {
+		if mustStats(t, a, i) != mustStats(t, b, i) {
 			t.Fatal("same seed produced different datasets")
+		}
+	}
+	at, bt := a.TestTargets(), b.TestTargets()
+	for i := range at {
+		if at[i] != bt[i] {
+			t.Fatal("same seed produced different test targets")
 		}
 	}
 	opts2 := smallOpts()
@@ -180,7 +227,7 @@ func TestTestAccessors(t *testing.T) {
 		t.Fatal("test accessors have wrong lengths")
 	}
 	for i, idx := range d.TestIdx {
-		if tt[i] != d.Observed[idx].Mean {
+		if tt[i] != mustStats(t, d, idx).Mean {
 			t.Fatal("TestTargets mismatch")
 		}
 	}
@@ -197,7 +244,10 @@ func TestTestAccessors(t *testing.T) {
 
 func TestVarianceSummary(t *testing.T) {
 	d := gen(t, "correlation", smallOpts())
-	s := d.VarianceSummary()
+	s, err := d.VarianceSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.N != 300 || s.Min < 0 || s.Max < s.Min || s.Mean <= 0 {
 		t.Fatalf("bad variance summary %+v", s)
 	}
@@ -227,9 +277,108 @@ func TestCIOverMeanSummary(t *testing.T) {
 }
 
 func TestNoisyKernelHasHigherVariance(t *testing.T) {
-	quiet := gen(t, "lu", smallOpts()).VarianceSummary()
-	loud := gen(t, "correlation", smallOpts()).VarianceSummary()
+	quiet, err := gen(t, "lu", smallOpts()).VarianceSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loud, err := gen(t, "correlation", smallOpts()).VarianceSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if loud.Mean <= quiet.Mean {
 		t.Fatalf("correlation variance %v not above lu %v", loud.Mean, quiet.Mean)
+	}
+}
+
+// countingSpace wraps a space so that its measurer counts the requests
+// Generate makes, per configuration.
+type countingSpace struct {
+	space.Space
+	m *countingMeasurer
+}
+
+func (s *countingSpace) Measurer(seed uint64) (space.Measurer, error) {
+	inner, err := s.Space.Measurer(seed)
+	if err != nil {
+		return nil, err
+	}
+	s.m = &countingMeasurer{Measurer: inner, sp: s.Space,
+		trueMean: map[uint64]int{}, compile: map[uint64]int{}}
+	return s.m, nil
+}
+
+type countingMeasurer struct {
+	space.Measurer
+	sp                space.Space
+	observe           int
+	trueMean, compile map[uint64]int
+}
+
+func (m *countingMeasurer) TrueMean(cfg space.Config) (float64, error) {
+	m.trueMean[m.sp.Key(cfg)]++
+	return m.Measurer.TrueMean(cfg)
+}
+
+func (m *countingMeasurer) CompileCost(cfg space.Config) (float64, error) {
+	m.compile[m.sp.Key(cfg)]++
+	return m.Measurer.CompileCost(cfg)
+}
+
+func (m *countingMeasurer) Observe(cfg space.Config, ord int) (float64, error) {
+	m.observe++
+	return m.Measurer.Observe(cfg, ord)
+}
+
+// TestGenerateProfilesOnlyTestSet: generation observes each test
+// configuration NObs times and asks nothing about the training pool,
+// which is measured on demand.
+func TestGenerateProfilesOnlyTestSet(t *testing.T) {
+	sp, err := space.ByName("gemver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &countingSpace{Space: sp}
+	d, err := Generate(cs, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(d.TestIdx) * d.Opts.NObs; cs.m.observe != want {
+		t.Fatalf("Generate made %d observations, want %d", cs.m.observe, want)
+	}
+	for _, idx := range d.TrainIdx {
+		key := sp.Key(d.Configs[idx])
+		if n := cs.m.trueMean[key] + cs.m.compile[key]; n != 0 {
+			t.Fatalf("pool config %d: %d true-mean/compile-cost requests during Generate", idx, n)
+		}
+	}
+	// The accessors reach the measurer on demand.
+	if _, err := d.CompileCost(d.TrainIdx[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := cs.m.compile[sp.Key(d.Configs[d.TrainIdx[0]])]; got != 1 {
+		t.Fatalf("CompileCost made %d measurer requests, want 1", got)
+	}
+}
+
+// BenchmarkGenerate builds one corpus per kernel at the CLI's default
+// shape: 3,600 configurations, a 3,000-configuration training pool and
+// 35 observations per test configuration.
+func BenchmarkGenerate(b *testing.B) {
+	var sps []space.Space
+	for _, name := range []string{"mm", "gemver", "dgemv3"} {
+		sp, err := space.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sps = append(sps, sp)
+	}
+	opts := Options{NConfigs: 3600, NObs: 35, TrainCount: 3000, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range sps {
+			if _, err := Generate(sp, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

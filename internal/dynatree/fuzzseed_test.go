@@ -1,0 +1,82 @@
+package dynatree
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+)
+
+var updateSeeds = flag.Bool("update-seeds", false,
+	"rewrite testdata/fuzz/FuzzForestRestore from the seed generators")
+
+// fuzzSeeds returns the payload each committed FuzzForestRestore seed
+// must hold, by file name: the hostile payloads, verbatim encodings of
+// the seed forests in the layout of earlier builds, and one canonical
+// Snapshot.
+func fuzzSeeds(tb testing.TB) map[string][]byte {
+	seeds := hostileSnapshots(tb)
+	seeds["valid-constant"] = verbatimSnapshot(seedForest(tb, ConstantLeaf))
+	seeds["valid-linear"] = verbatimSnapshot(seedForest(tb, LinearLeaf))
+	seeds["canonical-constant"] = seedForest(tb, ConstantLeaf).Snapshot()
+	return seeds
+}
+
+// TestFuzzForestRestoreSeeds: every committed seed equals what its
+// generator produces today, so the corpus pins the payloads the
+// rejection tests check. Run with -update-seeds to rewrite the corpus
+// after a change to forest updates or to the generators.
+func TestFuzzForestRestoreSeeds(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzForestRestore")
+	seeds := fuzzSeeds(t)
+	if *updateSeeds {
+		for name, payload := range seeds {
+			file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(seeds) {
+		t.Fatalf("%d committed seeds, %d generated", len(entries), len(seeds))
+	}
+	for _, e := range entries {
+		want, ok := seeds[e.Name()]
+		if !ok {
+			t.Errorf("seed %s has no generator", e.Name())
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := seedPayload(raw)
+		if err != nil {
+			t.Fatalf("seed %s: %v", e.Name(), err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %s differs from its generator (rerun with -update-seeds)", e.Name())
+		}
+	}
+}
+
+// seedPayload decodes a one-value []byte corpus file.
+func seedPayload(raw []byte) ([]byte, error) {
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	if len(lines) != 2 || string(lines[0]) != "go test fuzz v1" {
+		return nil, fmt.Errorf("not a one-value corpus file")
+	}
+	lit, ok := bytes.CutPrefix(lines[1], []byte("[]byte("))
+	if lit, ok = bytes.CutSuffix(lit, []byte(")")); !ok {
+		return nil, fmt.Errorf("value is not a []byte literal")
+	}
+	s, err := strconv.Unquote(string(lit))
+	return []byte(s), err
+}

@@ -397,7 +397,8 @@ func TestSnapshotRejectsHostilePayloads(t *testing.T) {
 // The seed corpus in testdata/fuzz holds valid constant- and
 // linear-leaf payloads in the verbatim layout of earlier builds, a
 // canonical constant-leaf Snapshot, and one payload of each kind
-// hostileSnapshots builds.
+// hostileSnapshots builds; TestFuzzForestRestoreSeeds keeps each equal
+// to its generator.
 func FuzzForestRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		g, err := Restore(payload)

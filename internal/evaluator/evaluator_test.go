@@ -227,18 +227,31 @@ func TestDatasetSourceAgainstDirectObserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fresh measurer on the corpus seed draws what the corpus does.
+	meas, err := k.Measurer(5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, item := range []int{0, 7, 39} {
-		idx := ds.TrainIdx[item]
+		cfg := ds.Configs[ds.TrainIdx[item]]
 		for ord := 0; ord < 3; ord++ {
 			s, err := src.Measure(item, ord)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := ds.Observe(idx, ord); s.Value != want {
+			want, err := meas.Observe(cfg, ord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Value != want {
 				t.Fatalf("item %d ord %d: %v, want dataset draw %v", item, ord, s.Value, want)
 			}
-			if ord == 0 && s.Compile != ds.CompileTime[idx] {
-				t.Fatalf("item %d: compile %v, want %v", item, s.Compile, ds.CompileTime[idx])
+			ct, err := meas.CompileCost(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ord == 0 && s.Compile != ct {
+				t.Fatalf("item %d: compile %v, want %v", item, s.Compile, ct)
 			}
 			if ord > 0 && s.Compile != 0 {
 				t.Fatalf("item %d ord %d: repeat observation carries compile %v", item, ord, s.Compile)

@@ -10,10 +10,10 @@ import (
 
 // DatasetSource measures a pre-generated §4.5 dataset's training
 // pool: item i is the i-th training configuration, and observation
-// (i, ord) regenerates the dataset's ord-th noise draw for it — a
-// pure function, safe for any concurrency. The compile cost rides on
-// each item's ordinal-zero sample, charged by the engine ledger once
-// per item.
+// (i, ord) is the dataset's ord-th noise draw for it, computed on
+// demand — a pure function, safe for any concurrency. The compile
+// cost rides on each item's ordinal-zero sample, charged by the engine
+// ledger once per item.
 type DatasetSource struct {
 	ds *dataset.Dataset
 }
@@ -32,9 +32,15 @@ func (s *DatasetSource) Measure(i, ord int) (Sample, error) {
 		return Sample{}, fmt.Errorf("evaluator: pool index %d outside training pool of %d", i, len(s.ds.TrainIdx))
 	}
 	idx := s.ds.TrainIdx[i]
-	out := Sample{Value: s.ds.Observe(idx, ord)}
+	y, err := s.ds.Observe(idx, ord)
+	if err != nil {
+		return Sample{}, err
+	}
+	out := Sample{Value: y}
 	if ord == 0 {
-		out.Compile = s.ds.CompileTime[idx]
+		if out.Compile, err = s.ds.CompileCost(idx); err != nil {
+			return Sample{}, err
+		}
 	}
 	return out, nil
 }

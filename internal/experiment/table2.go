@@ -52,9 +52,13 @@ func Table2(kernels []*spapt.Kernel, s Settings, progress func(string)) (*Table2
 		if err != nil {
 			return nil, err
 		}
+		vs, err := ds.VarianceSummary()
+		if err != nil {
+			return nil, err
+		}
 		res.Rows = append(res.Rows, Table2Row{
 			Benchmark: k.Name,
-			Variance:  ds.VarianceSummary(),
+			Variance:  vs,
 			CI35:      ci35,
 			CI5:       ci5,
 		})
@@ -73,7 +77,11 @@ func FailureRates(ds *dataset.Dataset, nObs int, threshold, confidence float64) 
 	for i := range ds.Configs {
 		var w stats.Welford
 		for j := 0; j < nObs; j++ {
-			w.Add(ds.Observe(i, j))
+			y, err := ds.Observe(i, j)
+			if err != nil {
+				return 0, err
+			}
+			w.Add(y)
 		}
 		if stats.CIOverMean(w.Mean(), w.Stddev(), w.N(), confidence) > threshold {
 			fails++

@@ -201,7 +201,10 @@ func (s *Sampler) Sample(mu float64, pos []float64, cfgKey uint64, obsIdx int) f
 	if mu <= 0 {
 		return mu
 	}
-	r := rng.NewStream(s.seed^cfgKey, uint64(obsIdx)+0x9e37)
+	// Both streams live on the stack: Sample runs once per
+	// observation.
+	var r, dr rng.Stream
+	r.Reset(s.seed^cfgKey, uint64(obsIdx)+0x9e37)
 	amp := 1 + s.model.HeteroAmp*s.Field(pos)
 
 	// Per-run layout offset and baseline jitter, both scaled by the
@@ -212,7 +215,7 @@ func (s *Sampler) Sample(mu float64, pos []float64, cfgKey uint64, obsIdx int) f
 	// drift stream so that sampling stays order-independent. The
 	// stationary process is unrolled from index 0.
 	if s.model.DriftRel > 0 && s.model.DriftRho > 0 {
-		dr := rng.NewStream(s.seed^cfgKey, 0xd21f7)
+		dr.Reset(s.seed^cfgKey, 0xd21f7)
 		sd := s.model.DriftRel * math.Sqrt(1-s.model.DriftRho*s.model.DriftRho)
 		drift := dr.Norm() * s.model.DriftRel
 		for i := 1; i <= obsIdx; i++ {

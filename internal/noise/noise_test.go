@@ -58,6 +58,23 @@ func TestSampleDeterministic(t *testing.T) {
 	}
 }
 
+// TestSampleZeroAllocs pins that an observation allocates nothing:
+// its noise and drift streams stay on the stack.
+func TestSampleZeroAllocs(t *testing.T) {
+	s, err := NewSampler(Loud(), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := []float64{0.2, 0.5, 0.9}
+	ord := 0
+	if n := testing.AllocsPerRun(200, func() {
+		s.Sample(1.0, pos, 42, ord)
+		ord++
+	}); n != 0 {
+		t.Fatalf("Sample allocates %v times per call, want 0", n)
+	}
+}
+
 func TestSampleOrderIndependent(t *testing.T) {
 	// Observation j must not depend on whether earlier observations
 	// were drawn.

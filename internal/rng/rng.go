@@ -44,15 +44,24 @@ func New(seed uint64) *Stream {
 // independent even for identical seeds.
 func NewStream(seed, stream uint64) *Stream {
 	s := &Stream{}
+	s.Reset(seed, stream)
+	return s
+}
+
+// Reset reseeds s in place to the start of NewStream(seed, stream),
+// spare normal cleared. A Stream declared as a local and Reset stays
+// off the heap, which per-call streams on hot paths rely on.
+func (s *Stream) Reset(seed, stream uint64) {
 	// The increment must be odd; fold the selector into both halves.
 	s.incHi = splitmix(stream)
 	s.incLo = splitmix(stream+0x9e3779b97f4a7c15) | 1
 	s.hi = 0
 	s.lo = 0
+	s.haveSpare = false
+	s.spare = 0
 	s.step()
 	s.addSeed(splitmix(seed), splitmix(seed^0xbf58476d1ce4e5b9))
 	s.step()
-	return s
 }
 
 // Split derives an independent child stream identified by name. Children

@@ -16,6 +16,23 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNewStream: a used stream, spare normal pending,
+// reseeded with Reset draws exactly what a fresh NewStream does.
+func TestResetMatchesNewStream(t *testing.T) {
+	s := NewStream(1, 2)
+	s.Norm() // leaves a spare normal cached
+	s.Reset(7, 9)
+	fresh := NewStream(7, 9)
+	for i := 0; i < 50; i++ {
+		if a, b := s.Norm(), fresh.Norm(); a != b {
+			t.Fatalf("draw %d: reset stream %v, fresh stream %v", i, a, b)
+		}
+	}
+	if s.State() != fresh.State() {
+		t.Fatal("reset stream state differs from a fresh stream's")
+	}
+}
+
 func TestSeedsDiffer(t *testing.T) {
 	a := New(1)
 	b := New(2)

@@ -487,7 +487,8 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 
 // dataset returns the corpus for a spec, shared across sessions with
 // the same space, seed, and shape (the dataset is immutable after
-// generation, so concurrent sessions read it freely).
+// generation and measures its pool through a concurrency-safe
+// measurer, so concurrent sessions read it freely).
 func (srv *Server) dataset(sp space.Space, spec SessionSpec) (*dataset.Dataset, error) {
 	testSize := spec.PoolSize / defaultTestFrac
 	if testSize < 8 {

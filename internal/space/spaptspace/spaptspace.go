@@ -98,53 +98,63 @@ func (s *Space) Measurer(seed uint64) (space.Measurer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &measurer{k: s.k, sampler: sampler, trueMean: make(map[uint64]float64)}, nil
+	return &measurer{k: s.k, sampler: sampler,
+		trueMean: make(map[uint64]float64), compile: make(map[uint64]float64)}, nil
 }
 
-// measurer draws noisy cost-model runtimes. TrueRuntime walks the loop
-// nests, so it is memoised per configuration; racing computers store
-// the same deterministic value.
+// measurer draws noisy cost-model runtimes. TrueRuntime and
+// CompileTime walk the loop nests, so both are memoised per
+// configuration: a corpus computes them when a learner first acquires
+// a configuration, and every later learner on the corpus reads them.
+// Racing computers store the same deterministic value.
 type measurer struct {
 	k       *spapt.Kernel
 	sampler *noise.Sampler
 
-	mu       sync.Mutex
-	trueMean map[uint64]float64
+	mu                sync.Mutex
+	trueMean, compile map[uint64]float64
 }
 
 // TrueMean implements space.Measurer.
 func (m *measurer) TrueMean(cfg space.Config) (float64, error) {
-	key := m.k.Key(cfg)
-	m.mu.Lock()
-	mu, ok := m.trueMean[key]
-	m.mu.Unlock()
-	if ok {
-		return mu, nil
-	}
-	mu, err := m.k.TrueRuntime(cfg)
-	if err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	m.trueMean[key] = mu
-	m.mu.Unlock()
-	return mu, nil
+	return m.memo(m.trueMean, m.k.Key(cfg), cfg, m.k.TrueRuntime)
 }
 
 // CompileCost implements space.Measurer.
 func (m *measurer) CompileCost(cfg space.Config) (float64, error) {
-	return m.k.CompileTime(cfg)
+	return m.memo(m.compile, m.k.Key(cfg), cfg, m.k.CompileTime)
+}
+
+// memo returns table's entry for key, computing it from cfg on a miss.
+func (m *measurer) memo(table map[uint64]float64, key uint64, cfg space.Config,
+	compute func(spapt.Config) (float64, error)) (float64, error) {
+	m.mu.Lock()
+	v, ok := table[key]
+	m.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := compute(cfg)
+	if err != nil {
+		return 0, err
+	}
+	m.mu.Lock()
+	table[key] = v
+	m.mu.Unlock()
+	return v, nil
 }
 
 // Observe implements space.Measurer: observation (cfg, ord) is a pure
-// function of its arguments.
+// function of its arguments. The configuration is hashed once, for
+// both the true-mean memo and the noise stream.
 func (m *measurer) Observe(cfg space.Config, ord int) (float64, error) {
 	if ord < 0 {
 		return 0, fmt.Errorf("spaptspace: negative observation index %d", ord)
 	}
-	mu, err := m.TrueMean(cfg)
+	key := m.k.Key(cfg)
+	mu, err := m.memo(m.trueMean, key, cfg, m.k.TrueRuntime)
 	if err != nil {
 		return 0, err
 	}
-	return m.sampler.Sample(mu, m.k.Features(cfg), m.k.Key(cfg), ord), nil
+	return m.sampler.Sample(mu, m.k.Features(cfg), key, ord), nil
 }

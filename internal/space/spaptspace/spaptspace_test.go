@@ -1,6 +1,8 @@
 package spaptspace
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"alic/internal/noise"
@@ -149,6 +151,53 @@ func TestMeasurerBitIdentical(t *testing.T) {
 	}
 	if _, err := meas.Observe(k.BaselineConfig(), -1); err == nil {
 		t.Fatal("negative ordinal accepted")
+	}
+}
+
+// TestMeasurerMemoConcurrent: goroutines sharing one measurer, as
+// learners sharing one corpus do, read memoised true means and compile
+// costs equal to the kernel's own, whoever computed them first.
+func TestMeasurerMemoConcurrent(t *testing.T) {
+	k, err := spapt.ByName("gemver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := Wrap(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meas, err := sp.Measurer(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(8)
+	cfgs := make([]space.Config, 20)
+	for i := range cfgs {
+		cfgs[i] = k.RandomConfig(r)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*len(cfgs))
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range cfgs {
+				cfg := cfgs[(g+j)%len(cfgs)]
+				mu, err := meas.TrueMean(cfg)
+				wantMu, _ := k.TrueRuntime(cfg)
+				ct, err2 := meas.CompileCost(cfg)
+				wantCt, _ := k.CompileTime(cfg)
+				if err != nil || err2 != nil || mu != wantMu || ct != wantCt {
+					errs <- fmt.Errorf("config %v: true mean %v (%v), compile %v (%v), want %v and %v",
+						cfg, mu, err, ct, err2, wantMu, wantCt)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

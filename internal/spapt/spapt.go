@@ -18,7 +18,6 @@ package spapt
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"alic/internal/costmodel"
@@ -90,6 +89,10 @@ type Kernel struct {
 	PaperSpaceSize float64
 
 	machine costmodel.Machine
+	// keyName and keyHash cache the FNV-1a state after hashing the
+	// name Key starts from; Key recomputes it when Name has changed.
+	keyName string
+	keyHash uint64
 }
 
 // Machine returns the machine model the kernel was calibrated for.
@@ -239,18 +242,36 @@ func (k *Kernel) Features(cfg Config) []float64 {
 }
 
 // Key returns a stable hash of the configuration, used to key noise
-// streams and deduplicate configurations.
+// streams and deduplicate configurations: 64-bit FNV-1a over the
+// kernel name, then each value as eight little-endian bytes.
 func (k *Kernel) Key(cfg Config) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k.Name))
-	var buf [8]byte
+	h := k.keyHash
+	if k.keyName != k.Name {
+		h = fnvName(k.Name)
+	}
 	for _, v := range cfg {
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(v) >> (8 * i))
+			h ^= uint64(v) >> (8 * i) & 0xff
+			h *= fnvPrime64
 		}
-		h.Write(buf[:])
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-1a, 64-bit (the constants of hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvName is the FNV-1a state after hashing name.
+func fnvName(name string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // RandomConfig samples a configuration uniformly from the space.
@@ -351,6 +372,7 @@ func Kernels() []*Kernel {
 	for _, k := range ks {
 		k.machine = costmodel.DefaultMachine()
 		k.calibrate()
+		k.keyName, k.keyHash = k.Name, fnvName(k.Name)
 	}
 	return ks
 }

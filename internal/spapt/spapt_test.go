@@ -1,6 +1,7 @@
 package spapt
 
 import (
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -274,6 +275,44 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	copy(cfg2, cfg)
 	if k.Key(cfg) == k2.Key(cfg2) {
 		t.Fatal("different kernels share keys for equal configs")
+	}
+}
+
+// fnvKey is Key's definition spelled with hash/fnv: FNV-1a over the
+// name, then each value as eight little-endian bytes.
+func fnvKey(name string, cfg Config) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	var buf [8]byte
+	for _, v := range cfg {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(uint64(v) >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestKeyMatchesFNV: Key, which starts from a state cached after the
+// kernel name, equals FNV-1a over name and configuration on random
+// configurations of every kernel, also after a rename or a retarget.
+func TestKeyMatchesFNV(t *testing.T) {
+	r := rng.New(11)
+	for _, k := range Kernels() {
+		other, err := k.WithMachine(costmodel.DefaultMachine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		renamed := *k
+		renamed.Name = k.Name + "-renamed"
+		for _, kk := range []*Kernel{k, other, &renamed} {
+			for i := 0; i < 50; i++ {
+				cfg := kk.RandomConfig(r)
+				if got, want := kk.Key(cfg), fnvKey(kk.Name, cfg); got != want {
+					t.Fatalf("%s %v: Key %#x, want FNV-1a %#x", kk.Name, cfg, got, want)
+				}
+			}
+		}
 	}
 }
 
