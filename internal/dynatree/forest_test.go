@@ -441,6 +441,7 @@ func BenchmarkForestUpdate(b *testing.B) {
 	cfg.Particles = 200
 	f, _ := New(cfg, 4, rng.New(1))
 	r := rng.New(2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}

@@ -300,11 +300,22 @@ func (a *nodes) mergeRange(id, l, r int32) {
 // and returns its id. The copy starts unshared; the caller is
 // responsible for marking children that gain a second referencing
 // tree, and for marking the copy itself when it links it into a
-// second tree (makeWritable's stay memo does both). The pts slice is
-// shared with capacity clamped to length, so an append by either side
-// reallocates instead of scribbling on the other's backing array; the
-// lin pointer is shared because every mutation path installs a freshly
-// built linSuff rather than writing through the old one.
+// second tree (makeWritable's stay memo does both). The lin pointer is
+// shared because every mutation path installs a freshly built linSuff
+// rather than writing through the old one.
+//
+// The pts slice is shared with its full capacity, so a stay commit's
+// append onto the copy fills the spare capacity in place instead of
+// reallocating the whole list. That is sound because the original is
+// never appended to again. Commits copy only nodes on the new point x's
+// path, and node regions are invariants of the id, so every tree that
+// holds such a node routes x through it and commits a move there in
+// the same observation. Each of those trees drops the original: a stay
+// links the one copy the stay memo makes per original, a grow copy
+// drops its list, and a prune builds a new one. After the observation
+// the original is unreachable, and only the stay copy ever writes past
+// the original's length. Restore gives every node its own list, so no
+// two live nodes share a backing array (TestCopyOnWriteSoundness).
 func (a *nodes) copyNode(src int32) int32 {
 	// Direct appends rather than newLeaf + field overwrites: the copy
 	// path is the hottest arena producer (every COW path copy), and
@@ -316,7 +327,7 @@ func (a *nodes) copyNode(src int32) int32 {
 	a.left = append(a.left, a.left[src])
 	a.right = append(a.right, a.right[src])
 	a.shared = append(a.shared, false)
-	a.pts = append(a.pts, a.pts[src][:len(a.pts[src]):len(a.pts[src])])
+	a.pts = append(a.pts, a.pts[src])
 	a.s = append(a.s, a.s[src])
 	a.lin = append(a.lin, a.lin[src])
 	a.rlo = append(a.rlo, a.rlo[int(src)*a.featDim:(int(src)+1)*a.featDim]...)
@@ -348,24 +359,42 @@ func (c *childScratch) reset() {
 func partitionLeaf(leafPts []int, extra int, points []point, dim int, cut float64, l, r *childScratch) {
 	l.reset()
 	r.reset()
+	l.s, r.s = splitSuff(leafPts, extra, points, dim, cut)
 	for _, idx := range leafPts {
 		if points[idx].x[dim] < cut {
 			l.pts = append(l.pts, idx)
-			l.s.add(points[idx].y)
 		} else {
 			r.pts = append(r.pts, idx)
-			r.s.add(points[idx].y)
 		}
 	}
 	if extra >= 0 {
 		if points[extra].x[dim] < cut {
 			l.pts = append(l.pts, extra)
-			l.s.add(points[extra].y)
 		} else {
 			r.pts = append(r.pts, extra)
-			r.s.add(points[extra].y)
 		}
 	}
+}
+
+// splitSuff returns the sufficient statistics of the two children
+// partitionLeaf builds, without building their point lists: constant
+// leaves weigh a grow proposal by these alone.
+func splitSuff(leafPts []int, extra int, points []point, dim int, cut float64) (l, r suff) {
+	for _, idx := range leafPts {
+		if points[idx].x[dim] < cut {
+			l.add(points[idx].y)
+		} else {
+			r.add(points[idx].y)
+		}
+	}
+	if extra >= 0 {
+		if points[extra].x[dim] < cut {
+			l.add(points[extra].y)
+		} else {
+			r.add(points[extra].y)
+		}
+	}
+	return l, r
 }
 
 // proposeSplit samples a grow proposal for the leaf: a dimension chosen

@@ -74,12 +74,28 @@ func TestCopyNodeIsolatesWrites(t *testing.T) {
 	if len(a.pts[cp]) != 3 || a.s[cp].n != 3 {
 		t.Fatalf("copy lost its own write: pts=%v s=%+v", a.pts[cp], a.s[cp])
 	}
-	// Both sides appending into the shared backing array must not
-	// overwrite each other (the capacity-clamped slice forces a
-	// reallocation on the first append of either side).
-	a.pts[id] = append(a.pts[id], 7)
-	if a.pts[cp][2] != 99 {
-		t.Fatalf("original's append scribbled on the copy: %v", a.pts[cp])
+}
+
+// TestStayAppendOnCopyAllocatesNothing pins the in-place stay commit: a
+// copy keeps its original's spare capacity, so appending the new point
+// to it (propCommit's stay append) reuses the shared backing array
+// instead of reallocating the list, and the original still sees only
+// its own points.
+func TestStayAppendOnCopyAllocatesNothing(t *testing.T) {
+	var a nodes
+	id := a.newLeaf(1)
+	a.pts[id] = append(make([]int, 0, 8), 0, 1)
+	cp := a.copyNode(id)
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.pts[cp] = append(a.pts[cp][:2], 99)
+	}); allocs != 0 {
+		t.Fatalf("stay append on a copy with spare capacity allocates %v times", allocs)
+	}
+	if &a.pts[cp][0] != &a.pts[id][0] {
+		t.Fatal("stay append on a copy with spare capacity reallocated the list")
+	}
+	if len(a.pts[id]) != 2 || a.pts[cp][2] != 99 {
+		t.Fatalf("original %v, copy %v after the copy's append", a.pts[id], a.pts[cp])
 	}
 }
 

@@ -325,3 +325,47 @@ func TestALCScratchGrowsGeometrically(t *testing.T) {
 		t.Fatalf("ALCScores allocates %v times per round over a growing candidate set, %v at a fixed one", growing, steady)
 	}
 }
+
+// TestALCScoresRoutesEachRootOnce pins the shared-root descent of
+// ALCScores: scoring slots that hold the same tree descend once, and
+// every row of the leaf matrices still equals leafOf for its own slot,
+// with candidates shared with the references and separate from them.
+func TestALCScoresRoutesEachRootOnce(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Particles = 40
+	cfg.ScoreParticles = 20
+	f, err := New(cfg, 2, rng.New(71))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := poolRows(50, 2, 72)
+	r := rng.New(74)
+	for i := 0; i < 80; i++ {
+		x := refs[r.Intn(len(refs))]
+		f.Update(x, x[0]-x[1]+r.NormMS(0, 0.1))
+	}
+	for _, cands := range [][][]float64{refs, poolRows(30, 2, 73)} {
+		f.ALCScores(cands, refs)
+		K := len(f.scoreSlots)
+		if len(f.sc.routeUniq) == K {
+			t.Fatal("no two scoring slots share a root; the repeat path is not exercised")
+		}
+		candLeaf := f.sc.refLeaf
+		if !sameSlice(cands, refs) {
+			candLeaf = f.sc.candLeaf
+		}
+		for k, slot := range f.scoreSlots {
+			root := f.roots[slot]
+			for j, x := range refs {
+				if got, want := f.sc.refLeaf[k*len(refs)+j], f.leafOf(root, x); got != want {
+					t.Fatalf("slot %d ref %d: leaf %d, want %d", k, j, got, want)
+				}
+			}
+			for i, x := range cands {
+				if got, want := candLeaf[k*len(cands)+i], f.leafOf(root, x); got != want {
+					t.Fatalf("slot %d cand %d: leaf %d, want %d", k, i, got, want)
+				}
+			}
+		}
+	}
+}

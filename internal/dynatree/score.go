@@ -31,10 +31,17 @@ type scoreScratch struct {
 	descent []int32
 	shard   atomic.Int32
 
+	// routeSrc[k] is the first scoring slot holding slot k's root, and
+	// routeUniq lists those first slots: the ones ALCScores descends.
+	routeSrc  []int32
+	routeUniq []int32
+
 	// Dense per-leaf tables, valid when mark == gen: the claimed
 	// reference count of the constant-model closed form, the memoised
 	// current predictive variance, and the memoised expected variance
-	// reduction per hypothetical observation.
+	// reduction per hypothetical observation. ALCScores first spends a
+	// generation of cmark/cowner on roots, to find each root's first
+	// scoring slot.
 	gen     uint32
 	cmark   []uint32
 	cowner  []int32
@@ -258,14 +265,32 @@ func (f *Forest) ALCScores(cands, refs [][]float64) []float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, K)
-	descent := matrix(&f.sc.descent, workers, 2*n)
-	f.sc.shard.Store(0)
-	parallelFor(workers, K, func(start, end int) {
-		s := int(f.sc.shard.Add(1)) - 1
+	// Scoring slots that hold the same tree route every row to the same
+	// leaves, so only the first slot of each distinct root descends;
+	// the repeats copy its rows afterwards. The matrices, and so every
+	// accumulation over them, are the same as with one descent per slot.
+	sc := &f.sc
+	sc.next(f.ar.len())
+	src := matrix(&sc.routeSrc, 1, K)
+	uniq := sc.routeUniq[:0]
+	for k := range src {
+		root := f.roots[f.scoreSlots[k]]
+		if sc.cmark[root] != sc.gen {
+			sc.cmark[root], sc.cowner[root] = sc.gen, int32(k)
+			uniq = append(uniq, int32(k))
+		}
+		src[k] = sc.cowner[root]
+	}
+	sc.routeUniq = uniq
+	workers = min(workers, len(uniq))
+	descent := matrix(&sc.descent, workers, 2*n)
+	sc.shard.Store(0)
+	parallelFor(workers, len(uniq), func(start, end int) {
+		s := int(sc.shard.Add(1)) - 1
 		idx := descent[2*s*n : (2*s+1)*n]
 		tmp := descent[(2*s+1)*n : (2*s+2)*n]
-		for k := start; k < end; k++ {
+		for _, k32 := range uniq[start:end] {
+			k := int(k32)
 			root := f.roots[f.scoreSlots[k]]
 			for j := range refs {
 				idx[j] = int32(j)
@@ -280,6 +305,15 @@ func (f *Forest) ALCScores(cands, refs [][]float64) []float64 {
 			f.leafOfBatch(root, cands, idx[:len(cands)], tmp, candLeaf[k*len(cands):(k+1)*len(cands)])
 		}
 	})
+	for k, j := range src {
+		if int(j) == k {
+			continue
+		}
+		copy(refLeaf[k*len(refs):(k+1)*len(refs)], refLeaf[int(j)*len(refs):(int(j)+1)*len(refs)])
+		if !same {
+			copy(candLeaf[k*len(cands):(k+1)*len(cands)], candLeaf[int(j)*len(cands):(int(j)+1)*len(cands)])
+		}
+	}
 	return f.alcFromMatrices(candLeaf, refLeaf, cands, refs, K)
 }
 

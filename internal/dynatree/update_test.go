@@ -3,7 +3,9 @@ package dynatree
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"alic/internal/rng"
 )
@@ -197,12 +199,16 @@ func TestLeafOfBatchMatchesLeafOf(t *testing.T) {
 	}
 }
 
-// TestCopyOnWriteSoundness pins the invariant every in-place write
-// relies on: after every update, a node referenced more than once
+// TestCopyOnWriteSoundness pins the invariants every in-place write
+// relies on, after every update. A node referenced more than once
 // (root references and child links, dead nodes' links included) is
-// marked shared. Stay commits that link a memoised copy into a second
-// tree must flag it; so must resample and every path clone. Both leaf
-// models, at one and four workers.
+// marked shared: stay commits that link a memoised copy into a second
+// tree must flag it, and so must resample and every path clone. And no
+// two distinct live nodes share a point-list backing array: copies
+// keep their original's spare capacity, so a stay appends in place,
+// which is sound only while the original is gone by the end of the
+// observation (see copyNode). Both leaf models, at one and four
+// workers.
 func TestCopyOnWriteSoundness(t *testing.T) {
 	for _, model := range []LeafModel{ConstantLeaf, LinearLeaf} {
 		for _, workers := range []int{1, 4} {
@@ -222,10 +228,45 @@ func TestCopyOnWriteSoundness(t *testing.T) {
 					if id := f.ar.unsharedAlias(f.roots); id >= 0 {
 						t.Fatalf("update %d: node %d is referenced more than once but not marked shared", i, id)
 					}
+					if a, b := sharedPointList(f); a >= 0 {
+						t.Fatalf("update %d: live nodes %d and %d share a point-list backing array", i, a, b)
+					}
 				}
 			})
 		}
 	}
+}
+
+// sharedPointList returns two distinct live nodes whose point lists
+// overlap in memory, capacity included, or (-1, -1) when there are
+// none.
+func sharedPointList(f *Forest) (a, b int32) {
+	var lo liveOrder
+	lo.number(&f.ar, f.roots)
+	type span struct {
+		lo, hi uintptr
+		id     int32
+	}
+	var spans []span
+	for _, id := range lo.order {
+		p := f.ar.pts[id]
+		if cap(p) == 0 {
+			continue
+		}
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+		spans = append(spans, span{start, start + uintptr(cap(p))*unsafe.Sizeof(p[0]), id})
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	reach := 0 // the span reaching furthest so far
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[reach].hi {
+			return spans[reach].id, spans[i].id
+		}
+		if spans[i].hi > spans[reach].hi {
+			reach = i
+		}
+	}
+	return -1, -1
 }
 
 // TestStayCommitsOncePerSourceNode pins the stay-commit memo: with
@@ -251,7 +292,8 @@ func TestStayCommitsOncePerSourceNode(t *testing.T) {
 			}
 			f.Update(obs())
 			// The arena stays far below the compaction trigger
-			// (1024 + 8*64 nodes), so every appended node is visible.
+			// (1024 + 2*64 nodes: at most 64 + 11*64 = 768 nodes after
+			// the last update), so every appended node is visible.
 			for round := 0; round < 10; round++ {
 				// Identical single-leaf particles weigh the same, so skew
 				// the weights by hand: the resample keeps the heavy

@@ -144,13 +144,21 @@ func CheckConfig(params []Param, cfg Config) error {
 // (v-1)/(Max-1), so every axis spans [0, 1]. Single-valued dimensions
 // encode as 0.
 func UniformFeatures(params []Param, cfg Config) []float64 {
-	out := make([]float64, len(cfg))
+	return AppendUniformFeatures(make([]float64, 0, len(cfg)), params, cfg)
+}
+
+// AppendUniformFeatures appends cfg's UniformFeatures encoding to dst
+// and returns the extended slice, so a caller that encodes once per
+// observation can use a buffer it owns.
+func AppendUniformFeatures(dst []float64, params []Param, cfg Config) []float64 {
 	for i, v := range cfg {
+		x := 0.0
 		if params[i].Max > 1 {
-			out[i] = float64(v-1) / float64(params[i].Max-1)
+			x = float64(v-1) / float64(params[i].Max-1)
 		}
+		dst = append(dst, x)
 	}
-	return out
+	return dst
 }
 
 // UniformRandom samples one value in [1, Max] per parameter — the

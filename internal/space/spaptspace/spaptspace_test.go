@@ -206,3 +206,35 @@ func TestWrapNil(t *testing.T) {
 		t.Fatal("nil kernel wrapped")
 	}
 }
+
+// TestObserveAllocatesNothing pins the per-observation cost: once a
+// configuration's true mean is memoised, hashing it, encoding its
+// features into the stack buffer and sampling the noise allocate
+// nothing, for every kernel of the suite.
+func TestObserveAllocatesNothing(t *testing.T) {
+	for _, name := range spapt.Names() {
+		k, err := spapt.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := Wrap(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sp.Measurer(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := k.RandomConfig(rng.New(3))
+		if _, err := m.Observe(cfg, 0); err != nil { // memoises the true mean
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := m.Observe(cfg, 4); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s (d=%d): Observe allocates %v times per call", k.Name, k.Dim(), allocs)
+		}
+	}
+}

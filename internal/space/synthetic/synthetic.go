@@ -50,15 +50,20 @@ func params() []space.Param {
 	}
 }
 
-// well returns a Gaussian well of the given depth and radius centred
-// at c, evaluated at pos.
-func well(pos, c []float64, depth, radius float64) float64 {
+// well is a Gaussian well of the given depth and radius centred at c.
+type well struct {
+	c             []float64
+	depth, radius float64
+}
+
+// at evaluates the well at pos.
+func (w well) at(pos []float64) float64 {
 	d2 := 0.0
-	for i := range c {
-		dx := pos[i] - c[i]
+	for i := range w.c {
+		dx := pos[i] - w.c[i]
 		d2 += dx * dx
 	}
-	return -depth * math.Exp(-d2/(radius*radius))
+	return -w.depth * math.Exp(-d2/(w.radius*w.radius))
 }
 
 // texture is a mild smooth variation that keeps the landscape from
@@ -74,42 +79,36 @@ func texture(pos []float64) float64 {
 
 // Needle returns the needle-in-a-haystack space.
 func Needle() space.Space {
-	c := []float64{0.7, 0.3, 0.9, 0.2}
 	return &analytic{
-		name: "synthetic/needle",
-		doc:  "flat landscape with one narrow deep well (needle-in-a-haystack)",
-		mu: func(pos []float64) float64 {
-			return 1.0 + texture(pos) + well(pos, c, 0.85, 0.12)
-		},
-		nm: noise.Quiet(),
+		name:     "synthetic/needle",
+		doc:      "flat landscape with one narrow deep well (needle-in-a-haystack)",
+		textured: true,
+		wells:    []well{{c: []float64{0.7, 0.3, 0.9, 0.2}, depth: 0.85, radius: 0.12}},
+		nm:       noise.Quiet(),
 	}
 }
 
 // NeedleShifted returns the needle space with the well displaced — a
 // related twin of Needle.
 func NeedleShifted() space.Space {
-	c := []float64{0.78, 0.38, 0.82, 0.28}
 	return &analytic{
-		name: "synthetic/needle-shifted",
-		doc:  "the needle landscape with the well displaced",
-		mu: func(pos []float64) float64 {
-			return 1.0 + texture(pos) + well(pos, c, 0.85, 0.12)
-		},
-		nm: noise.Quiet(),
+		name:     "synthetic/needle-shifted",
+		doc:      "the needle landscape with the well displaced",
+		textured: true,
+		wells:    []well{{c: []float64{0.78, 0.38, 0.82, 0.28}, depth: 0.85, radius: 0.12}},
+		nm:       noise.Quiet(),
 	}
 }
 
 // Plateau returns the deceptive-plateau space.
 func Plateau() space.Space {
-	basin := []float64{0.25, 0.25, 0.25, 0.25}
-	hole := []float64{0.85, 0.85, 0.85, 0.85}
 	return &analytic{
-		name: "synthetic/plateau",
-		doc:  "broad attractive basin hiding the true optimum in a small deep hole",
-		mu: func(pos []float64) float64 {
-			return 1.0 + texture(pos) +
-				well(pos, basin, 0.4, 0.45) +
-				well(pos, hole, 0.75, 0.1)
+		name:     "synthetic/plateau",
+		doc:      "broad attractive basin hiding the true optimum in a small deep hole",
+		textured: true,
+		wells: []well{
+			{c: []float64{0.25, 0.25, 0.25, 0.25}, depth: 0.4, radius: 0.45}, // basin
+			{c: []float64{0.85, 0.85, 0.85, 0.85}, depth: 0.75, radius: 0.1}, // hole
 		},
 		nm: noise.Moderate(),
 	}
@@ -120,20 +119,38 @@ func Flat() space.Space {
 	return &analytic{
 		name: "synthetic/flat",
 		doc:  "constant runtime under loud heteroskedastic noise (nothing to learn)",
-		mu: func(pos []float64) float64 {
-			return 1.0
-		},
-		nm: noise.Loud(),
+		nm:   noise.Loud(),
 	}
 }
 
 // analytic is a search space whose true runtime is a closed-form
-// function of the raw feature vector.
+// function of the raw feature vector: 1, plus the texture when
+// textured, plus each well in order.
 type analytic struct {
-	name string
-	doc  string
-	mu   func(pos []float64) float64
-	nm   noise.Model
+	name     string
+	doc      string
+	textured bool
+	wells    []well
+	nm       noise.Model
+}
+
+// mu evaluates the true runtime at pos. A method rather than a
+// function value, so pos does not escape and callers can pass a stack
+// buffer.
+func (s *analytic) mu(pos []float64) float64 {
+	v := 1.0
+	if s.textured {
+		v += texture(pos)
+	}
+	for _, w := range s.wells {
+		v += w.at(pos)
+	}
+	return v
+}
+
+// features encodes cfg into dst's spare capacity.
+func features(dst []float64, cfg space.Config) []float64 {
+	return space.AppendUniformFeatures(dst, params(), cfg)
 }
 
 // Name implements space.Space.
@@ -164,7 +181,7 @@ func (s *analytic) Check(cfg space.Config) error { return space.CheckConfig(para
 
 // Features implements space.Space with the uniform [0,1] encoding.
 func (s *analytic) Features(cfg space.Config) []float64 {
-	return space.UniformFeatures(params(), cfg)
+	return features(make([]float64, 0, len(cfg)), cfg)
 }
 
 // Key implements space.Space.
@@ -185,7 +202,8 @@ func (s *analytic) Noise() noise.Model { return s.nm }
 // can compare learner behaviour against the known ground truth
 // without opening a measurer.
 func (s *analytic) TrueMean(cfg space.Config) float64 {
-	return s.mu(s.Features(cfg))
+	var buf [4]float64
+	return s.mu(features(buf[:0], cfg))
 }
 
 // Measurer implements space.Space: observations sample the space's
@@ -212,7 +230,8 @@ func (m *measurer) TrueMean(cfg space.Config) (float64, error) {
 // varies mildly across the space, so the §4.3 ledger sees non-uniform
 // compile charges like it does on SPAPT.
 func (m *measurer) CompileCost(cfg space.Config) (float64, error) {
-	pos := m.s.Features(cfg)
+	var buf [4]float64
+	pos := features(buf[:0], cfg)
 	s := 0.0
 	for _, x := range pos {
 		s += x
@@ -220,11 +239,14 @@ func (m *measurer) CompileCost(cfg space.Config) (float64, error) {
 	return 0.08 + 0.04*s/float64(len(pos)), nil
 }
 
-// Observe implements space.Measurer.
+// Observe implements space.Measurer. The features are encoded into a
+// stack buffer, so an observation allocates nothing
+// (TestObserveAllocatesNothing).
 func (m *measurer) Observe(cfg space.Config, ord int) (float64, error) {
 	if ord < 0 {
 		return 0, fmt.Errorf("synthetic: negative observation index %d", ord)
 	}
-	pos := m.s.Features(cfg)
+	var buf [4]float64
+	pos := features(buf[:0], cfg)
 	return m.sampler.Sample(m.s.mu(pos), pos, m.s.Key(cfg), ord), nil
 }

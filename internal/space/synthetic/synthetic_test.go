@@ -188,3 +188,23 @@ func TestRegisteredAndValid(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveAllocatesNothing pins the per-observation cost: encoding
+// the features, evaluating the surface, hashing the configuration and
+// sampling the noise allocate nothing.
+func TestObserveAllocatesNothing(t *testing.T) {
+	for _, sp := range []space.Space{Needle(), Plateau(), Flat()} {
+		m, err := sp.Measurer(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := space.Config{3, 7, 2, 9}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := m.Observe(cfg, 4); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: Observe allocates %v times per call", sp.Name(), allocs)
+		}
+	}
+}

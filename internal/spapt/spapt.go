@@ -234,11 +234,17 @@ func (k *Kernel) CompileTime(cfg Config) (float64, error) {
 // dimension scaled to [0, 1] — the raw encoding that internal/dataset
 // standardises (scaling and centring, §4.5 of the paper).
 func (k *Kernel) Features(cfg Config) []float64 {
-	out := make([]float64, len(cfg))
+	return k.AppendFeatures(make([]float64, 0, len(cfg)), cfg)
+}
+
+// AppendFeatures appends cfg's Features encoding to dst and returns
+// the extended slice, so a caller that encodes once per observation can
+// use a buffer it owns.
+func (k *Kernel) AppendFeatures(dst []float64, cfg Config) []float64 {
 	for i, v := range cfg {
-		out[i] = float64(v-1) / float64(k.Params[i].Max-1)
+		dst = append(dst, float64(v-1)/float64(k.Params[i].Max-1))
 	}
-	return out
+	return dst
 }
 
 // Key returns a stable hash of the configuration, used to key noise
