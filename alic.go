@@ -33,10 +33,9 @@
 // registry and swappable without touching the loop:
 //
 //   - Model (the regression backend): "dynatree" — the paper's
-//     particle-filtered dynamic trees — or "gp", an exact Gaussian
-//     process kept loop-usable by subset-of-data training and periodic
-//     refits. Set LearnerOptions.Model to a builder from ModelByName,
-//     or implement ModelBuilder and RegisterModel.
+//     particle-filtered dynamic trees — is the one built-in backend and
+//     the default. Set LearnerOptions.Model to a builder from
+//     ModelByName, or implement ModelBuilder and RegisterModel.
 //   - Acquisition (the §3.3 heuristic): ALC, ALM, RandomScore, or a
 //     custom implementation via RegisterAcquisition.
 //   - SamplingPlan (the §4.3 observation schedule): VariablePlan,
@@ -88,7 +87,6 @@
 //   - internal/core      — Algorithm 1 (active learning + sequential analysis)
 //   - internal/model     — the backend registry (Model interface)
 //   - internal/dynatree  — particle-filtered dynamic-tree regression
-//   - internal/gp        — the exact-GP backend (§3.2's O(n^3) alternative)
 //   - internal/spapt     — the 11 SPAPT kernels with Table 1 search spaces
 //   - internal/loopnest, internal/costmodel — the compilation substrate
 //   - internal/noise, internal/measure — the simulated profiling environment
@@ -297,7 +295,7 @@ const (
 )
 
 // RegisterModel makes a backend selectable by name through
-// ModelByName and the -model flag of cmd/alic.
+// ModelByName.
 func RegisterModel(b ModelBuilder) { model.Register(b) }
 
 // ModelByName returns a registered backend builder.

@@ -1,10 +1,14 @@
 package alic
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+
+	"alic/internal/model"
 )
 
 func quickLearnOptions() LearnOptions {
@@ -80,8 +84,11 @@ func TestLearnValidation(t *testing.T) {
 	if _, err := bad2.DatasetOptions(); !errors.Is(err, ErrBadTestSize) {
 		t.Fatalf("DatasetOptions zero test size error = %v, want ErrBadTestSize", err)
 	}
-	if _, err := ModelByName("no-such-backend"); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("bogus backend error = %v, want ErrUnknownModel", err)
+	// "gp" named the exact-GP backend of earlier builds.
+	for _, name := range []string{"no-such-backend", "gp"} {
+		if _, err := ModelByName(name); !errors.Is(err, ErrUnknownModel) {
+			t.Fatalf("backend %q error = %v, want ErrUnknownModel", name, err)
+		}
 	}
 	if _, err := NewLearner(nil, quickLearnOptions().Learner); !errors.Is(err, ErrNilDataset) {
 		t.Fatalf("nil dataset error = %v, want ErrNilDataset", err)
@@ -146,10 +153,34 @@ func TestNilSpaceRejected(t *testing.T) {
 	}
 }
 
+// plainModel exposes only the Model interface of the backend it
+// wraps, none of the optional extensions (RoundUpdater, PoolBinder,
+// Snapshotter, Importancer): the shape of a minimal custom backend.
+type plainModel struct{ Model }
+
+// plainBuilder registers dynatree, configured by tree, behind
+// plainModel, so the learner takes every fallback a custom backend
+// gets.
+type plainBuilder struct{ tree ModelConfig }
+
+func (plainBuilder) Name() string { return "dynatree-plain" }
+
+func (b plainBuilder) New(p ModelParams) (Model, error) {
+	m, err := model.DynatreeBuilder{Config: b.tree}.New(p)
+	if err != nil {
+		return nil, err
+	}
+	return plainModel{m}, nil
+}
+
 // TestCrossBackendSmoke runs the same learning problem through every
-// registered backend and checks the invariants any healthy run obeys:
-// a finite final RMSE and a strictly cost-increasing learning curve.
+// registered backend, plus a RegisterModel backend with no optional
+// extensions, and checks the invariants any healthy run obeys: a
+// finite final RMSE and a strictly cost-increasing learning curve.
+// Snapshotting a learner on the extension-less backend must fail with
+// an error, not panic.
 func TestCrossBackendSmoke(t *testing.T) {
+	RegisterModel(plainBuilder{tree: quickLearnOptions().Learner.Tree})
 	sp := mustSpace(t, "mvt")
 	for _, backend := range ModelNames() {
 		t.Run(backend, func(t *testing.T) {
@@ -183,6 +214,31 @@ func TestCrossBackendSmoke(t *testing.T) {
 			}
 		})
 	}
+	t.Run("snapshot-unsupported", func(t *testing.T) {
+		lo := quickLearnOptions()
+		dopts, err := lo.DatasetOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := GenerateSpaceDataset(sp, dopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo.Learner.Model = plainBuilder{tree: lo.Learner.Tree}
+		lo.Learner.NMax = 10
+		l, err := NewLearner(ds, lo.Learner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if _, err := l.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := l.Snapshot(&buf); err == nil || !strings.Contains(err.Error(), "does not support snapshots") {
+			t.Fatalf("snapshot of an extension-less backend: err = %v", err)
+		}
+	})
 }
 
 // exploitAcq is a facade-level custom acquisition: pure exploitation

@@ -17,7 +17,6 @@ import (
 	"alic/internal/dynatree"
 	"alic/internal/evaluator"
 	"alic/internal/experiment"
-	"alic/internal/gp"
 	"alic/internal/rng"
 	"alic/internal/spapt"
 	"alic/internal/tuner"
@@ -245,56 +244,6 @@ func BenchmarkAblationBatch(b *testing.B) {
 				rmse = learnOnce(b, func(o *LearnOptions) { o.Learner.Batch = width })
 			}
 			b.ReportMetric(rmse, "rmse")
-		})
-	}
-}
-
-// BenchmarkAblationGP pits the dynamic tree's incremental update
-// against refitting an exact GP from scratch, at growing training-set
-// sizes — the O(n^3) motivation of §3.2.
-func BenchmarkAblationGP(b *testing.B) {
-	makeData := func(n int) ([][]float64, []float64) {
-		r := rng.New(5)
-		xs := make([][]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
-			ys[i] = xs[i][0] + 2*xs[i][1]*xs[i][2] + r.NormMS(0, 0.05)
-		}
-		return xs, ys
-	}
-	for _, n := range []int{100, 300, 600} {
-		xs, ys := makeData(n)
-		b.Run(fmt.Sprintf("gp-refit/n=%d", n), func(b *testing.B) {
-			g, err := gp.New(gp.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				// A GP active learner must refit after each new point;
-				// one refit at size n is the marginal cost.
-				if err := g.Fit(xs, ys); err != nil {
-					b.Fatal(err)
-				}
-				g.Predict(xs[0])
-			}
-		})
-		b.Run(fmt.Sprintf("dynatree-update/n=%d", n), func(b *testing.B) {
-			cfg := dynatree.DefaultConfig()
-			cfg.Particles = 120
-			cfg.ScoreParticles = 30
-			f, err := dynatree.New(cfg, 3, rng.New(6))
-			if err != nil {
-				b.Fatal(err)
-			}
-			f.UpdateRound(xs, ys, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// The dynamic tree's marginal cost: one incremental
-				// update at size n.
-				f.Update(xs[i%len(xs)], ys[i%len(ys)])
-				f.PredictMeanFast(xs[0])
-			}
 		})
 	}
 }

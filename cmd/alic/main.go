@@ -1,8 +1,8 @@
 // Command alic tunes a search space end-to-end: it learns a runtime
-// model with the chosen backend and sampling plan (the paper's
-// dynamic-tree model and variable-observation plan by default), then
-// runs model-driven configuration search (§4.1) and reports the best
-// configuration found together with its speedup over the baseline.
+// model, the paper's dynamic trees, with the chosen sampling plan (the
+// variable-observation plan by default), then runs model-driven
+// configuration search (§4.1) and reports the best configuration found
+// together with its speedup over the baseline.
 //
 // The SPAPT kernels of the paper are the default spaces; -space selects
 // any registered space (synthetic robustness spaces, the exec-backed
@@ -13,7 +13,7 @@
 //	alic -kernel mm
 //	alic -kernel gemver -plan fixed -planobs 35
 //	alic -kernel atax -scorer alm -nmax 600 -seed 3
-//	alic -kernel mvt -model gp -nmax 200 -ncand 60
+//	alic -kernel mvt -leaf linear -nmax 200 -ncand 60
 //	alic -kernel mm -snapshot run.alicsnp          # ^C saves state
 //	alic -kernel mm -resume run.alicsnp            # picks up where it left off
 //	alic -space synthetic/needle -pool 800 -test 200
@@ -45,7 +45,6 @@ func main() {
 		list       = flag.Bool("list", false, "list the SPAPT kernels and exit")
 		listSpaces = flag.Bool("spaces", false, "list every registered search space and exit")
 		describe   = flag.Bool("describe", false, "print the space's parameters (and loop nests for kernels), then exit")
-		modelName  = flag.String("model", "dynatree", "model backend: "+strings.Join(alic.ModelNames(), "|"))
 		plan       = flag.String("plan", "variable", "sampling plan: "+strings.Join(alic.PlanNames(), "|"))
 		planObs    = flag.Int("planobs", 35, "observations per example for the fixed plan")
 		scorer     = flag.String("scorer", "alc", "acquisition heuristic: "+strings.Join(alic.AcquisitionNames(), "|"))
@@ -138,9 +137,6 @@ func main() {
 	opts.Learner.EvalWorkers = *evalWork
 	opts.Learner.PlanObs = *planObs
 
-	if opts.Learner.Model, err = alic.ModelByName(*modelName); err != nil {
-		fatal(err)
-	}
 	if opts.Learner.Plan, err = alic.PlanByName(*plan); err != nil {
 		fatal(err)
 	}
@@ -155,8 +151,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("learning %s: model=%s plan=%s scorer=%s nmax=%d (space %.3g)\n",
-		sp.Name(), *modelName, *plan, *scorer, *nmax, sp.Size())
+	fmt.Printf("learning %s: leaf=%s plan=%s scorer=%s nmax=%d (space %.3g)\n",
+		sp.Name(), *leaf, *plan, *scorer, *nmax, sp.Size())
 
 	if alic.IsLiveSpace(sp) {
 		if *snapPath != "" || *resPath != "" {

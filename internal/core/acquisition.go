@@ -110,9 +110,14 @@ func (randomAcquisition) SelectIndexed(_ model.Model, _ model.PoolBinder, ids []
 // PickBest returns the positions of the batch lowest (minimise) or
 // highest scores, best first — the ranking helper shared by the
 // built-in acquisitions and available to custom ones. Tied scores
-// resolve by the partial selection-sort's swap order (not necessarily
+// resolve by a partial selection sort's swap order (not necessarily
 // the earlier position), but always deterministically for a given
 // input, which is what reproducibility requires.
+//
+// The sort permutes positions only virtually: positions below batch
+// live in the result, each later position a swap wrote is recorded in
+// moved, and every other position still holds its own index. So the
+// one allocation is the result.
 func PickBest(scores []float64, batch int, minimise bool) []int {
 	if batch <= 0 {
 		return nil
@@ -120,25 +125,40 @@ func PickBest(scores []float64, batch int, minimise bool) []int {
 	if batch > len(scores) {
 		batch = len(scores)
 	}
-	pos := make([]int, len(scores))
-	for i := range pos {
-		pos[i] = i
+	out := make([]int, batch)
+	for i := range out {
+		out[i] = i
 	}
-	// Partial selection sort: batch is small.
+	type movedPos struct{ pos, idx int }
+	var buf [8]movedPos
+	moved := buf[:0]
 	for i := 0; i < batch; i++ {
-		best := i
-		for j := i + 1; j < len(pos); j++ {
-			better := scores[pos[j]] < scores[pos[best]]
-			if !minimise {
-				better = scores[pos[j]] > scores[pos[best]]
+		best, bestPos := out[i], i
+		for pos := i + 1; pos < len(scores); pos++ {
+			idx := pos
+			if pos < batch {
+				idx = out[pos]
+			} else {
+				for _, m := range moved {
+					if m.pos == pos {
+						idx = m.idx
+					}
+				}
 			}
-			if better {
-				best = j
+			if minimise && scores[idx] < scores[best] || !minimise && scores[idx] > scores[best] {
+				best, bestPos = idx, pos
 			}
 		}
-		pos[i], pos[best] = pos[best], pos[i]
+		// Swap positions i and bestPos. A later entry of moved shadows
+		// an earlier one for the same position.
+		if bestPos < batch {
+			out[bestPos] = out[i]
+		} else {
+			moved = append(moved, movedPos{bestPos, out[i]})
+		}
+		out[i] = best
 	}
-	return pos[:batch]
+	return out
 }
 
 // ErrUnknownAcquisition reports an acquisition name with no

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -407,6 +408,92 @@ func TestPickBest(t *testing.T) {
 	}
 }
 
+// pickBestReference is PickBest as it was before it stopped
+// allocating a whole index permutation: a partial selection sort over
+// every position. Its swaps decide which tied index comes next, so it
+// stays as the reference PickBest must reproduce exactly.
+func pickBestReference(scores []float64, batch int, minimise bool) []int {
+	if batch <= 0 {
+		return nil
+	}
+	if batch > len(scores) {
+		batch = len(scores)
+	}
+	pos := make([]int, len(scores))
+	for i := range pos {
+		pos[i] = i
+	}
+	for i := 0; i < batch; i++ {
+		best := i
+		for j := i + 1; j < len(pos); j++ {
+			better := scores[pos[j]] < scores[pos[best]]
+			if !minimise {
+				better = scores[pos[j]] > scores[pos[best]]
+			}
+			if better {
+				best = j
+			}
+		}
+		pos[i], pos[best] = pos[best], pos[i]
+	}
+	return pos[:batch]
+}
+
+// TestPickBestMatchesReference compares PickBest with the old
+// selection sort on tie-heavy random score vectors (a handful of
+// distinct values, some NaN), for batches 1 to 12 in both directions.
+func TestPickBestMatchesReference(t *testing.T) {
+	r := rng.New(11)
+	for trial := 0; trial < 3000; trial++ {
+		n := r.Intn(40)
+		distinct := 1 + r.Intn(5)
+		scores := make([]float64, n)
+		for i := range scores {
+			scores[i] = float64(r.Intn(distinct))
+			if r.Intn(25) == 0 {
+				scores[i] = math.NaN()
+			}
+		}
+		batch := 1 + r.Intn(12)
+		if trial%2 == 0 {
+			batch = 1 + r.Intn(5)
+		}
+		for _, minimise := range []bool{true, false} {
+			want := pickBestReference(scores, batch, minimise)
+			got := PickBest(scores, batch, minimise)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("scores %v batch %d minimise %v: got %v, want %v",
+					scores, batch, minimise, got, want)
+			}
+		}
+	}
+}
+
+// TestPickBestAllocatesOnlyResult pins PickBest to one allocation, the
+// batch-long result, for the usual single-pick round: no index slice
+// as long as the candidate set.
+func TestPickBestAllocatesOnlyResult(t *testing.T) {
+	scores := make([]float64, 150)
+	for i := range scores {
+		scores[i] = float64(i % 7)
+	}
+	for _, minimise := range []bool{true, false} {
+		if n := testing.AllocsPerRun(100, func() { PickBest(scores, 1, minimise) }); n != 1 {
+			t.Fatalf("minimise=%v: %v allocations per batch-1 call, want 1", minimise, n)
+		}
+	}
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		PickBest(scores, 1, true)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 64 {
+		t.Fatalf("%d bytes per batch-1 call over %d scores, want one int's worth", per, len(scores))
+	}
+}
+
 func TestNamesAndRegistries(t *testing.T) {
 	if VariablePlan.Name() != "variable" || FixedPlan.Name() != "fixed" {
 		t.Fatal("plan names wrong")
@@ -729,32 +816,6 @@ func TestRegistryDynatreeMatchesDefault(t *testing.T) {
 	}
 	if def, reg := run(nil), run(model.DynatreeBuilder{}); def != reg {
 		t.Fatalf("registry dynatree diverged from default: %v vs %v", reg, def)
-	}
-}
-
-func TestGPBackendThroughLoop(t *testing.T) {
-	pool := gridPool(200)
-	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 15)
-	opts := smallOpts()
-	opts.NMax = 40
-	opts.NCand = 25
-	opts.Model = model.GPBuilder{MaxPoints: 60, RefitEvery: 4}
-	l, err := New(opts, pool, src, testEval(stepFn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := l.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Acquired != 40 {
-		t.Fatalf("gp run acquired %d, want 40", res.Acquired)
-	}
-	if math.IsNaN(res.FinalError) || res.FinalError > 0.6 {
-		t.Fatalf("gp backend RMSE %v on a clean step", res.FinalError)
-	}
-	if res.Model.N() != 40 {
-		t.Fatalf("gp model absorbed %d observations, want 40", res.Model.N())
 	}
 }
 

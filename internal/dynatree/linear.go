@@ -147,13 +147,14 @@ type linPrior struct {
 // ill-conditioned kernel (duplicate or near-collinear feature
 // columns, magnitudes that make kappa0 vanish in rounding) can defeat
 // the factorisation. Rather than crash the learner, ensure escalates:
-// growing relative jitter on the diagonal, like the gp backend's Fit,
-// and — past the cap, or when the cross-products themselves are
-// non-finite — a documented fallback to the constant-leaf closed
-// form. The first augmented column is all-ones, so the leaf's own
-// statistics project exactly onto the constant model (constSuff); a
-// degenerate linear leaf behaves bit-for-bit like a constant leaf
-// until new data restores factorability.
+// growing relative jitter on the diagonal, the usual remedy for a
+// near-singular Cholesky factorisation, and — past the cap, or when
+// the cross-products themselves are non-finite — a documented
+// fallback to the constant-leaf closed form. The first augmented
+// column is all-ones, so the leaf's own statistics project exactly
+// onto the constant model (constSuff); a degenerate linear leaf
+// behaves bit-for-bit like a constant leaf until new data restores
+// factorability.
 func (p linPrior) ensure(s *linSuff) {
 	if !s.dirty && (s.chol != nil || s.degenerate) {
 		return

@@ -5,17 +5,14 @@
 // that contract as the Model interface, together with a name registry
 // of backends.
 //
-// Two backends ship with the library:
-//
-//   - "dynatree" — the particle-filtered dynamic-tree forest of
-//     internal/dynatree, the paper's choice (O(1) incremental updates).
-//   - "gp" — an exact Gaussian process (internal/gp) kept usable inside
-//     the loop by subset-of-data training and periodic refits, the
-//     O(n^3) alternative §3.2 rejects; having it behind the same facade
-//     makes the comparison runnable end to end.
+// One backend ships with the library: "dynatree", the particle-filtered
+// dynamic-tree forest of internal/dynatree, the paper's choice (O(1)
+// incremental updates, where §3.2 rejects Gaussian processes for their
+// O(n^3) refits).
 //
 // Custom backends implement Builder and register with Register; the
-// learner then selects them by name.
+// learner then selects them by name. Only Model is required; the
+// extensions below are optional.
 package model
 
 import (
@@ -65,8 +62,8 @@ type Model interface {
 // bind the learner's candidate pool. The learner binds the pool's
 // feature rows once at seeding time; afterwards the scoring loop
 // addresses candidates by stable pool index instead of gathering row
-// slices. The built-in backends (dynatree and gp) gather the bound
-// rows internally and call their row-based entry points.
+// slices. The dynatree backend gathers the bound rows internally and
+// calls its row-based entry points.
 //
 // Contract: for the same model state, every *Indexed entry point must
 // return results bit-identical to its row-based counterpart called on

@@ -6,31 +6,22 @@ import (
 	"testing"
 
 	"alic/internal/dynatree"
-	"alic/internal/gp"
 	"alic/internal/rng"
 )
 
 func TestRegistryBuiltins(t *testing.T) {
-	names := Names()
-	want := map[string]bool{"dynatree": false, "gp": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
+	if names := Names(); len(names) != 1 || names[0] != "dynatree" {
+		t.Fatalf("builtin backends %v, want [dynatree]", names)
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("builtin backend %q not registered (have %v)", n, names)
-		}
+	if b, err := ByName("dynatree"); err != nil || b.Name() != "dynatree" {
+		t.Fatalf("ByName(dynatree) = %v, %v", b, err)
 	}
-	for _, n := range []string{"dynatree", "gp"} {
-		b, err := ByName(n)
-		if err != nil || b.Name() != n {
-			t.Fatalf("ByName(%q) = %v, %v", n, b, err)
+	// "gp" named the exact-GP backend of earlier builds; it is now as
+	// unknown as any other name.
+	for _, n := range []string{"gp", "bogus"} {
+		if _, err := ByName(n); !errors.Is(err, ErrUnknownModel) {
+			t.Fatalf("ByName(%q) error = %v, want ErrUnknownModel", n, err)
 		}
-	}
-	if _, err := ByName("bogus"); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("bogus backend error = %v", err)
 	}
 }
 
@@ -54,7 +45,7 @@ func trainBackend(t *testing.T, b Builder, n int) (Model, [][]float64) {
 }
 
 func TestBackendsLearnLinearSurface(t *testing.T) {
-	for _, b := range []Builder{DynatreeBuilder{}, GPBuilder{RefitEvery: 4}} {
+	for _, b := range []Builder{DynatreeBuilder{}} {
 		t.Run(b.Name(), func(t *testing.T) {
 			m, xs := trainBackend(t, b, 120)
 			if m.N() != 120 {
@@ -95,82 +86,6 @@ func TestBackendsLearnLinearSurface(t *testing.T) {
 	}
 }
 
-func TestGPSubsetOfData(t *testing.T) {
-	b := GPBuilder{MaxPoints: 32, RefitEvery: 4}
-	m, _ := trainBackend(t, b, 100)
-	g := m.(*gpModel)
-	if g.g.N() > 32 {
-		t.Fatalf("fitted subset %d exceeds MaxPoints 32", g.g.N())
-	}
-	if g.N() != 100 {
-		t.Fatalf("history %d, want 100", g.N())
-	}
-}
-
-func TestGPMaxPointsOneDoesNotPanic(t *testing.T) {
-	m, err := GPBuilder{MaxPoints: 1, RefitEvery: 1}.New(Params{Dim: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		m.Update([]float64{float64(i) / 5}, float64(i))
-	}
-	if g := m.(*gpModel); g.g.N() > 2 {
-		t.Fatalf("fitted %d points with MaxPoints clamped to 2", g.g.N())
-	}
-}
-
-func TestGPPeriodicRefit(t *testing.T) {
-	b := GPBuilder{RefitEvery: 10}
-	m, err := b.New(Params{Dim: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := m.(*gpModel)
-	// While the history fits within RefitEvery, every update refits so
-	// seed observations are absorbed immediately.
-	for i := 0; i < 10; i++ {
-		m.Update([]float64{float64(i) / 10}, 1)
-		if g.g.N() != i+1 {
-			t.Fatalf("after update %d fitted %d points, want %d", i+1, g.g.N(), i+1)
-		}
-	}
-	// Beyond that the posterior goes stale between periodic refits.
-	for i := 0; i < 5; i++ {
-		m.Update([]float64{float64(i) / 5}, 1)
-	}
-	if g.g.N() != 10 {
-		t.Fatalf("refit fired early: fitted %d points with pending < RefitEvery", g.g.N())
-	}
-	for i := 0; i < 5; i++ {
-		m.Update([]float64{0.5 + float64(i)/10}, 1)
-	}
-	if g.g.N() != 20 {
-		t.Fatalf("refit missed: fitted %d points, want 20", g.g.N())
-	}
-}
-
-func TestGPUnfittedIsSafe(t *testing.T) {
-	m, err := GPBuilder{}.New(Params{Dim: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := [][]float64{{0.1, 0.2}, {0.3, 0.4}}
-	if got := m.PredictMeanFast(xs[0]); got != 0 {
-		t.Fatalf("unfitted mean %v", got)
-	}
-	means, variances := m.PredictBatch(xs)
-	if len(means) != 2 || len(variances) != 2 {
-		t.Fatal("unfitted PredictBatch shape")
-	}
-	if got := m.ALMBatch(xs); len(got) != 2 {
-		t.Fatal("unfitted ALMBatch shape")
-	}
-	if got := m.ALCScores(xs, xs); len(got) != 2 {
-		t.Fatal("unfitted ALCScores shape")
-	}
-}
-
 func TestDynatreeBuilderNeedsRNG(t *testing.T) {
 	if _, err := (DynatreeBuilder{}).New(Params{Dim: 1}); err == nil {
 		t.Fatal("nil RNG accepted")
@@ -184,25 +99,5 @@ func TestDynatreePartialConfigFailsLoudly(t *testing.T) {
 	b := DynatreeBuilder{Config: dynatree.Config{ScoreParticles: 500}}
 	if _, err := b.New(Params{Dim: 1, RNG: rng.New(1)}); err == nil {
 		t.Fatal("partial config silently accepted")
-	}
-}
-
-func TestGPPriorCalibratedFromSeeds(t *testing.T) {
-	// Large-scale targets must scale the default prior (empirical
-	// Bayes); an explicit Config must be respected untouched.
-	m, err := GPBuilder{}.New(Params{Dim: 1, SeedTargets: []float64{100, 150, 120, 180}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nv := m.(*gpModel).g.NoiseVar(); nv <= 0.01 {
-		t.Fatalf("noise variance %v not calibrated to the seed scale", nv)
-	}
-	explicit, err := GPBuilder{Config: gp.Config{LengthScale: 1, SignalVar: 2, NoiseVar: 0.5}}.
-		New(Params{Dim: 1, SeedTargets: []float64{100, 150, 120, 180}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nv := explicit.(*gpModel).g.NoiseVar(); nv != 0.5 {
-		t.Fatalf("explicit noise variance overridden: %v", nv)
 	}
 }

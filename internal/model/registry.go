@@ -30,5 +30,4 @@ func Names() []string { return builders.Names() }
 
 func init() {
 	Register(DynatreeBuilder{})
-	Register(GPBuilder{})
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"alic/internal/model"
 	"alic/internal/snapshot"
 )
 
@@ -430,6 +433,77 @@ func rewriteSection(t *testing.T, data []byte, name string, edit func([]byte) []
 		}
 	}
 	return buf.Bytes()
+}
+
+// withSpecModel returns a checkpoint whose spec section names the
+// model backend m, every other section copied unchanged.
+func withSpecModel(t *testing.T, data []byte, m string) []byte {
+	t.Helper()
+	return rewriteSection(t, data, secSpec, func(pay []byte) []byte {
+		var spec map[string]any
+		d := json.NewDecoder(bytes.NewReader(pay))
+		d.UseNumber()
+		if err := d.Decode(&spec); err != nil {
+			t.Fatal(err)
+		}
+		spec["model"] = m
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
+}
+
+// TestRestoreUnknownModelStaysTyped: a served checkpoint whose spec
+// names a backend this build does not register (the gp backend of
+// earlier builds) fails restore with an error that is both ErrBadSpec
+// and model.ErrUnknownModel, and Recover skips that file, names it,
+// and still restores its sibling.
+func TestRestoreUnknownModelStaysTyped(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewServer(Options{CheckpointDir: dir})
+	for _, name := range []string{"kept", "legacy"} {
+		s, err := srv.CreateSession(tinySpec("acme", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, s, time.Minute)
+	}
+	srv.Close()
+
+	legacyPath := filepath.Join(dir, "acme~legacy"+ckptExt)
+	data, err := os.ReadFile(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := withSpecModel(t, data, "gp")
+
+	fresh := NewServer(Options{})
+	_, err = fresh.RestoreSession(legacy)
+	fresh.Close()
+	if !errors.Is(err, ErrBadSpec) || !errors.Is(err, model.ErrUnknownModel) {
+		t.Fatalf("restore of a gp checkpoint: err = %v, want ErrBadSpec and ErrUnknownModel", err)
+	}
+
+	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewServer(Options{CheckpointDir: dir})
+	defer rec.Close()
+	n, err := rec.Recover()
+	if n != 1 {
+		t.Fatalf("recovered %d sessions, want 1", n)
+	}
+	if !errors.Is(err, model.ErrUnknownModel) || !strings.Contains(err.Error(), "acme~legacy"+ckptExt) {
+		t.Fatalf("recover error %v does not report the gp checkpoint", err)
+	}
+	if _, err := rec.GetSession("acme", "kept"); err != nil {
+		t.Fatalf("sibling checkpoint not restored: %v", err)
+	}
+	if _, err := rec.GetSession("acme", "legacy"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("gp checkpoint restored: err = %v", err)
+	}
 }
 
 // TestCheckpointRestoreRejectsHostileModel: a checkpoint whose model

@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -164,4 +166,202 @@ func TestHTTPRejectsBadObservations(t *testing.T) {
 	if !(info.Cost > 0) {
 		t.Fatalf("cost %v after a guarded run", info.Cost)
 	}
+}
+
+// FuzzPostObservations drives arbitrary observation batches into a
+// parked remote session, after rounds%3 completed rounds (the seeding
+// round takes several ordinals per item, later rounds fewer). posts is
+// a ';'-separated list of "ITEM VALUE COMPILE" records: ITEM is a pool
+// index (any int, negative and out of range included) or pK, the K-th
+// pending suggestion's item; VALUE and COMPILE are strconv floats
+// (NaN, ±Inf, negatives). Nothing may panic; the accepted count is the
+// longest prefix of posts that are finite, non-negative and within the
+// pending round's First+Count ordinals, and the remote log holds
+// exactly that prefix. A reference session that gets only that prefix
+// then finishes bit-identically once both are fed valid posts, so a
+// rejected post leaves no trace in the §4.3 cost ledger or the model,
+// and the round still completes. The seed corpus is in
+// testdata/fuzz/FuzzPostObservations.
+func FuzzPostObservations(f *testing.F) {
+	f.Fuzz(func(t *testing.T, rounds uint8, posts string) {
+		srv := NewServer(Options{})
+		defer srv.Close()
+		start := func(name string) *Session {
+			spec := tinySpec("fuzz", name)
+			spec.Source = SourceRemote
+			s, err := srv.CreateSession(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; ; r++ {
+				sug := awaitRound(t, s)
+				if r == int(rounds%3) || !sug.RoundPending {
+					return s
+				}
+				completeRound(t, s, sug)
+			}
+		}
+		fuzzed := start("fuzzed")
+		sug := awaitRound(t, fuzzed)
+		obs := parsePosts(posts, sug.Suggestions)
+
+		upTo := make(map[int]int)
+		have := make(map[int]int)
+		for _, sg := range sug.Suggestions {
+			upTo[sg.Item] = sg.First + sg.Count
+			have[sg.Item] = sg.Posted
+		}
+		want := len(obs)
+		for k, o := range obs {
+			if !validCost(o.Value) || !validCost(o.Compile) || have[o.Item] >= upTo[o.Item] {
+				want = k
+				break
+			}
+			have[o.Item]++
+		}
+		before := remoteLog(fuzzed.remote)
+		posted := fuzzed.remote.Posted()
+
+		n, err := fuzzed.PostObservations(obs)
+		switch {
+		case n != want:
+			t.Fatalf("accepted %d of %d posts, want %d (err %v)", n, len(obs), want, err)
+		case n == len(obs) && err != nil:
+			t.Fatalf("every post accepted, but err = %v", err)
+		case n < len(obs) && !errors.Is(err, ErrBadObservation):
+			t.Fatalf("post %d rejected with %v, want ErrBadObservation", n, err)
+		case fuzzed.remote.Posted() != posted+int64(n):
+			t.Fatalf("posted count %d, want %d", fuzzed.remote.Posted(), posted+int64(n))
+		}
+		for _, o := range obs[:n] {
+			before[o.Item] = append(before[o.Item], remoteObs{value: o.Value, compile: o.Compile})
+		}
+		if got := remoteLog(fuzzed.remote); !sameLog(got, before) {
+			t.Fatalf("remote log %v, want %v (the earlier log plus the accepted prefix)", got, before)
+		}
+
+		ref := start("reference")
+		if m, err := ref.PostObservations(obs[:n]); m != n || err != nil {
+			t.Fatalf("reference took %d of the %d-post prefix: %v", m, n, err)
+		}
+		for _, s := range []*Session{fuzzed, ref} {
+			if err := feedUntilDone(s, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, s, time.Minute)
+			if st := s.Info().Status; st != StatusDone {
+				t.Fatalf("session %s ended %s: %v", s.key, st, s.Err())
+			}
+		}
+		requireSameSessionResult(t, "fuzzed vs prefix-only", sessionResult(t, fuzzed), sessionResult(t, ref))
+	})
+}
+
+// awaitRound waits until s has published a round that still needs
+// posts, or has finished.
+func awaitRound(t *testing.T, s *Session) SuggestionList {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		sug, err := s.Suggestions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sg := range sug.Suggestions {
+			if sg.Posted < sg.First+sg.Count {
+				return sug
+			}
+		}
+		select {
+		case <-s.Done():
+			return SuggestionList{Status: s.Info().Status}
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session %s published no round (status %s)", s.key, sug.Status)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// completeRound posts every ordinal the round still needs.
+func completeRound(t *testing.T, s *Session, sug SuggestionList) {
+	t.Helper()
+	var obs []ObservationPost
+	for _, sg := range sug.Suggestions {
+		for ord := sg.Posted; ord < sg.First+sg.Count; ord++ {
+			obs = append(obs, ObservationPost{Item: sg.Item, Value: syntheticValue(sg.Item, ord), Compile: syntheticCompile})
+		}
+	}
+	if n, err := s.PostObservations(obs); n != len(obs) || err != nil {
+		t.Fatalf("completing the round took %d of %d posts: %v", n, len(obs), err)
+	}
+}
+
+// parsePosts decodes FuzzPostObservations' posts argument, at most 64
+// records. A field that does not parse reads as 1 (item: suggestion 0).
+func parsePosts(posts string, sugs []Suggestion) []ObservationPost {
+	var out []ObservationPost
+	for _, rec := range strings.Split(posts, ";") {
+		f := strings.Fields(rec)
+		if len(f) == 0 || len(out) == 64 {
+			continue
+		}
+		o := ObservationPost{Value: 1}
+		tok, suggested := strings.CutPrefix(f[0], "p")
+		k, err := strconv.Atoi(tok)
+		if err != nil {
+			k, suggested = 0, true
+		}
+		switch {
+		case !suggested:
+			o.Item = k
+		case len(sugs) > 0:
+			o.Item = sugs[max(k, 0)%len(sugs)].Item
+		}
+		if len(f) > 1 {
+			if v, err := strconv.ParseFloat(f[1], 64); err == nil {
+				o.Value = v
+			}
+		}
+		if len(f) > 2 {
+			if v, err := strconv.ParseFloat(f[2], 64); err == nil {
+				o.Compile = v
+			}
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// remoteLog copies the source's per-item observation log.
+func remoteLog(r *RemoteSource) map[int][]remoteObs {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[int][]remoteObs, len(r.obs))
+	for item, log := range r.obs {
+		out[item] = append([]remoteObs(nil), log...)
+	}
+	return out
+}
+
+// sameLog compares two logs bit for bit (so -0 differs from 0). Logs
+// hold no empty entries: an item's log starts with its first post.
+func sameLog(a, b map[int][]remoteObs) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for item, log := range a {
+		if len(log) != len(b[item]) {
+			return false
+		}
+		for i, o := range log {
+			p := b[item][i]
+			if math.Float64bits(o.value) != math.Float64bits(p.value) ||
+				math.Float64bits(o.compile) != math.Float64bits(p.compile) {
+				return false
+			}
+		}
+	}
+	return true
 }

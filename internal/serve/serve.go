@@ -405,7 +405,7 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 	if err != nil {
 		// The registry error lists every registered space, so a typo in
 		// the spec comes back actionable.
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	if space.IsLive(sp) {
 		return nil, fmt.Errorf("%w: space %q measures by executing commands; the serving layer only hosts simulated spaces", ErrBadSpec, spec.Space)
@@ -435,21 +435,21 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 	if spec.Model != "" {
 		b, err := model.ByName(spec.Model)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+			return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 		}
 		opts.Model = b
 	}
 	if spec.Plan != "" {
 		p, err := core.PlanByName(spec.Plan)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+			return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 		}
 		opts.Plan = p
 	}
 	if spec.Scorer != "" {
 		a, err := core.AcquisitionByName(spec.Scorer)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+			return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 		}
 		opts.Scorer = a
 	}
