@@ -973,6 +973,7 @@ func (f *Forest) propCommit(slot, h, idx int, x []float64, y float64) {
 		f.ar.dim[target] = int32(growDim)
 		f.ar.cut[target] = growCut
 		f.ar.left[target], f.ar.right[target] = l, r
+		f.ar.blk[target] = -1 // a target written in place drops its block
 		f.ar.pts[target] = nil
 		f.ar.s[target] = suff{}
 		f.ar.lin[target] = nil
@@ -1039,7 +1040,7 @@ func (f *Forest) makeWritable(slot int, chain []int32, stay bool) (target int32,
 			cp = f.stayCopy[orig]
 			ar.shared[cp] = true
 		} else {
-			cp = ar.copyNode(orig)
+			cp = ar.appendFrom(ar, orig, stay)
 			if stay {
 				f.stayMark[orig], f.stayCopy[orig] = f.stayGen, cp
 			}
@@ -1123,7 +1124,8 @@ func (f *Forest) compactAt() int {
 }
 
 // compact rebuilds the arena as the live trees in canonical order
-// (liveOrder), the layout Snapshot encodes.
+// (liveOrder), the layout Snapshot encodes. The bounds slabs are
+// rebuilt with the live leaves' blocks only, in the same order.
 func (f *Forest) compact() {
 	old := f.ar
 	// The previous generation's backing arrays (retired by the last
@@ -1136,17 +1138,10 @@ func (f *Forest) compact() {
 	na := f.spare
 	na.truncate(old.featDim)
 	for nid, id := range lo.order {
-		na.newLeaf(old.depth[id])
-		na.dim[nid] = old.dim[id]
-		na.cut[nid] = old.cut[id]
+		na.appendFrom(&old, id, true)
 		na.left[nid] = lo.child(old.left[id])
 		na.right[nid] = lo.child(old.right[id])
 		na.shared[nid] = lo.shared[nid]
-		na.pts[nid] = old.pts[id]
-		na.s[nid] = old.s[id]
-		na.lin[nid] = old.lin[id]
-		copy(na.rangeLo(int32(nid)), old.rangeLo(id))
-		copy(na.rangeHi(int32(nid)), old.rangeHi(id))
 	}
 	copy(f.roots, lo.roots)
 	f.ar = na
@@ -1180,14 +1175,40 @@ func (f *Forest) compact() {
 // update overshot the trigger by at most 0.55 of it (1,402 nodes), and
 // no arena field grew between compactions in any of their 3,600
 // updates. Halving the cap would leave no margin over that overshoot.
+//
+// The bounds slabs hold leaves' blocks only, so they are sized from
+// the live leaves (the blocks compaction kept), not from the node
+// reservation: a stay's path copy adds one block however deep its
+// leaf, a grow two and a prune one, and at those loops' compactions
+// leaves were as few as a fifth of the live nodes. Their blocks at the
+// trigger reached at most 1.05 x (2*leaves + 1024), and the nine loops
+// (278.7 MB when every node carried a block) allocated:
+//
+//	slab reservation              learn-loop allocation
+//	(2*leaves + 1024)             219.6 MB, slabs grew in 3 updates
+//	(2*leaves + 1024) * 9/8       221.0 MB
+//	(2*leaves + 1024) * 5/4       223.1 MB
+//	(2*leaves + 1024) * 3/2       228.0 MB
+//	(2*leaves + 1024) * 2         237.4 MB
+//	2*leaves + 1024 + 3*particles 229.4 MB
+//
+// 9/8 and 5/4 still grew a slab in
+// TestCompactionTriggerUpdateAppendsInPlace's first cycle, where every
+// tree starts as a root leaf and nearly every appended node is a leaf;
+// 3/2 covers it.
 func (f *Forest) reserveArena() {
 	maxD := int32(0)
 	for _, d := range f.ar.depth {
 		maxD = max(maxD, d)
 	}
 	at := f.compactAt()
-	f.ar.reserve(at + min(len(f.roots)*(int(maxD)+3), at))
+	f.ar.reserve(at+min(len(f.roots)*(int(maxD)+3), at), slabBlocks(f.ar.blocks()))
 }
+
+// slabBlocks is the bounds slab reservation, in blocks, for an arena
+// holding leaves blocks (see reserveArena). Restore checks a payload's
+// dim against it before anything is sized by dim.
+func slabBlocks(leaves int) int { return (2*leaves + 1024) * 3 / 2 }
 
 // sampleLog samples an index proportionally to exp(logw).
 func sampleLog(logw []float64, r *rng.Stream) int {

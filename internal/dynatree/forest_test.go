@@ -449,6 +449,26 @@ func BenchmarkForestUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkForestUpdateWide is BenchmarkForestUpdate at the CLI's
+// 400 particles and the width of the widest benchmarked SPAPT kernel
+// (d = 18, dgemv3), where feature bounds are 2*18 floats per leaf.
+func BenchmarkForestUpdateWide(b *testing.B) {
+	const dim = 18
+	cfg := DefaultConfig()
+	cfg.Particles = 400
+	f, _ := New(cfg, dim, rng.New(1))
+	r := rng.New(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = r.Float64()
+		}
+		f.Update(x, x[0]+x[1]*x[2]-x[dim-1]+r.NormMS(0, 0.1))
+	}
+}
+
 func BenchmarkForestALC(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Particles = 200

@@ -15,12 +15,16 @@ var updateSeeds = flag.Bool("update-seeds", false,
 
 // fuzzSeeds returns the payload each committed FuzzForestRestore seed
 // must hold, by file name: the hostile payloads, verbatim encodings of
-// the seed forests in the layout of earlier builds, and one canonical
-// Snapshot.
+// the seed forests in the layout of earlier builds (forest formats 2
+// and 1, which this build still reads), a format-1 payload whose
+// bounds blocks are scrambled, and one canonical Snapshot.
 func fuzzSeeds(tb testing.TB) map[string][]byte {
 	seeds := hostileSnapshots(tb)
 	seeds["valid-constant"] = verbatimSnapshot(seedForest(tb, ConstantLeaf))
 	seeds["valid-linear"] = verbatimSnapshot(seedForest(tb, LinearLeaf))
+	seeds["valid-constant-v1"] = verbatimSnapshotV1(seedForest(tb, ConstantLeaf))
+	seeds["valid-linear-v1"] = verbatimSnapshotV1(seedForest(tb, LinearLeaf))
+	seeds["scrambled-bounds-v1"] = scrambledSnapshotV1(tb, seedForest(tb, ConstantLeaf))
 	seeds["canonical-constant"] = seedForest(tb, ConstantLeaf).Snapshot()
 	return seeds
 }

@@ -49,16 +49,22 @@ type nodes struct {
 	s   []suff
 	lin []*linSuff
 
-	// Per-leaf feature bounds in flat stride-featDim blocks:
-	// rlo[id*featDim+j] / rhi[id*featDim+j] are the observed min/max of
-	// feature j over the leaf's points (+Inf/-Inf for an empty leaf).
-	// Maintained incrementally on every insert/prune/grow so grow
-	// proposals read O(featDim) cached bounds instead of rescanning the
-	// leaf's points. Min/max are selection operations, so the cached
-	// bounds are bit-identical to a fresh scan regardless of insertion
-	// order. Interior nodes keep whatever block they had as leaves; it
-	// is never read (prune recomputes the collapsed parent's block from
-	// its children's blocks).
+	// Per-leaf feature bounds. blk[id] is leaf id's block in the
+	// leaf-only slabs rlo/rhi, stride featDim, and -1 for an interior
+	// node: rlo[blk*featDim+j] / rhi[blk*featDim+j] are the observed
+	// min/max of feature j over the leaf's points (+Inf/-Inf for an
+	// empty leaf). Only grow proposals read them (propPrepare), and
+	// only at leaves, so interior nodes carry none: a grow target drops
+	// its block (a copied one never gets one), a prune's collapsed
+	// parent gains one, and interior path copies copy no floats. Blocks are maintained incrementally on
+	// every insert/prune/grow so grow proposals read O(featDim) cached
+	// bounds instead of rescanning the leaf's points. Min/max are
+	// selection operations, so a block is bit-identical to a fresh scan
+	// of its leaf's points in list order, whatever the insertion order;
+	// Restore rebuilds blocks that way instead of reading them. Every
+	// block belongs to one node. Blocks are appended like nodes, and
+	// compaction rebuilds the slabs with the live leaves' blocks only.
+	blk     []int32
 	featDim int
 	rlo     []float64
 	rhi     []float64
@@ -73,18 +79,19 @@ func (a *nodes) truncate(featDim int) {
 	a.depth, a.dim, a.cut = a.depth[:0], a.dim[:0], a.cut[:0]
 	a.left, a.right, a.shared = a.left[:0], a.right[:0], a.shared[:0]
 	a.pts, a.s, a.lin = a.pts[:0], a.s[:0], a.lin[:0]
-	a.rlo, a.rhi = a.rlo[:0], a.rhi[:0]
+	a.blk, a.rlo, a.rhi = a.blk[:0], a.rlo[:0], a.rhi[:0]
 	a.featDim = featDim
 }
 
-// reserve grows every arena array's capacity to at least n (n*featDim
-// for the range blocks), reallocating only the arrays that fall short,
-// so the append-per-field hot paths (newLeaf, copyNode) run without
-// growslice copies until the arena crosses n. Append growth rounds
-// each field's capacity to its own size class, so every field is
-// checked. Forest sizes n after every compaction (reserveArena), which
-// makes arena growth between compactions allocation-free.
-func (a *nodes) reserve(n int) {
+// reserve grows every per-node array's capacity to at least n and the
+// bounds slabs' to at least blocks blocks, reallocating only the arrays
+// that fall short, so the append-per-field hot paths (newLeaf,
+// appendFrom, mergeRange) run without growslice copies until the arena
+// crosses n nodes or blocks blocks. Append growth rounds each field's
+// capacity to its own size class, so every field is checked. Forest
+// sizes both after every compaction (reserveArena), which makes arena
+// growth between compactions allocation-free.
+func (a *nodes) reserve(n, blocks int) {
 	a.depth = withCap(a.depth, n)
 	a.dim = withCap(a.dim, n)
 	a.cut = withCap(a.cut, n)
@@ -94,8 +101,9 @@ func (a *nodes) reserve(n int) {
 	a.pts = withCap(a.pts, n)
 	a.s = withCap(a.s, n)
 	a.lin = withCap(a.lin, n)
-	a.rlo = withCap(a.rlo, n*a.featDim)
-	a.rhi = withCap(a.rhi, n*a.featDim)
+	a.blk = withCap(a.blk, n)
+	a.rlo = withCap(a.rlo, blocks*a.featDim)
+	a.rhi = withCap(a.rhi, blocks*a.featDim)
 }
 
 // withCap returns s with capacity at least n. A short array is copied
@@ -251,23 +259,41 @@ func (a *nodes) newLeaf(depth int32) int32 {
 	a.pts = append(a.pts, nil)
 	a.s = append(a.s, suff{})
 	a.lin = append(a.lin, nil)
+	a.blk = append(a.blk, a.newBlock())
+	return id
+}
+
+// newBlock appends an empty bounds block (+Inf/-Inf) to the slabs and
+// returns its index.
+func (a *nodes) newBlock() int32 {
+	b := int32(a.blocks())
 	for j := 0; j < a.featDim; j++ {
 		a.rlo = append(a.rlo, math.Inf(1))
 		a.rhi = append(a.rhi, math.Inf(-1))
 	}
-	return id
+	return b
 }
 
-// rangeLo / rangeHi return node id's per-dimension bound block.
+// blocks returns the number of blocks in the slabs, dead ones included.
+func (a *nodes) blocks() int {
+	if a.featDim == 0 {
+		return 0
+	}
+	return len(a.rlo) / a.featDim
+}
+
+// rangeLo / rangeHi return leaf id's per-dimension bound block.
 func (a *nodes) rangeLo(id int32) []float64 {
-	return a.rlo[int(id)*a.featDim : (int(id)+1)*a.featDim]
+	b := int(a.blk[id])
+	return a.rlo[b*a.featDim : (b+1)*a.featDim]
 }
 
 func (a *nodes) rangeHi(id int32) []float64 {
-	return a.rhi[int(id)*a.featDim : (int(id)+1)*a.featDim]
+	b := int(a.blk[id])
+	return a.rhi[b*a.featDim : (b+1)*a.featDim]
 }
 
-// foldRange widens node id's bounds to cover x.
+// foldRange widens leaf id's bounds to cover x.
 func (a *nodes) foldRange(id int32, x []float64) {
 	lo, hi := a.rangeLo(id), a.rangeHi(id)
 	for j, v := range x {
@@ -280,8 +306,10 @@ func (a *nodes) foldRange(id int32, x []float64) {
 	}
 }
 
-// mergeRange sets node id's bounds to the union of nodes l and r's.
+// mergeRange gives interior node id, which a prune is collapsing into
+// a leaf, a block holding the union of leaves l and r's bounds.
 func (a *nodes) mergeRange(id, l, r int32) {
+	a.blk[id] = a.newBlock()
 	lo, hi := a.rangeLo(id), a.rangeHi(id)
 	llo, lhi := a.rangeLo(l), a.rangeHi(l)
 	rlo, rhi := a.rangeLo(r), a.rangeHi(r)
@@ -296,43 +324,29 @@ func (a *nodes) mergeRange(id, l, r int32) {
 	}
 }
 
-// copyNode appends a fresh copy of src for a copy-on-write path clone
-// and returns its id. The copy starts unshared; the caller is
-// responsible for marking children that gain a second referencing
-// tree, and for marking the copy itself when it links it into a
-// second tree (makeWritable's stay memo does both). The lin pointer is
-// shared because every mutation path installs a freshly built linSuff
-// rather than writing through the old one.
-//
-// The pts slice is shared with its full capacity, so a stay commit's
-// append onto the copy fills the spare capacity in place instead of
-// reallocating the whole list. That is sound because the original is
-// never appended to again. Commits copy only nodes on the new point x's
-// path, and node regions are invariants of the id, so every tree that
-// holds such a node routes x through it and commits a move there in
-// the same observation. Each of those trees drops the original: a stay
-// links the one copy the stay memo makes per original, a grow copy
-// drops its list, and a prune builds a new one. After the observation
-// the original is unreachable, and only the stay copy ever writes past
-// the original's length. Restore gives every node its own list, so no
-// two live nodes share a backing array (TestCopyOnWriteSoundness).
-func (a *nodes) copyNode(src int32) int32 {
+func (a *nodes) appendFrom(src *nodes, id int32, withBlock bool) int32 {
 	// Direct appends rather than newLeaf + field overwrites: the copy
 	// path is the hottest arena producer (every COW path copy), and
 	// newLeaf would write defaults only to overwrite every one of them.
-	id := int32(len(a.left))
-	a.depth = append(a.depth, a.depth[src])
-	a.dim = append(a.dim, a.dim[src])
-	a.cut = append(a.cut, a.cut[src])
-	a.left = append(a.left, a.left[src])
-	a.right = append(a.right, a.right[src])
+	nid := int32(len(a.left))
+	a.depth = append(a.depth, src.depth[id])
+	a.dim = append(a.dim, src.dim[id])
+	a.cut = append(a.cut, src.cut[id])
+	a.left = append(a.left, src.left[id])
+	a.right = append(a.right, src.right[id])
 	a.shared = append(a.shared, false)
-	a.pts = append(a.pts, a.pts[src])
-	a.s = append(a.s, a.s[src])
-	a.lin = append(a.lin, a.lin[src])
-	a.rlo = append(a.rlo, a.rlo[int(src)*a.featDim:(int(src)+1)*a.featDim]...)
-	a.rhi = append(a.rhi, a.rhi[int(src)*a.featDim:(int(src)+1)*a.featDim]...)
-	return id
+	a.pts = append(a.pts, src.pts[id])
+	a.s = append(a.s, src.s[id])
+	a.lin = append(a.lin, src.lin[id])
+	b := int32(-1)
+	if sb := src.blk[id]; withBlock && sb >= 0 {
+		lo, hi := int(sb)*src.featDim, int(sb+1)*src.featDim
+		b = int32(a.blocks())
+		a.rlo = append(a.rlo, src.rlo[lo:hi]...)
+		a.rhi = append(a.rhi, src.rhi[lo:hi]...)
+	}
+	a.blk = append(a.blk, b)
+	return nid
 }
 
 // childScratch holds one proposed grow child outside the arena, so

@@ -1,6 +1,8 @@
 package dynatree
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -63,7 +65,7 @@ func TestCopyNodeIsolatesWrites(t *testing.T) {
 	id := a.newLeaf(1)
 	a.pts[id] = append(a.pts[id], 0, 1)
 	a.s[id] = suffOf(1, 2)
-	cp := a.copyNode(id)
+	cp := a.appendFrom(&a, id, true)
 	// Appending points to the copy must not leak into the original,
 	// even though the pts backing array is shared at copy time.
 	a.pts[cp] = append(a.pts[cp], 99)
@@ -85,7 +87,7 @@ func TestStayAppendOnCopyAllocatesNothing(t *testing.T) {
 	var a nodes
 	id := a.newLeaf(1)
 	a.pts[id] = append(make([]int, 0, 8), 0, 1)
-	cp := a.copyNode(id)
+	cp := a.appendFrom(&a, id, true)
 	if allocs := testing.AllocsPerRun(100, func() {
 		a.pts[cp] = append(a.pts[cp][:2], 99)
 	}); allocs != 0 {
@@ -458,7 +460,95 @@ func TestCompactionTriggerUpdateAppendsInPlace(t *testing.T) {
 // arenaArrays returns the backing array of every arena field.
 func arenaArrays(a *nodes) []any {
 	return []any{base(a.depth), base(a.dim), base(a.cut), base(a.left), base(a.right),
-		base(a.shared), base(a.pts), base(a.s), base(a.lin), base(a.rlo), base(a.rhi)}
+		base(a.shared), base(a.pts), base(a.s), base(a.lin), base(a.rlo), base(a.rhi), base(a.blk)}
+}
+
+// leafBoundsFault checks the bounds slabs against the trees and
+// returns the first violation, or "" when there is none: every live
+// leaf's block must hold, bit for bit, a fresh scan of its points in
+// list order; no two live leaves may share a block; and every interior
+// node, dead ones included, must have none.
+func leafBoundsFault(f *Forest) string {
+	ar := &f.ar
+	owner := map[int32]int32{}
+	seen := make([]bool, ar.len())
+	stack := append([]int32(nil), f.roots...)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		if ar.left[id] >= 0 {
+			stack = append(stack, ar.left[id], ar.right[id])
+			continue
+		}
+		b := ar.blk[id]
+		if b < 0 {
+			return fmt.Sprintf("live leaf %d has no block", id)
+		}
+		if other, ok := owner[b]; ok {
+			return fmt.Sprintf("live leaves %d and %d share block %d", other, id, b)
+		}
+		owner[b] = id
+		lo, hi := ar.rangeLo(id), ar.rangeHi(id)
+		for j := 0; j < ar.featDim; j++ {
+			wantLo, wantHi := math.Inf(1), math.Inf(-1)
+			for _, pi := range ar.pts[id] {
+				v := f.points[pi].x[j]
+				if v < wantLo {
+					wantLo = v
+				}
+				if v > wantHi {
+					wantHi = v
+				}
+			}
+			if math.Float64bits(lo[j]) != math.Float64bits(wantLo) || math.Float64bits(hi[j]) != math.Float64bits(wantHi) {
+				return fmt.Sprintf("leaf %d feature %d: block [%v, %v], points span [%v, %v]", id, j, lo[j], hi[j], wantLo, wantHi)
+			}
+		}
+	}
+	for id, l := range ar.left {
+		if l >= 0 && ar.blk[id] != -1 {
+			return fmt.Sprintf("interior node %d has block %d", id, ar.blk[id])
+		}
+	}
+	return ""
+}
+
+// TestLeafBoundsMatchPoints pins the leaf-only bounds slabs through
+// every kind of update: after each of 300 updates, across at least
+// three compactions and for both leaf models, leafBoundsFault finds
+// nothing.
+func TestLeafBoundsMatchPoints(t *testing.T) {
+	for _, leaf := range []LeafModel{ConstantLeaf, LinearLeaf} {
+		t.Run(leaf.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Particles = 200
+			cfg.LeafModel = leaf
+			f, err := New(cfg, 3, rng.New(91))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := rng.New(92)
+			compactions := 0
+			for i := 0; i < 300; i++ {
+				gen0 := base(f.ar.depth)
+				x := []float64{gen.Float64(), gen.Float64(), gen.Float64()}
+				f.Update(x, x[0]*x[1]-x[2]+gen.NormMS(0, 0.05))
+				if base(f.ar.depth) != gen0 {
+					compactions++
+				}
+				if fault := leafBoundsFault(f); fault != "" {
+					t.Fatalf("after update %d: %s", i, fault)
+				}
+			}
+			if compactions < 3 {
+				t.Fatalf("only %d compactions in 300 updates; the test no longer crosses the trigger", compactions)
+			}
+		})
+	}
 }
 
 func base[T any](s []T) *T {

@@ -6,12 +6,35 @@ import (
 )
 
 // forestFormat versions the forest payload inside the container
-// section; bump it when the field layout below changes shape.
-const forestFormat = 1
+// section; bump it when the field layout below changes shape. Format 2
+// dropped the per-node feature bounds blocks that ended format 1's
+// payload: Restore derives every leaf's bounds from its points. This
+// build reads both.
+const forestFormat = 2
+
+// derivedBudget is how many bytes of dim-wide state Restore lets a
+// payload of payloadLen bytes size without carrying it (derivedPerDim
+// bytes per feature dimension). It grows with the payload and has a
+// fixed floor, so an honest forest restores whatever its dim as long
+// as that state stays within 64 MB plus 64 times its payload, while a
+// short payload naming a huge dim fails before anything is sized by it.
+func derivedBudget(payloadLen int) int { return 64*payloadLen + 64<<20 }
+
+// derivedPerDim is how many bytes per feature dimension Restore and
+// the first update size for a forest holding leaves leaves over
+// particles particles without the payload carrying them: the bounds
+// slabs reserveArena reserves (two float64s per block, slabBlocks) and
+// each particle's split scratch (two float64 bounds and an int32
+// dimension list, ensurePropScratch).
+func derivedPerDim(leaves, particles int) int {
+	return 16*slabBlocks(leaves) + 20*particles
+}
 
 // Snapshot serializes the forest's complete model state — resolved
 // configuration, training points, the live particle trees and the rng
-// stream position — into a payload restorable with Restore. Only the
+// stream position — into a payload restorable with Restore. Leaves'
+// feature bounds are not written: they are a function of each leaf's
+// points, which Restore rescans (forestFormat 2). Only the
 // nodes reachable from the roots are written, numbered in canonical
 // order (liveOrder) with exact shared flags and the live node count as
 // lastLive, so the bytes depend only on the live state: dead path
@@ -35,7 +58,7 @@ func (f *Forest) Snapshot() []byte {
 // order, with lo's roots and shared flags and the given lastLive.
 func (f *Forest) encode(lo *liveOrder, lastLive int) []byte {
 	n := len(lo.order)
-	e := snapshot.NewEncoder(1024 + (64+16*f.dim)*n + 16*len(f.points)*f.dim)
+	e := snapshot.NewEncoder(1024 + 64*n + 16*len(f.points)*f.dim)
 	e.Int(forestFormat)
 
 	// Resolved configuration (after any CalibratePrior).
@@ -123,14 +146,6 @@ func (f *Forest) encode(lo *liveOrder, lastLive int) []byte {
 			e.F64(lin.yty)
 		}
 	}
-	for _, block := range []func(int32) []float64{ar.rangeLo, ar.rangeHi} {
-		e.Int(n * f.dim)
-		for _, id := range lo.order {
-			for _, v := range block(id) {
-				e.F64(v)
-			}
-		}
-	}
 	return e.Bytes()
 }
 
@@ -141,13 +156,22 @@ func (f *Forest) encode(lo *liveOrder, lastLive int) []byte {
 // arena holds exactly the payload's nodes: the live trees of a
 // Snapshot, or the whole arena with its dead nodes for payloads
 // written by earlier builds, which shared this layout and restore
-// unchanged. The bound pool is not part of the snapshot: call BindPool
-// afterwards to re-enable the indexed entry points.
+// unchanged. Every leaf's feature bounds are derived by scanning its
+// validated points in list order, which gives the bits incremental
+// maintenance gives (min/max are selections). Format 1 payloads still
+// restore: their bounds blocks are read, length-checked and discarded,
+// so bounds that disagree with the points cannot reach a grow
+// proposal. The dimension is checked against derivedBudget for the
+// state it sizes without the payload carrying it (derivedPerDim),
+// before anything is sized by it. The bound pool is not part of the
+// snapshot: call BindPool afterwards to re-enable the indexed entry
+// points.
 func Restore(payload []byte) (*Forest, error) {
 	const sec = "dynatree.forest"
 	d := snapshot.NewDecoder(sec, payload)
-	if v := d.Int(); d.Err() == nil && v != forestFormat {
-		return nil, snapshot.Corruptf(sec, "forest format %d, this build reads %d", v, forestFormat)
+	format := d.Int()
+	if d.Err() == nil && format != 1 && format != forestFormat {
+		return nil, snapshot.Corruptf(sec, "forest format %d, this build reads 1 and %d", format, forestFormat)
 	}
 
 	var cfg Config
@@ -171,11 +195,17 @@ func Restore(payload []byte) (*Forest, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, snapshot.Corruptf(sec, "invalid config: %v", err)
 	}
-	// Every node carries 2*dim range floats and there is at least one
-	// node, so a dimension the payload cannot hold is rejected before
-	// anything is sized by it.
-	if dim < 1 || dim > d.Remaining()/16 {
-		return nil, snapshot.Corruptf(sec, "dimension %d with %d bytes left", dim, d.Remaining())
+	// Each particle's root id takes four payload bytes, and the split
+	// scratch and the bounds slabs are sized by dim without being
+	// carried, so the particle count and the dimension are checked
+	// against the payload before anything is sized by them: here with
+	// no leaves, and again with the leaf count once the nodes are read.
+	if cfg.Particles > d.Remaining()/4 {
+		return nil, snapshot.Corruptf(sec, "%d particles with %d bytes left", cfg.Particles, d.Remaining())
+	}
+	budget := derivedBudget(len(payload))
+	if dim < 1 || dim > budget/derivedPerDim(0, cfg.Particles) {
+		return nil, snapshot.Corruptf(sec, "dimension %d for %d particles in a %d-byte payload", dim, cfg.Particles, len(payload))
 	}
 	if cfg.LeafModel != ConstantLeaf && cfg.LeafModel != LinearLeaf {
 		return nil, snapshot.Corruptf(sec, "unknown leaf model %d", int(cfg.LeafModel))
@@ -260,13 +290,14 @@ func Restore(payload []byte) (*Forest, error) {
 			return nil, err
 		}
 	}
-	ar.rlo = d.F64s()
-	ar.rhi = d.F64s()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if len(ar.rlo) != n*dim || len(ar.rhi) != n*dim {
-		return nil, snapshot.Corruptf(sec, "range blocks %d/%d for %d nodes of dim %d", len(ar.rlo), len(ar.rhi), n, dim)
+	if format == 1 {
+		rlo, rhi := d.F64s(), d.F64s()
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if len(rlo) != n*dim || len(rhi) != n*dim {
+			return nil, snapshot.Corruptf(sec, "range blocks %d/%d for %d nodes of dim %d", len(rlo), len(rhi), n, dim)
+		}
 	}
 
 	// Structural validation: every reference must be in range before
@@ -323,6 +354,30 @@ func Restore(payload []byte) (*Forest, error) {
 	// arena it was measured on.
 	if lastLive < 0 || lastLive > n {
 		return nil, snapshot.Corruptf(sec, "lastLive %d", lastLive)
+	}
+
+	// Feature bounds: one block per leaf, scanned from its points.
+	leaves := 0
+	for _, l := range ar.left {
+		if l < 0 {
+			leaves++
+		}
+	}
+	if dim > budget/derivedPerDim(leaves, cfg.Particles) {
+		return nil, snapshot.Corruptf(sec, "dimension %d for %d leaves and %d particles in a %d-byte payload", dim, leaves, cfg.Particles, len(payload))
+	}
+	ar.blk = make([]int32, n)
+	ar.rlo = make([]float64, 0, slabBlocks(leaves)*dim)
+	ar.rhi = make([]float64, 0, slabBlocks(leaves)*dim)
+	for id := range ar.blk {
+		ar.blk[id] = -1
+		if ar.left[id] >= 0 {
+			continue
+		}
+		ar.blk[id] = ar.newBlock()
+		for _, pi := range ar.pts[id] {
+			ar.foldRange(int32(id), points[pi].x)
+		}
 	}
 
 	r := rng.New(0)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -271,6 +272,87 @@ func verbatimSnapshot(f *Forest) []byte {
 	return f.encode(&lo, f.lastLive)
 }
 
+// verbatimSnapshotV1 is verbatimSnapshot in forest format 1, the
+// layout earlier builds wrote: the format-2 fields, then every node's
+// lower and upper feature bounds, dim floats each, as two
+// length-prefixed blocks. Interior nodes get an empty block
+// (+Inf/-Inf); no build ever read theirs.
+func verbatimSnapshotV1(f *Forest) []byte {
+	payload := verbatimSnapshot(f)
+	binary.LittleEndian.PutUint64(payload, 1) // the format field
+	e := snapshot.NewEncoder(16 + 16*f.ar.len()*f.dim)
+	for _, side := range []struct {
+		empty float64
+		block func(int32) []float64
+	}{{math.Inf(1), f.ar.rangeLo}, {math.Inf(-1), f.ar.rangeHi}} {
+		e.Int(f.ar.len() * f.dim)
+		for id, b := range f.ar.blk {
+			for j := 0; j < f.dim; j++ {
+				v := side.empty
+				if b >= 0 {
+					v = side.block(int32(id))[j]
+				}
+				e.F64(v)
+			}
+		}
+	}
+	return append(payload, e.Bytes()...)
+}
+
+// scrambledSnapshotV1 is verbatimSnapshotV1 with every value of every
+// bounds block replaced by a random one, so no block agrees with its
+// leaf's points.
+func scrambledSnapshotV1(tb testing.TB, f *Forest) []byte {
+	tb.Helper()
+	g, err := Restore(verbatimSnapshotV1(f))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rng.New(97)
+	for _, slab := range [][]float64{g.ar.rlo, g.ar.rhi} {
+		for i := range slab {
+			slab[i] = r.NormMS(0.5, 2)
+		}
+	}
+	return verbatimSnapshotV1(g)
+}
+
+// TestSnapshotIgnoresFormat1Bounds: a format-1 payload's bounds blocks
+// cannot desync a forest from its points. Anyone can recompute the
+// container checksum, so a payload whose blocks are all scrambled must
+// restore to the forest its honest twin restores to: the same bounds,
+// the same Snapshot bytes, and the same bytes again after each of the
+// updates that follow, whose grow proposals draw cuts from the bounds.
+func TestSnapshotIgnoresFormat1Bounds(t *testing.T) {
+	for _, leaf := range []LeafModel{ConstantLeaf, LinearLeaf} {
+		t.Run(leaf.String(), func(t *testing.T) {
+			f, xs, ys := snapTrainForest(t, leaf, 60)
+			honest, scrambled := verbatimSnapshotV1(f), scrambledSnapshotV1(t, f)
+			if bytes.Equal(honest, scrambled) {
+				t.Fatal("scrambling left the payload unchanged")
+			}
+			g, err := Restore(honest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := Restore(scrambled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fault := leafBoundsFault(h); fault != "" {
+				t.Fatalf("scrambled payload restored: %s", fault)
+			}
+			for k := range xs {
+				if !slices.Equal(g.ar.rlo, h.ar.rlo) || !slices.Equal(g.ar.rhi, h.ar.rhi) || !bytes.Equal(g.Snapshot(), h.Snapshot()) {
+					t.Fatalf("after %d updates the scrambled payload's forest differs from its honest twin", k)
+				}
+				g.Update(xs[k], ys[k])
+				h.Update(xs[k], ys[k])
+			}
+		})
+	}
+}
+
 // hostileSnapshots returns forest payloads that the container
 // checksum cannot catch (anyone can recompute it) and that earlier
 // builds accepted or crashed on: a dimension no payload can hold,
@@ -279,7 +361,15 @@ func verbatimSnapshot(f *Forest) []byte {
 // ancestor, which made PredictMeanFast loop forever; a lastLive
 // beyond the arena, which sized an arena reservation of terabytes; two
 // roots aliasing one unflagged node, whose leaves then took every
-// point once per alias; and a leaf listing a point twice.
+// point once per alias; and a leaf listing a point twice. Three more
+// name a large dimension in a payload with no points: format 2 carries
+// nothing dim-wide for it, yet Restore reserves the bounds slabs and
+// the first update sizes split scratch per particle, all dim floats
+// wide. large-dim-one-leaf has one particle and a dim of 2^20, for
+// which those reservations come to about 26 GB although it passes a
+// guard that counts only one block per leaf and particle; leaf-bound-dim
+// has 64 root leaves and the largest dim the guard admits for no
+// leaves, so only the guard that counts its leaves rejects it.
 func hostileSnapshots(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	valid := verbatimSnapshot(seedForest(tb, ConstantLeaf))
@@ -297,10 +387,25 @@ func hostileSnapshots(tb testing.TB) map[string][]byte {
 		tb.Fatal("no particle has grown a split")
 		return nil
 	}
-	huge := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(huge[96:], 1<<40) // the dim field
+	withDim := func(payload []byte, dim uint64) []byte {
+		payload = append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint64(payload[96:], dim) // the dim field
+		return payload
+	}
+	fresh := func(particles int) []byte {
+		cfg := DefaultConfig()
+		cfg.Particles = particles
+		f, err := New(cfg, 2, rng.New(71))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return f.Snapshot()
+	}
 	return map[string][]byte{
-		"huge-dim": huge,
+		"huge-dim":           withDim(valid, 1<<40),
+		"huge-dim-no-points": withDim(fresh(4), 1<<40),
+		"large-dim-one-leaf": withDim(fresh(1), 1<<20),
+		"leaf-bound-dim":     withDim(fresh(64), uint64(derivedBudget(len(fresh(64)))/derivedPerDim(0, 64))),
 		"negative-depth": mutate(func(g *Forest, _, child int32) {
 			for g.ar.left[child] >= 0 {
 				child = g.ar.left[child]
@@ -390,12 +495,42 @@ func TestSnapshotRejectsHostilePayloads(t *testing.T) {
 	}
 }
 
+// TestSnapshotDimGuardCoversDerivedState pins Restore's dim guard to
+// what it guards: the bytes sized by dim that no payload carries (the
+// bounds slabs after Restore, and the split scratch after the first
+// update) stay within dim*derivedPerDim for the restored leaf and
+// particle counts. A payload the guard admits therefore sizes at most
+// derivedBudget bytes of them.
+func TestSnapshotDimGuardCoversDerivedState(t *testing.T) {
+	for _, leaf := range []LeafModel{ConstantLeaf, LinearLeaf} {
+		g, err := Restore(verbatimSnapshot(seedForest(t, leaf)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := g.ar.blocks()
+		sized := 8 * (cap(g.ar.rlo) + cap(g.ar.rhi))
+		x := make([]float64, g.dim)
+		for j := range x {
+			x[j] = 0.5
+		}
+		g.Update(x, 0.5)
+		for _, p := range g.prop {
+			sized += 8*(cap(p.splitLo)+cap(p.splitHi)) + 4*cap(p.splitDims)
+		}
+		if limit := g.dim * derivedPerDim(leaves, len(g.roots)); sized > limit {
+			t.Fatalf("%v: restore and first update sized %d dim-wide bytes, guard allows %d", leaf, sized, limit)
+		}
+	}
+}
+
 // FuzzForestRestore: Restore never panics and rejects only with a
-// typed corruption error, and any forest it accepts can predict,
-// score, absorb an observation — after which every tree's leaves hold
-// one entry per point — and round-trip through Snapshot bit for bit.
+// typed corruption error, and any forest it accepts has leaf bounds
+// that match its points and can predict, score, absorb an observation
+// — after which every tree's leaves hold one entry per point and the
+// bounds still match — and round-trip through Snapshot bit for bit.
 // The seed corpus in testdata/fuzz holds valid constant- and
-// linear-leaf payloads in the verbatim layout of earlier builds, a
+// linear-leaf payloads in the verbatim layout of earlier builds, in
+// forest formats 2 and 1, a format-1 payload with scrambled bounds, a
 // canonical constant-leaf Snapshot, and one payload of each kind
 // hostileSnapshots builds; TestFuzzForestRestoreSeeds keeps each equal
 // to its generator.
@@ -407,6 +542,9 @@ func FuzzForestRestore(f *testing.F) {
 				t.Fatalf("untyped error %v", err)
 			}
 			return
+		}
+		if fault := leafBoundsFault(g); fault != "" {
+			t.Fatalf("restored forest: %s", fault)
 		}
 		g.SetWorkers(1)
 		x := make([]float64, g.dim)
@@ -423,6 +561,9 @@ func FuzzForestRestore(f *testing.F) {
 			if got := leafPointEntries(&g.ar, root, memo); got != len(g.points) {
 				t.Fatalf("after an update, particle %d's leaves hold %d point entries for %d points", i, got, len(g.points))
 			}
+		}
+		if fault := leafBoundsFault(g); fault != "" {
+			t.Fatalf("after an update: %s", fault)
 		}
 		snap := g.Snapshot()
 		h, err := Restore(snap)

@@ -207,7 +207,7 @@ func TestLeafOfBatchMatchesLeafOf(t *testing.T) {
 // two distinct live nodes share a point-list backing array: copies
 // keep their original's spare capacity, so a stay appends in place,
 // which is sound only while the original is gone by the end of the
-// observation (see copyNode). Both leaf models, at one and four
+// observation (see appendFrom). Both leaf models, at one and four
 // workers.
 func TestCopyOnWriteSoundness(t *testing.T) {
 	for _, model := range []LeafModel{ConstantLeaf, LinearLeaf} {
