@@ -18,7 +18,6 @@ import (
 	"alic/internal/evaluator"
 	"alic/internal/experiment"
 	"alic/internal/rng"
-	"alic/internal/spapt"
 	"alic/internal/tuner"
 )
 
@@ -38,15 +37,12 @@ func benchSettings() experiment.Settings {
 // lowest common RMSE between the fixed-35 baseline and the variable
 // plan, and the speed-up of the latter.
 func BenchmarkTable1(b *testing.B) {
-	for _, name := range spapt.Names() {
+	for _, name := range KernelNames() {
 		b.Run(name, func(b *testing.B) {
-			k, err := spapt.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
+			spaces := []Space{mustSpace(b, name)}
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.Table1([]*spapt.Kernel{k}, benchSettings(), nil)
+				res, err := experiment.Table1(spaces, benchSettings(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -110,18 +106,13 @@ func BenchmarkFigure2(b *testing.B) {
 // sweep over a representative kernel subset) and reports the geometric
 // mean.
 func BenchmarkFigure5(b *testing.B) {
-	names := []string{"atax", "lu", "gemver"}
-	var ks []*spapt.Kernel
-	for _, n := range names {
-		k, err := spapt.ByName(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ks = append(ks, k)
+	var spaces []Space
+	for _, name := range []string{"atax", "lu", "gemver"} {
+		spaces = append(spaces, mustSpace(b, name))
 	}
 	var geo float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Table1(ks, benchSettings(), nil)
+		res, err := experiment.Table1(spaces, benchSettings(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,9 +127,10 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	for _, name := range experiment.Figure6Kernels() {
 		b.Run(name, func(b *testing.B) {
+			spaces := []Space{mustSpace(b, name)}
 			var rmse float64
 			for i := 0; i < b.N; i++ {
-				out, err := experiment.Figure6([]string{name}, benchSettings(), nil)
+				out, err := experiment.Figure6(spaces, benchSettings(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,7 @@
 //
 //	repro -experiment all                 # everything, fast settings
 //	repro -experiment table1 -kernels mm,lu
+//	repro -experiment table1 -kernels synthetic/needle
 //	repro -experiment fig6 -full          # paper-scale (hours of CPU)
 //	repro -experiment table1 -reps 5 -nmax 600 -particles 1000
 package main
@@ -20,13 +21,16 @@ import (
 
 	"alic/internal/experiment"
 	"alic/internal/report"
-	"alic/internal/spapt"
+	"alic/internal/space"
+	_ "alic/internal/space/execspace"
+	_ "alic/internal/space/spaptspace"
+	_ "alic/internal/space/synthetic"
 )
 
 func main() {
 	var (
 		exp       = flag.String("experiment", "all", "table1|table2|sec43|fig1|fig2|fig5|fig6|all")
-		kernels   = flag.String("kernels", "", "comma-separated kernel subset (default: experiment's own)")
+		kernels   = flag.String("kernels", "", "comma-separated registered space names (default: experiment's own)")
 		full      = flag.Bool("full", false, "paper-scale settings (§4.4/§4.5; hours of CPU)")
 		reps      = flag.Int("reps", 0, "override repetition count")
 		nmax      = flag.Int("nmax", 0, "override acquisition budget")
@@ -110,19 +114,21 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func selectKernels(list string) ([]*spapt.Kernel, error) {
+// selectKernels resolves -kernels through the space registry; a live
+// space resolves, then fails in corpus generation with ErrLiveSpace.
+func selectKernels(list string) ([]space.Space, error) {
 	if list == "" {
 		return nil, nil // experiment default
 	}
-	var ks []*spapt.Kernel
+	var spaces []space.Space
 	for _, name := range strings.Split(list, ",") {
-		k, err := spapt.ByName(strings.TrimSpace(name))
+		sp, err := space.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
-		ks = append(ks, k)
+		spaces = append(spaces, sp)
 	}
-	return ks, nil
+	return spaces, nil
 }
 
 func writeCSV(outdir, name string, tab *report.Table) error {
@@ -140,7 +146,7 @@ func writeCSV(outdir, name string, tab *report.Table) error {
 	return tab.CSV(f)
 }
 
-func runTable1(ks []*spapt.Kernel, s experiment.Settings, progress func(string), outdir string, withFig5 bool) error {
+func runTable1(ks []space.Space, s experiment.Settings, progress func(string), outdir string, withFig5 bool) error {
 	res, err := experiment.Table1(ks, s, progress)
 	if err != nil {
 		return err
@@ -178,7 +184,7 @@ func runTable1(ks []*spapt.Kernel, s experiment.Settings, progress func(string),
 	return nil
 }
 
-func runTable2(ks []*spapt.Kernel, s experiment.Settings, progress func(string), outdir string) error {
+func runTable2(ks []space.Space, s experiment.Settings, progress func(string), outdir string) error {
 	res, err := experiment.Table2(ks, s, progress)
 	if err != nil {
 		return err
@@ -202,7 +208,7 @@ func runTable2(ks []*spapt.Kernel, s experiment.Settings, progress func(string),
 	return writeCSV(outdir, "table2.csv", tab)
 }
 
-func runSection43(ks []*spapt.Kernel, s experiment.Settings, progress func(string), outdir string) error {
+func runSection43(ks []space.Space, s experiment.Settings, progress func(string), outdir string) error {
 	res, err := experiment.Section43(ks, s, progress)
 	if err != nil {
 		return err
@@ -284,15 +290,8 @@ func runFigure2(s experiment.Settings, outdir string) error {
 	return writeCSV(outdir, "fig2.csv", tab)
 }
 
-func runFigure6(ks []*spapt.Kernel, s experiment.Settings, progress func(string), outdir string) error {
-	var names []string
-	for _, k := range ks {
-		names = append(names, k.Name)
-	}
-	if names == nil {
-		names = experiment.Figure6Kernels()
-	}
-	curves, err := experiment.Figure6(names, s, progress)
+func runFigure6(ks []space.Space, s experiment.Settings, progress func(string), outdir string) error {
+	curves, err := experiment.Figure6(ks, s, progress)
 	if err != nil {
 		return err
 	}
@@ -307,12 +306,12 @@ func runFigure6(ks []*spapt.Kernel, s experiment.Settings, progress func(string)
 			}
 		}
 		if err := report.Plot(os.Stdout,
-			fmt.Sprintf("Figure 6: RMSE vs evaluation time — %s", bc.Kernel.Name),
+			fmt.Sprintf("Figure 6: RMSE vs evaluation time — %s", bc.Space.Name()),
 			"cumulative cost (s)", "RMSE (s)", series, 64, 16); err != nil {
 			return err
 		}
 		fmt.Println()
-		if err := writeCSV(outdir, fmt.Sprintf("fig6_%s.csv", bc.Kernel.Name), tab); err != nil {
+		if err := writeCSV(outdir, fmt.Sprintf("fig6_%s.csv", bc.Space.Name()), tab); err != nil {
 			return err
 		}
 	}

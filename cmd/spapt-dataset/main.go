@@ -1,11 +1,13 @@
 // Command spapt-dataset generates and inspects the §4.5 datasets: for
-// one or more kernels it samples distinct configurations, profiles each
-// a fixed number of times, and prints noise summaries (Table 2 style)
-// plus optional per-configuration CSV dumps.
+// one or more kernels (or any registered simulated space) it samples
+// distinct configurations, profiles each a fixed number of times, and
+// prints noise summaries (Table 2 style) plus optional
+// per-configuration CSV dumps.
 //
 // Usage:
 //
 //	spapt-dataset -kernel mm
+//	spapt-dataset -kernel synthetic/plateau
 //	spapt-dataset -kernel correlation -configs 2000 -obs 35 -csv corr.csv
 //	spapt-dataset -all -configs 1000
 package main
@@ -16,15 +18,18 @@ import (
 	"os"
 
 	"alic/internal/dataset"
-	"alic/internal/experiment"
 	"alic/internal/report"
-	"alic/internal/space/spaptspace"
+	"alic/internal/space"
+	_ "alic/internal/space/execspace"
+	_ "alic/internal/space/spaptspace"
+	_ "alic/internal/space/synthetic"
 	"alic/internal/spapt"
+	"alic/internal/stats"
 )
 
 func main() {
 	var (
-		kernel  = flag.String("kernel", "", "kernel to generate (mutually exclusive with -all)")
+		kernel  = flag.String("kernel", "", "registered space to generate (mutually exclusive with -all)")
 		all     = flag.Bool("all", false, "summarise every kernel")
 		configs = flag.Int("configs", 2000, "number of distinct configurations")
 		obs     = flag.Int("obs", 35, "observations per configuration")
@@ -33,16 +38,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var kernels []*spapt.Kernel
+	var names []string
 	switch {
 	case *all:
-		kernels = spapt.Kernels()
+		names = spapt.Names()
 	case *kernel != "":
-		k, err := spapt.ByName(*kernel)
-		if err != nil {
-			fatal(err)
-		}
-		kernels = []*spapt.Kernel{k}
+		names = []string{*kernel}
 	default:
 		fatal(fmt.Errorf("pass -kernel NAME or -all"))
 	}
@@ -51,8 +52,8 @@ func main() {
 		fmt.Sprintf("dataset summaries (%d configs, %d observations each)", *configs, *obs),
 		"benchmark", "runtime min", "runtime mean", "runtime max",
 		"var mean", "var max", "CI/mean fail@5%%", "mean compile (s)")
-	for _, k := range kernels {
-		sp, err := spaptspace.Wrap(k)
+	for _, name := range names {
+		sp, err := space.ByName(name)
 		if err != nil {
 			fatal(err)
 		}
@@ -62,7 +63,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var rt, ct []float64
+		var rt, vr, ct []float64
 		for i := range ds.Configs {
 			st, err := ds.Stats(i)
 			if err != nil {
@@ -73,21 +74,18 @@ func main() {
 				fatal(err)
 			}
 			rt = append(rt, st.Mean)
+			vr = append(vr, st.Variance)
 			ct = append(ct, c)
 		}
-		rts := summarize(rt)
-		vs, err := ds.VarianceSummary()
+		rts, vs := stats.Summarize(rt), stats.Summarize(vr)
+		ratios, err := ds.CIOverMeans(min(*obs, 5), 0.95)
 		if err != nil {
 			fatal(err)
 		}
-		failRate, err := experiment.FailureRates(ds, min(*obs, 5), 0.05, 0.95)
-		if err != nil {
-			fatal(err)
-		}
-		tab.AddRow(k.Name, rts.min, rts.mean, rts.max, vs.Mean, vs.Max,
-			failRate, summarize(ct).mean)
+		tab.AddRow(name, rts.Min, stats.Mean(rt), rts.Max, vs.Mean, vs.Max,
+			stats.FractionAbove(ratios, 0.05), stats.Mean(ct))
 
-		if *csvPath != "" && len(kernels) == 1 {
+		if *csvPath != "" && len(names) == 1 {
 			if err := dumpCSV(ds, *csvPath); err != nil {
 				fatal(err)
 			}
@@ -97,27 +95,6 @@ func main() {
 	if err := tab.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
-}
-
-type summary struct{ min, mean, max float64 }
-
-func summarize(xs []float64) summary {
-	if len(xs) == 0 {
-		return summary{}
-	}
-	s := summary{min: xs[0], max: xs[0]}
-	total := 0.0
-	for _, x := range xs {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-		total += x
-	}
-	s.mean = total / float64(len(xs))
-	return s
 }
 
 func dumpCSV(ds *dataset.Dataset, path string) error {

@@ -13,9 +13,9 @@ import (
 	"log"
 	"os"
 
+	"alic"
 	"alic/internal/experiment"
 	"alic/internal/report"
-	"alic/internal/spapt"
 )
 
 func main() {
@@ -24,7 +24,11 @@ func main() {
 	reps := flag.Int("reps", 2, "repetitions to average")
 	flag.Parse()
 
-	k, err := spapt.ByName(*kernel)
+	k, err := alic.KernelByName(*kernel)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sp, err := alic.WrapKernel(k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +38,7 @@ func main() {
 
 	fmt.Printf("comparing sampling plans on %s (%d acquisitions, %d reps)\n\n",
 		k.Name, s.NMax, s.Reps)
-	curves, err := experiment.RunCurves(k, s, func(msg string) {
+	curves, err := experiment.RunCurves(sp, s, func(msg string) {
 		fmt.Fprintf(os.Stderr, "  %s\n", msg)
 	})
 	if err != nil {

@@ -19,9 +19,9 @@ import (
 	"strconv"
 	"strings"
 
+	"alic"
 	"alic/internal/experiment"
 	"alic/internal/report"
-	"alic/internal/spapt"
 )
 
 func main() {
@@ -46,7 +46,7 @@ func main() {
 		fmt.Sprintf("noise robustness on %s (future-work experiment of §7)", *kernel),
 		"noise x", "common RMSE (s)", "fixed-35 cost (s)", "variable cost (s)", "speed-up")
 	for _, f := range factors {
-		k, err := spapt.ByName(*kernel)
+		k, err := alic.KernelByName(*kernel)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +57,11 @@ func main() {
 		k.Noise.DriftRel *= f
 		k.Noise.SpikeProb = min(1, k.Noise.SpikeProb*f)
 
-		curves, err := experiment.RunCurves(k, s, nil)
+		sp, err := alic.WrapKernel(k)
+		if err != nil {
+			log.Fatal(err)
+		}
+		curves, err := experiment.RunCurves(sp, s, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

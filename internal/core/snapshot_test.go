@@ -2,14 +2,13 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
 
 	"alic/internal/snapshot"
+	"alic/internal/snapshot/snapshottest"
 )
 
 // snapLearner builds a learner over a fresh engine on a pure source —
@@ -443,37 +442,6 @@ func TestSnapshotRejectsAsyncFlag(t *testing.T) {
 	}
 }
 
-// resealed returns a copy of data with every section checksum
-// recomputed, walking the container layout as far as it parses: over
-// name and payload from container version 2 on, over the payload alone
-// in version 1. Random mutations then reach the section decoders
-// instead of stopping at the CRC (TestSnapshotCorruptLearner covers
-// the checksum itself); header and framing damage is left in place.
-func resealed(data []byte) []byte {
-	out := append([]byte(nil), data...)
-	const hdr, secHdr = 12, 2 + 8 + 4
-	if len(out) < hdr {
-		return out
-	}
-	withName := binary.LittleEndian.Uint32(out[8:]) >= 2
-	for at := hdr; len(out)-at >= secHdr; {
-		nameLen := int(binary.LittleEndian.Uint16(out[at:]))
-		payLen := binary.LittleEndian.Uint64(out[at+2:])
-		start := at + secHdr + nameLen
-		if start > len(out) || payLen > uint64(len(out)-start) {
-			break
-		}
-		end := start + int(payLen)
-		from := start
-		if withName {
-			from = at + secHdr
-		}
-		binary.LittleEndian.PutUint32(out[at+10:], crc32.ChecksumIEEE(out[from:end]))
-		at = end
-	}
-	return out
-}
-
 // FuzzLearnerRestore: Restore of arbitrary bytes into a fresh learner
 // never panics and never half-applies. On error the learner snapshots
 // to exactly the bytes it did before the call; on success one Step
@@ -512,7 +480,9 @@ func FuzzLearnerRestore(f *testing.F) {
 		if err := l.Snapshot(&before); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Restore(bytes.NewReader(resealed(data))); err != nil {
+		// Resealed checksums let mutations reach the section decoders
+		// (TestSnapshotCorruptLearner covers the checksum itself).
+		if err := l.Restore(bytes.NewReader(snapshottest.Resealed(data))); err != nil {
 			var after bytes.Buffer
 			if err := l.Snapshot(&after); err != nil {
 				t.Fatal(err)

@@ -259,19 +259,23 @@ func TestVarianceSummary(t *testing.T) {
 
 func TestCIOverMeanSummary(t *testing.T) {
 	d := gen(t, "adi", smallOpts())
-	s35, err := d.CIOverMeanSummary(12, 0.95)
+	r12, err := d.CIOverMeans(12, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s5, err := d.CIOverMeanSummary(5, 0.95)
+	r5, err := d.CIOverMeans(5, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(r12) != len(d.Configs) || len(r5) != len(d.Configs) {
+		t.Fatalf("%d and %d ratios for %d configurations", len(r12), len(r5), len(d.Configs))
+	}
+	s12, s5 := stats.Summarize(r12), stats.Summarize(r5)
 	// Fewer observations widen the confidence interval on average.
-	if s5.Mean <= s35.Mean {
-		t.Fatalf("5-sample CI/mean %v not above 12-sample %v", s5.Mean, s35.Mean)
+	if s5.Mean <= s12.Mean {
+		t.Fatalf("5-sample CI/mean %v not above 12-sample %v", s5.Mean, s12.Mean)
 	}
-	if _, err := d.CIOverMeanSummary(1, 0.95); err == nil {
+	if _, err := d.CIOverMeans(1, 0.95); err == nil {
 		t.Fatal("CI with 1 observation accepted")
 	}
 }

@@ -3,11 +3,11 @@ package dynatree
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
+
+	"alic/internal/snapshot/snapshottest"
 )
 
 var updateSeeds = flag.Bool("update-seeds", false,
@@ -38,8 +38,7 @@ func TestFuzzForestRestoreSeeds(t *testing.T) {
 	seeds := fuzzSeeds(t)
 	if *updateSeeds {
 		for name, payload := range seeds {
-			file := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(file), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, name), snapshottest.CorpusFile(payload), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -61,7 +60,7 @@ func TestFuzzForestRestoreSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := seedPayload(raw)
+		got, err := snapshottest.CorpusPayload(raw)
 		if err != nil {
 			t.Fatalf("seed %s: %v", e.Name(), err)
 		}
@@ -69,18 +68,4 @@ func TestFuzzForestRestoreSeeds(t *testing.T) {
 			t.Errorf("seed %s differs from its generator (rerun with -update-seeds)", e.Name())
 		}
 	}
-}
-
-// seedPayload decodes a one-value []byte corpus file.
-func seedPayload(raw []byte) ([]byte, error) {
-	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
-	if len(lines) != 2 || string(lines[0]) != "go test fuzz v1" {
-		return nil, fmt.Errorf("not a one-value corpus file")
-	}
-	lit, ok := bytes.CutPrefix(lines[1], []byte("[]byte("))
-	if lit, ok = bytes.CutSuffix(lit, []byte(")")); !ok {
-		return nil, fmt.Errorf("value is not a []byte literal")
-	}
-	s, err := strconv.Unquote(string(lit))
-	return []byte(s), err
 }

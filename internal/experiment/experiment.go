@@ -12,10 +12,16 @@
 //   - Figure 6: RMSE vs cumulative profiling cost for the three
 //     sampling plans.
 //
+// Every experiment runs on space.Space values, so any registered
+// simulated space feeds it; a nil list means the paper's kernels,
+// resolved by name from the space registry, so a caller links the SPAPT
+// provider (internal/space/spaptspace) to use the defaults.
+//
 // Absolute costs differ from the paper (the substrate is a simulator,
 // not the authors' testbed); the comparisons target the paper's
 // qualitative shape: who wins, by roughly what factor, and where the
-// crossovers fall. See EXPERIMENTS.md for the recorded outcomes.
+// crossovers fall. The README says how cmd/repro runs the experiments,
+// and ROADMAP item 5's table records the Table 1 outcomes.
 package experiment
 
 import (
@@ -29,8 +35,7 @@ import (
 	"alic/internal/dataset"
 	"alic/internal/dynatree"
 	"alic/internal/evaluator"
-	"alic/internal/space/spaptspace"
-	"alic/internal/spapt"
+	"alic/internal/space"
 	"alic/internal/workpool"
 )
 
@@ -196,34 +201,46 @@ func (c Curve) CostToReach(level float64) float64 {
 }
 
 // BenchmarkCurves holds the averaged curves of every strategy for one
-// kernel.
+// space.
 type BenchmarkCurves struct {
-	Kernel *spapt.Kernel
+	Space  space.Space
 	Curves map[Strategy]Curve
 }
 
-// buildDataset generates the kernel's corpus under the settings.
-func buildDataset(k *spapt.Kernel, s Settings) (*dataset.Dataset, error) {
-	sp, err := spaptspace.Wrap(k)
-	if err != nil {
-		return nil, err
+// orDefault returns spaces, or the registered spaces named by defaults
+// when spaces is nil.
+func orDefault(spaces []space.Space, defaults []string) ([]space.Space, error) {
+	if spaces != nil {
+		return spaces, nil
 	}
-	total := s.PoolConfigs + s.TestConfigs
+	out := make([]space.Space, len(defaults))
+	for i, name := range defaults {
+		sp, err := space.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = sp
+	}
+	return out, nil
+}
+
+// buildDataset generates the space's corpus under the settings.
+func buildDataset(sp space.Space, s Settings) (*dataset.Dataset, error) {
 	return dataset.Generate(sp, dataset.Options{
-		NConfigs:   total,
+		NConfigs:   s.PoolConfigs + s.TestConfigs,
 		NObs:       s.NObs,
 		TrainCount: s.PoolConfigs,
 		Seed:       s.Seed,
 	})
 }
 
-// RunCurves runs every strategy Reps times on the kernel and returns
+// RunCurves runs every strategy Reps times on the space and returns
 // rep-averaged learning curves.
-func RunCurves(k *spapt.Kernel, s Settings, progress func(string)) (*BenchmarkCurves, error) {
+func RunCurves(sp space.Space, s Settings, progress func(string)) (*BenchmarkCurves, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	ds, err := buildDataset(k, s)
+	ds, err := buildDataset(sp, s)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +293,7 @@ func RunCurves(k *spapt.Kernel, s Settings, progress func(string)) (*BenchmarkCu
 	// stragglers).
 	workpool.DynamicFor(workers, len(jobs), func(ji int) {
 		j := jobs[ji]
-		report(fmt.Sprintf("%s: %v rep %d/%d", k.Name, j.strat, j.rep+1, s.Reps))
+		report(fmt.Sprintf("%s: %v rep %d/%d", sp.Name(), j.strat, j.rep+1, s.Reps))
 		learner, err := core.New(s.learnerOptions(j.strat, j.rep), pool, src, eval)
 		if err != nil {
 			errs[ji] = err
@@ -288,7 +305,7 @@ func RunCurves(k *spapt.Kernel, s Settings, progress func(string)) (*BenchmarkCu
 			return
 		}
 		if len(res.Curve) == 0 {
-			errs[ji] = fmt.Errorf("experiment: empty curve for %s/%v", k.Name, j.strat)
+			errs[ji] = fmt.Errorf("experiment: empty curve for %s/%v", sp.Name(), j.strat)
 			return
 		}
 		curves[ji] = res.Curve
@@ -302,7 +319,7 @@ func RunCurves(k *spapt.Kernel, s Settings, progress func(string)) (*BenchmarkCu
 		curvesByStrat[jobs[ji].strat] = append(curvesByStrat[jobs[ji].strat], curves[ji])
 	}
 
-	out := &BenchmarkCurves{Kernel: k, Curves: make(map[Strategy]Curve)}
+	out := &BenchmarkCurves{Space: sp, Curves: make(map[Strategy]Curve)}
 	for _, strat := range Strategies() {
 		runs := curvesByStrat[strat]
 		points := len(runs[0])

@@ -1,10 +1,15 @@
 package experiment
 
 import (
+	"errors"
 	"math"
 	"testing"
 
-	"alic/internal/spapt"
+	"alic/internal/dataset"
+	"alic/internal/space"
+	_ "alic/internal/space/spaptspace"
+	_ "alic/internal/space/synthetic"
+	"alic/internal/stats"
 )
 
 // tinySettings keeps experiment tests fast.
@@ -17,6 +22,16 @@ func tinySettings() Settings {
 		EvalEvery: 10,
 		Seed:      7,
 	}
+}
+
+// mustSpaces resolves registered space names.
+func mustSpaces(t *testing.T, names ...string) []space.Space {
+	t.Helper()
+	spaces, err := orDefault(nil, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spaces
 }
 
 func TestSettingsValidate(t *testing.T) {
@@ -67,8 +82,7 @@ func TestRunCurvesShapes(t *testing.T) {
 	// gap between the plans is driven by observation counts. (For
 	// compile-dominated kernels like mvt the gap is legitimately small
 	// — that is exactly the paper's low-speed-up case.)
-	k, _ := spapt.ByName("correlation")
-	bc, err := RunCurves(k, tinySettings(), nil)
+	bc, err := RunCurves(mustSpaces(t, "correlation")[0], tinySettings(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,43 +146,70 @@ func TestLowestCommon(t *testing.T) {
 }
 
 func TestTable1SingleKernel(t *testing.T) {
-	k, _ := spapt.ByName("lu")
-	res, err := Table1([]*spapt.Kernel{k}, tinySettings(), nil)
-	if err != nil {
-		t.Fatal(err)
+	// synthetic/needle covers a space outside the SPAPT suite.
+	for _, name := range []string{"lu", "synthetic/needle"} {
+		t.Run(name, func(t *testing.T) {
+			res, err := Table1(mustSpaces(t, name), tinySettings(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 {
+				t.Fatalf("rows %d", len(res.Rows))
+			}
+			row := res.Rows[0]
+			if row.Benchmark != name {
+				t.Fatalf("benchmark %q", row.Benchmark)
+			}
+			if row.LowestCommonRMSE <= 0 {
+				t.Fatalf("common RMSE %v", row.LowestCommonRMSE)
+			}
+			if row.BaselineCost <= 0 || row.OurCost <= 0 {
+				t.Fatalf("costs %v %v", row.BaselineCost, row.OurCost)
+			}
+			if row.Speedup <= 0 {
+				t.Fatalf("speedup %v", row.Speedup)
+			}
+			if math.Abs(res.GeoMeanSpeedup-row.Speedup) > 1e-12 {
+				t.Fatal("geomean of one row must equal the row")
+			}
+			if len(res.Curves) != 1 || res.Curves[0].Space.Name() != name {
+				t.Fatal("curves not retained")
+			}
+		})
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows %d", len(res.Rows))
-	}
-	row := res.Rows[0]
-	if row.Benchmark != "lu" {
-		t.Fatalf("benchmark %q", row.Benchmark)
-	}
-	if row.LowestCommonRMSE <= 0 {
-		t.Fatalf("common RMSE %v", row.LowestCommonRMSE)
-	}
-	if row.BaselineCost <= 0 || row.OurCost <= 0 {
-		t.Fatalf("costs %v %v", row.BaselineCost, row.OurCost)
-	}
-	if row.Speedup <= 0 {
-		t.Fatalf("speedup %v", row.Speedup)
-	}
-	if math.Abs(res.GeoMeanSpeedup-row.Speedup) > 1e-12 {
-		t.Fatal("geomean of one row must equal the row")
-	}
-	if len(res.Curves) != 1 {
-		t.Fatal("curves not retained")
+}
+
+// TestTable1Fidelity gates the paper's headline claim (Table 1: about
+// 4x geometric-mean saving) on the whole suite at FastSettings with one
+// repetition, at two seeds: the geometric mean must reach 2x and the
+// variable plan must beat the fixed-35 baseline on every kernel.
+// These bounds are a quality bar and are not to be loosened.
+func TestTable1Fidelity(t *testing.T) {
+	for _, seed := range []uint64{1, 7} {
+		s := FastSettings()
+		s.Reps = 1
+		s.Seed = seed
+		res, err := Table1(nil, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 11 {
+			t.Fatalf("seed %d: %d rows, want the 11-kernel suite", seed, len(res.Rows))
+		}
+		for _, row := range res.Rows {
+			if !(row.Speedup > 1) {
+				t.Errorf("seed %d: %s speed-up %.3fx, want above 1x", seed, row.Benchmark, row.Speedup)
+			}
+		}
+		if !(res.GeoMeanSpeedup >= 2) {
+			t.Errorf("seed %d: geometric-mean speed-up %.3fx, want at least 2x", seed, res.GeoMeanSpeedup)
+		}
+		t.Logf("seed %d: geometric mean %.3fx", seed, res.GeoMeanSpeedup)
 	}
 }
 
 func TestTable2(t *testing.T) {
-	ks := []*spapt.Kernel{}
-	for _, n := range []string{"lu", "correlation"} {
-		k, _ := spapt.ByName(n)
-		ks = append(ks, k)
-	}
-	s := tinySettings()
-	res, err := Table2(ks, s, nil)
+	res, err := Table2(mustSpaces(t, "lu", "correlation"), tinySettings(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +232,15 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFailureRates(t *testing.T) {
-	k, _ := spapt.ByName("correlation")
-	ds, err := buildDataset(k, tinySettings())
+	ds, err := buildDataset(mustSpaces(t, "correlation")[0], tinySettings())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate, err := FailureRates(ds, 5, 0.05, 0.95)
+	ratios, err := ds.CIOverMeans(5, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rate := stats.FractionAbove(ratios, 0.05)
 	if rate < 0 || rate > 1 {
 		t.Fatalf("rate %v", rate)
 	}
@@ -207,7 +248,7 @@ func TestFailureRates(t *testing.T) {
 	if rate == 0 {
 		t.Fatal("correlation shows no CI failures at 5 observations")
 	}
-	if _, err := FailureRates(ds, 1, 0.05, 0.95); err == nil {
+	if _, err := ds.CIOverMeans(1, 0.95); err == nil {
 		t.Fatal("nObs=1 accepted")
 	}
 }
@@ -287,25 +328,27 @@ func TestFigure6(t *testing.T) {
 	if got := Figure6Kernels(); len(got) != 6 {
 		t.Fatalf("Figure 6 kernels %v", got)
 	}
-	out, err := Figure6([]string{"mvt"}, tinySettings(), nil)
+	out, err := Figure6(mustSpaces(t, "mvt"), tinySettings(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || len(out[0].Curves) != 3 {
 		t.Fatal("Figure 6 output malformed")
 	}
-	if _, err := Figure6([]string{"bogus"}, tinySettings(), nil); err == nil {
-		t.Fatal("unknown kernel accepted")
+	live := liveSpace{mustSpaces(t, "mvt")[0]}
+	if _, err := Figure6([]space.Space{live}, tinySettings(), nil); !errors.Is(err, dataset.ErrLiveSpace) {
+		t.Fatalf("live space: err %v, want ErrLiveSpace", err)
 	}
 }
 
+// liveSpace marks a simulated space as live, so corpus generation must
+// refuse it.
+type liveSpace struct{ space.Space }
+
+func (liveSpace) Live() bool { return true }
+
 func TestSection43(t *testing.T) {
-	ks := []*spapt.Kernel{}
-	for _, n := range []string{"lu", "correlation"} {
-		k, _ := spapt.ByName(n)
-		ks = append(ks, k)
-	}
-	res, err := Section43(ks, tinySettings(), nil)
+	res, err := Section43(mustSpaces(t, "lu", "correlation"), tinySettings(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,16 +390,16 @@ func TestSection43(t *testing.T) {
 
 func TestRunCurvesParallelDeterminism(t *testing.T) {
 	// Concurrency must not change results: 1 worker vs many workers.
-	k, _ := spapt.ByName("mvt")
+	sp := mustSpaces(t, "mvt")[0]
 	s1 := tinySettings()
 	s1.Workers = 1
 	sN := tinySettings()
 	sN.Workers = 4
-	a, err := RunCurves(k, s1, nil)
+	a, err := RunCurves(sp, s1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCurves(k, sN, nil)
+	b, err := RunCurves(sp, sN, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

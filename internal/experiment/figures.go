@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"alic/internal/noise"
-	"alic/internal/spapt"
+	"alic/internal/space"
 	"alic/internal/stats"
 )
 
@@ -36,23 +35,19 @@ func Figure1(maxFactor, nObs int, threshold float64, seed uint64) (*Figure1Resul
 	if maxFactor < 2 || nObs < 2 || threshold <= 0 {
 		return nil, fmt.Errorf("experiment: bad Figure 1 parameters")
 	}
-	k, err := spapt.ByName("mm")
+	sp, err := space.ByName("mm")
 	if err != nil {
 		return nil, err
 	}
-	iIdx, jIdx := -1, -1
-	for i, p := range k.Params {
-		switch p.Name {
-		case "U_i":
-			iIdx = i
-		case "U_j":
-			jIdx = i
-		}
+	iIdx, err := paramIndex(sp, "U_i")
+	if err != nil {
+		return nil, err
 	}
-	if iIdx < 0 || jIdx < 0 {
-		return nil, fmt.Errorf("experiment: mm lacks U_i/U_j parameters")
+	jIdx, err := paramIndex(sp, "U_j")
+	if err != nil {
+		return nil, err
 	}
-	sampler, err := noise.NewSampler(k.Noise, k.Dim(), seed)
+	meas, err := sp.Measurer(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -71,19 +66,15 @@ func Figure1(maxFactor, nObs int, threshold float64, seed uint64) (*Figure1Resul
 		res.MAEOpt[a] = make([]float64, n)
 		res.Counts[a] = make([]int, n)
 		for b := 0; b < n; b++ {
-			cfg := k.BaselineConfig()
+			cfg := sp.BaselineConfig()
 			cfg[iIdx] = res.Factors[a]
 			cfg[jIdx] = res.Factors[b]
-			mu, err := k.TrueRuntime(cfg)
-			if err != nil {
-				return nil, err
-			}
-			pos := k.Features(cfg)
-			key := k.Key(cfg)
 			ys := make([]float64, nObs)
 			var w stats.Welford
-			for o := 0; o < nObs; o++ {
-				ys[o] = sampler.Sample(mu, pos, key, o)
+			for o := range ys {
+				if ys[o], err = meas.Observe(cfg, o); err != nil {
+					return nil, err
+				}
 				w.Add(ys[o])
 			}
 			mean := w.Mean()
@@ -95,7 +86,8 @@ func Figure1(maxFactor, nObs int, threshold float64, seed uint64) (*Figure1Resul
 			}
 			res.MAE1[a][b] = mae1 / float64(nObs)
 
-			// Smallest prefix whose mean stays within the threshold.
+			// Smallest prefix whose mean stays within the threshold; pw
+			// ends holding exactly that prefix.
 			count := nObs
 			var pw stats.Welford
 			for o := 0; o < nObs; o++ {
@@ -106,11 +98,7 @@ func Figure1(maxFactor, nObs int, threshold float64, seed uint64) (*Figure1Resul
 				}
 			}
 			res.Counts[a][b] = count
-			var cw stats.Welford
-			for o := 0; o < count; o++ {
-				cw.Add(ys[o])
-			}
-			res.MAEOpt[a][b] = math.Abs(cw.Mean() - mean)
+			res.MAEOpt[a][b] = math.Abs(pw.Mean() - mean)
 
 			res.FixedRuns += nObs
 			res.AdaptiveRuns += count
@@ -133,38 +121,45 @@ func Figure2(maxFactor int, seed uint64) (*Figure2Result, error) {
 	if maxFactor < 2 {
 		return nil, fmt.Errorf("experiment: bad Figure 2 parameter")
 	}
-	k, err := spapt.ByName("adi")
+	sp, err := space.ByName("adi")
 	if err != nil {
 		return nil, err
 	}
-	uIdx := -1
-	for i, p := range k.Params {
-		if p.Name == "U_R_i" {
-			uIdx = i
-			break
-		}
+	uIdx, err := paramIndex(sp, "U_R_i")
+	if err != nil {
+		return nil, err
 	}
-	if uIdx < 0 {
-		return nil, fmt.Errorf("experiment: adi lacks U_R_i")
-	}
-	sampler, err := noise.NewSampler(k.Noise, k.Dim(), seed)
+	meas, err := sp.Measurer(seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &Figure2Result{}
 	for f := 1; f <= maxFactor; f++ {
-		cfg := k.BaselineConfig()
+		cfg := sp.BaselineConfig()
 		cfg[uIdx] = f
-		mu, err := k.TrueRuntime(cfg)
+		mu, err := meas.TrueMean(cfg)
+		if err != nil {
+			return nil, err
+		}
+		y, err := meas.Observe(cfg, 0)
 		if err != nil {
 			return nil, err
 		}
 		res.Factors = append(res.Factors, f)
 		res.TrueMean = append(res.TrueMean, mu)
-		res.Observed = append(res.Observed,
-			sampler.Sample(mu, k.Features(cfg), k.Key(cfg), 0))
+		res.Observed = append(res.Observed, y)
 	}
 	return res, nil
+}
+
+// paramIndex returns the position of the named parameter in sp.Params().
+func paramIndex(sp space.Space, name string) (int, error) {
+	for i, p := range sp.Params() {
+		if p.Name == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("experiment: %s lacks parameter %s", sp.Name(), name)
 }
 
 // Figure6Kernels lists the six benchmarks the paper plots in Figure 6.
@@ -172,19 +167,16 @@ func Figure6Kernels() []string {
 	return []string{"adi", "atax", "correlation", "gemver", "jacobi", "mvt"}
 }
 
-// Figure6 runs the three sampling plans on the requested kernels (nil
+// Figure6 runs the three sampling plans on the requested spaces (nil
 // means the paper's six) and returns the averaged curves.
-func Figure6(names []string, s Settings, progress func(string)) ([]*BenchmarkCurves, error) {
-	if names == nil {
-		names = Figure6Kernels()
+func Figure6(spaces []space.Space, s Settings, progress func(string)) ([]*BenchmarkCurves, error) {
+	spaces, err := orDefault(spaces, Figure6Kernels())
+	if err != nil {
+		return nil, err
 	}
 	var out []*BenchmarkCurves
-	for _, name := range names {
-		k, err := spapt.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		bc, err := RunCurves(k, s, progress)
+	for _, sp := range spaces {
+		bc, err := RunCurves(sp, s, progress)
 		if err != nil {
 			return nil, err
 		}

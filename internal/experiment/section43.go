@@ -3,7 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"alic/internal/space"
 	"alic/internal/spapt"
+	"alic/internal/stats"
 )
 
 // Section43Row holds the sampling-plan adequacy rates of §4.3 of the
@@ -33,36 +35,39 @@ type Section43Result struct {
 }
 
 // Section43 reproduces the §4.3 sampling-plan adequacy study for the
-// given kernels (nil means the whole suite).
-func Section43(kernels []*spapt.Kernel, s Settings, progress func(string)) (*Section43Result, error) {
+// given spaces (nil means the paper's suite).
+func Section43(spaces []space.Space, s Settings, progress func(string)) (*Section43Result, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if kernels == nil {
-		kernels = spapt.Kernels()
+	spaces, err := orDefault(spaces, spapt.Names())
+	if err != nil {
+		return nil, err
 	}
 	res := &Section43Result{Suite: Section43Row{Benchmark: "suite"}}
 	total := 0
-	for _, k := range kernels {
+	for _, sp := range spaces {
 		if progress != nil {
-			progress(fmt.Sprintf("section 4.3: %s", k.Name))
+			progress(fmt.Sprintf("section 4.3: %s", sp.Name()))
 		}
-		ds, err := buildDataset(k, s)
+		ds, err := buildDataset(sp, s)
 		if err != nil {
 			return nil, err
 		}
-		row := Section43Row{Benchmark: k.Name}
-		if row.Fail1At35, err = FailureRates(ds, min(35, s.NObs), 0.01, 0.95); err != nil {
-			return nil, err
+		// ratios[k] holds every configuration's CI/mean ratio at the
+		// k-th sample size; both 35-observation thresholds count one pass.
+		var ratios [3][]float64
+		for k, nObs := range []int{min(35, s.NObs), 5, 2} {
+			if ratios[k], err = ds.CIOverMeans(nObs, 0.95); err != nil {
+				return nil, err
+			}
 		}
-		if row.Fail5At35, err = FailureRates(ds, min(35, s.NObs), 0.05, 0.95); err != nil {
-			return nil, err
-		}
-		if row.Fail5At5, err = FailureRates(ds, 5, 0.05, 0.95); err != nil {
-			return nil, err
-		}
-		if row.Fail5At2, err = FailureRates(ds, 2, 0.05, 0.95); err != nil {
-			return nil, err
+		row := Section43Row{
+			Benchmark: sp.Name(),
+			Fail1At35: stats.FractionAbove(ratios[0], 0.01),
+			Fail5At35: stats.FractionAbove(ratios[0], 0.05),
+			Fail5At5:  stats.FractionAbove(ratios[1], 0.05),
+			Fail5At2:  stats.FractionAbove(ratios[2], 0.05),
 		}
 		res.Rows = append(res.Rows, row)
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"alic/internal/space"
 	"alic/internal/spapt"
 	"alic/internal/stats"
 )
@@ -38,26 +39,27 @@ func LowestCommon(baseline, ours Curve) (level, baseCost, ourCost float64) {
 	return level, baseline.CostToReach(level), ours.CostToReach(level)
 }
 
-// Table1 runs the full comparison for the given kernels (nil means the
-// whole suite) and assembles the paper's Table 1.
-func Table1(kernels []*spapt.Kernel, s Settings, progress func(string)) (*Table1Result, error) {
-	if kernels == nil {
-		kernels = spapt.Kernels()
+// Table1 runs the full comparison for the given spaces (nil means the
+// paper's suite) and assembles the paper's Table 1.
+func Table1(spaces []space.Space, s Settings, progress func(string)) (*Table1Result, error) {
+	spaces, err := orDefault(spaces, spapt.Names())
+	if err != nil {
+		return nil, err
 	}
 	res := &Table1Result{}
 	var speedups []float64
-	for _, k := range kernels {
-		bc, err := RunCurves(k, s, progress)
+	for _, sp := range spaces {
+		bc, err := RunCurves(sp, s, progress)
 		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", k.Name, err)
+			return nil, fmt.Errorf("table1 %s: %w", sp.Name(), err)
 		}
 		res.Curves = append(res.Curves, bc)
 		baseline := bc.Curves[AllObservations]
 		ours := bc.Curves[VariableObservations]
 		level, baseCost, ourCost := LowestCommon(baseline, ours)
 		row := Table1Row{
-			Benchmark:        k.Name,
-			SpaceSize:        k.SpaceSize(),
+			Benchmark:        sp.Name(),
+			SpaceSize:        sp.Size(),
 			LowestCommonRMSE: level,
 			BaselineCost:     baseCost,
 			OurCost:          ourCost,

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"alic/internal/dataset"
+	"alic/internal/space"
 	"alic/internal/spapt"
 	"alic/internal/stats"
 )
@@ -26,29 +26,30 @@ type Table2Result struct {
 }
 
 // Table2 generates the noise-characterisation table for the given
-// kernels (nil means the whole suite). It uses the same datasets the
+// spaces (nil means the paper's suite). It uses the same datasets the
 // learning experiments run on.
-func Table2(kernels []*spapt.Kernel, s Settings, progress func(string)) (*Table2Result, error) {
+func Table2(spaces []space.Space, s Settings, progress func(string)) (*Table2Result, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if kernels == nil {
-		kernels = spapt.Kernels()
+	spaces, err := orDefault(spaces, spapt.Names())
+	if err != nil {
+		return nil, err
 	}
 	res := &Table2Result{NConfigs: s.PoolConfigs + s.TestConfigs, NObs: s.NObs}
-	for _, k := range kernels {
+	for _, sp := range spaces {
 		if progress != nil {
-			progress(fmt.Sprintf("table2: %s", k.Name))
+			progress(fmt.Sprintf("table2: %s", sp.Name()))
 		}
-		ds, err := buildDataset(k, s)
+		ds, err := buildDataset(sp, s)
 		if err != nil {
 			return nil, err
 		}
-		ci35, err := ds.CIOverMeanSummary(min(35, s.NObs), 0.95)
+		ci35, err := ds.CIOverMeans(min(35, s.NObs), 0.95)
 		if err != nil {
 			return nil, err
 		}
-		ci5, err := ds.CIOverMeanSummary(5, 0.95)
+		ci5, err := ds.CIOverMeans(5, 0.95)
 		if err != nil {
 			return nil, err
 		}
@@ -57,35 +58,11 @@ func Table2(kernels []*spapt.Kernel, s Settings, progress func(string)) (*Table2
 			return nil, err
 		}
 		res.Rows = append(res.Rows, Table2Row{
-			Benchmark: k.Name,
+			Benchmark: sp.Name(),
 			Variance:  vs,
-			CI35:      ci35,
-			CI5:       ci5,
+			CI35:      stats.Summarize(ci35),
+			CI5:       stats.Summarize(ci5),
 		})
 	}
 	return res, nil
-}
-
-// FailureRates reproduces the §4.3 observation: the fraction of
-// configurations whose CI/mean ratio exceeds the given threshold at a
-// given sample size ("fully 5% of examples broke the threshold").
-func FailureRates(ds *dataset.Dataset, nObs int, threshold, confidence float64) (float64, error) {
-	if nObs < 2 {
-		return 0, fmt.Errorf("experiment: FailureRates needs nObs >= 2")
-	}
-	fails := 0
-	for i := range ds.Configs {
-		var w stats.Welford
-		for j := 0; j < nObs; j++ {
-			y, err := ds.Observe(i, j)
-			if err != nil {
-				return 0, err
-			}
-			w.Add(y)
-		}
-		if stats.CIOverMean(w.Mean(), w.Stddev(), w.N(), confidence) > threshold {
-			fails++
-		}
-	}
-	return float64(fails) / float64(len(ds.Configs)), nil
 }

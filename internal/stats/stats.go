@@ -112,6 +112,21 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
+// FractionAbove returns the share of xs strictly above threshold (0 for
+// empty input).
+func FractionAbove(xs []float64, threshold float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	n := 0
+	for _, x := range xs {
+		if x > threshold {
+			n++
+		}
+	}
+	return float64(n) / float64(len(xs))
+}
+
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

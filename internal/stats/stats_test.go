@@ -108,6 +108,16 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
+func TestFractionAbove(t *testing.T) {
+	xs := []float64{0.01, 0.05, 0.06, math.Inf(1)}
+	if got := FractionAbove(xs, 0.05); got != 0.5 {
+		t.Fatalf("FractionAbove = %v, want 0.5 (the threshold itself is not above)", got)
+	}
+	if got := FractionAbove(nil, 0.05); got != 0 {
+		t.Fatalf("FractionAbove(nil) = %v, want 0", got)
+	}
+}
+
 func TestGeometricMean(t *testing.T) {
 	g, err := GeometricMean([]float64{1, 4, 16})
 	if err != nil {

@@ -3,12 +3,15 @@ package alic
 import (
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
 // TestBinariesBuild smoke-tests that every command and example binary
-// compiles; none of them have test files of their own, so without this
-// a broken main package only surfaces in tier-1 `go build ./...` runs.
+// compiles. Few main packages have test files of their own, so without
+// this a broken one only surfaces in tier-1 `go build ./...` runs. The
+// list comes from `go list`, so a new command or example is covered
+// without editing this test.
 func TestBinariesBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping build smoke test in -short mode")
@@ -17,16 +20,17 @@ func TestBinariesBuild(t *testing.T) {
 	if err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	pkgs := []string{
-		"./cmd/alic",
-		"./cmd/repro",
-		"./cmd/spapt-dataset",
-		"./examples/autotuning",
-		"./examples/batch-parallel",
-		"./examples/cross-platform",
-		"./examples/custom-acquisition",
-		"./examples/noise-robustness",
-		"./examples/quickstart",
+	out, err := exec.Command(gobin, "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`,
+		"./cmd/...", "./examples/...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var pkgs []string
+	for _, path := range strings.Fields(string(out)) {
+		pkgs = append(pkgs, "./"+strings.TrimPrefix(path, "alic/"))
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("go list found no main packages under ./cmd and ./examples")
 	}
 	for _, pkg := range pkgs {
 		pkg := pkg
