@@ -62,15 +62,15 @@
 // (the same call Learn makes) and reports progress through
 // LearnerOptions.Progress.
 //
-// # Parallel scoring
+// # Where parallelism lives
 //
-// Candidate scoring — the hot path of the active-learning loop — runs
-// on a shared worker pool. LearnerOptions.Workers bounds the goroutines
-// used per iteration (0 = GOMAXPROCS, 1 = serial); backends shard
-// candidates deterministically, so every worker count selects the same
-// configurations and produces bit-identical results. Workers changes
-// wall-clock time only. The same knob is exposed as the -workers flag
-// of cmd/alic.
+// The paper's §4.3 cost is compile and run time, so parallelism pays
+// where measurements happen, not inside the model: a learner scores
+// and updates its model on one goroutine. Measurements run
+// concurrently within an acquisition batch (LearnerOptions.EvalWorkers,
+// below), the experiment harness runs whole learning runs concurrently,
+// and the tuning service steps many sessions at once on its scheduler
+// workers. Every one of these is bit-identical to its serial form.
 //
 // # Batched evaluation
 //
@@ -636,8 +636,8 @@ func NewLearner(ds *Dataset, opts LearnerOptions) (*Learner, error) {
 // dataset exactly as NewLearner does, then load the saved state. The
 // dataset and options must match the snapshotting run's (same
 // DatasetSeed, budgets, plan, scorer, backend) — mismatches fail with
-// ErrSnapshotMismatch rather than diverging silently. Worker counts
-// are free to change: the resumed run is bit-identical either way.
+// ErrSnapshotMismatch rather than diverging silently. EvalWorkers is
+// free to change: the resumed run is bit-identical either way.
 func ResumeLearner(ds *Dataset, opts LearnerOptions, r io.Reader) (*Learner, error) {
 	l, err := NewLearner(ds, opts)
 	if err != nil {

@@ -377,15 +377,14 @@ func BenchmarkAblationLeafModel(b *testing.B) {
 	}
 }
 
-// --- Parallel scoring (the acquisition hot path) --------------------------
+// --- Candidate scoring (the acquisition hot path) ------------------------
 
 // benchForest trains a forest sized like a mid-run learner model.
-func benchForest(b *testing.B, workers int) (*dynatree.Forest, [][]float64) {
+func benchForest(b *testing.B) (*dynatree.Forest, [][]float64) {
 	b.Helper()
 	cfg := dynatree.DefaultConfig()
 	cfg.Particles = 300
 	cfg.ScoreParticles = 100
-	cfg.Workers = workers
 	f, err := dynatree.New(cfg, 4, rng.New(7))
 	if err != nil {
 		b.Fatal(err)
@@ -403,69 +402,52 @@ func benchForest(b *testing.B, workers int) (*dynatree.Forest, [][]float64) {
 }
 
 // BenchmarkALCScores measures the dominant per-iteration cost of the
-// learner (ALC over the whole candidate set, refs = cands) at several
-// worker counts. Scores are bit-identical across worker counts; only
-// wall-clock changes.
+// learner: ALC over the whole candidate set, refs = cands.
 func BenchmarkALCScores(b *testing.B) {
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			f, xs := benchForest(b, w)
-			cands := xs[300:800]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.ALCScores(cands, cands)
-			}
-		})
+	f, xs := benchForest(b)
+	cands := xs[300:800]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.ALCScores(cands, cands)
 	}
 }
 
-// BenchmarkALMBatch measures batched ALM scoring at several worker
-// counts.
+// BenchmarkALMBatch measures batched ALM scoring.
 func BenchmarkALMBatch(b *testing.B) {
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			f, xs := benchForest(b, w)
-			cands := xs[300:800]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.ALMBatch(cands)
-			}
-		})
+	f, xs := benchForest(b)
+	cands := xs[300:800]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.ALMBatch(cands)
 	}
 }
 
 // BenchmarkSelectBatch measures one full acquisition-selection step of
-// the learner — candidate assembly plus ALC scoring — at several worker
-// counts.
+// the learner: candidate assembly plus ALC scoring.
 func BenchmarkSelectBatch(b *testing.B) {
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			r := rng.New(3)
-			pool := make(core.SlicePool, 2000)
-			for i := range pool {
-				pool[i] = []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
-			}
-			opts := core.DefaultOptions()
-			opts.NInit = 5
-			opts.NMax = 5 // seed the model, then stop
-			opts.NCand = 500
-			opts.Workers = w
-			opts.Tree.Particles = 300
-			opts.Tree.ScoreParticles = 100
-			l, err := newBenchLearner(opts, pool)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := l.Run(nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := l.SelectBatch(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	r := rng.New(3)
+	pool := make(core.SlicePool, 2000)
+	for i := range pool {
+		pool[i] = []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
+	}
+	opts := core.DefaultOptions()
+	opts.NInit = 5
+	opts.NMax = 5 // seed the model, then stop
+	opts.NCand = 500
+	opts.Tree.Particles = 300
+	opts.Tree.ScoreParticles = 100
+	l, err := newBenchLearner(opts, pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := l.Run(nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.SelectBatch(1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -58,7 +58,6 @@ func main() {
 		test       = flag.Int("test", 600, "test set size")
 		seed       = flag.Uint64("seed", 1, "experiment seed")
 		verify     = flag.Int("verify", 10, "configurations to verify during tuning")
-		workers    = flag.Int("workers", 0, "candidate-scoring goroutines (0 = all cores); results are identical for every value")
 		evalWork   = flag.Int("eval-workers", 0, "concurrent profiling measurements (0 = all cores); results are identical for every value")
 		progress   = flag.Bool("progress", false, "print acquisition progress while learning")
 		cpuprof    = flag.String("cpuprofile", "", "write a pprof CPU profile of the learn loop to this file")
@@ -133,7 +132,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -leaf model %q (want constant or linear)", *leaf))
 	}
-	opts.Learner.Workers = *workers
 	opts.Learner.EvalWorkers = *evalWork
 	opts.Learner.PlanObs = *planObs
 

@@ -51,7 +51,7 @@ func main() {
 	tab := report.NewTable(
 		fmt.Sprintf("dataset summaries (%d configs, %d observations each)", *configs, *obs),
 		"benchmark", "runtime min", "runtime mean", "runtime max",
-		"var mean", "var max", "CI/mean fail@5%%", "mean compile (s)")
+		"var mean", "var max", "CI/mean fail@5%", "mean compile (s)")
 	for _, name := range names {
 		sp, err := space.ByName(name)
 		if err != nil {

@@ -1,12 +1,13 @@
 // Package parfor enforces the index-disjoint-writes contract of
-// workpool.ParallelFor (and DynamicFor, and the dynatree-local
-// parallelFor wrapper): a body closure must write only to locations
-// addressed by its own shard — writes to captured variables are legal
-// only when every step of the written lvalue chain is indexed by an
-// expression derived from the closure's shard parameters. Shared
+// workpool.ParallelFor (and DynamicFor): a body closure must write
+// only to locations addressed by its own shard — writes to captured
+// variables are legal only when every step of the written lvalue
+// chain is indexed by an expression derived from the closure's shard
+// parameters. Shared
 // accumulators ("total += x") and un-sharded writes to captured
-// state race and break the bit-determinism the goldens pin; today
-// only -race and the worker-count determinism tests catch them.
+// state race and break the bit-determinism the goldens pin; without
+// the pass only -race and the evaluator's worker-count determinism
+// tests catch them.
 //
 // The pass resolves derivation by taint: the closure's parameters
 // seed the tainted set, and locals assigned from tainted expressions
@@ -33,13 +34,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // parallelNames are the callee names treated as sharded-loop entry
-// points. Matching is by name (any package): the workpool originals
-// plus thin package-local wrappers like dynatree's parallelFor.
+// points. Matching is by name (any package), so a copy of the workpool
+// loops is checked like the originals.
 var parallelNames = map[string]bool{
 	"ParallelFor": true,
-	"parallelFor": true,
 	"DynamicFor":  true,
-	"dynamicFor":  true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -92,15 +92,3 @@ func localState(n int) {
 		_ = sum
 	})
 }
-
-// viaWrapper matches the package-local wrapper spelling used by
-// dynatree's parallelFor.
-func viaWrapper(out []float64) {
-	parallelFor(2, len(out), func(start, end int) {
-		for i := start; i < end; i++ {
-			out[i] = 1
-		}
-	})
-}
-
-func parallelFor(workers, n int, body func(start, end int)) { body(0, n) }

@@ -104,13 +104,6 @@ type Options struct {
 	// StopWindow is the sliding-window size of the prequential
 	// estimator (default 50 when StopError is set).
 	StopWindow int
-	// Workers bounds the goroutines used to score candidates each
-	// iteration (0 = GOMAXPROCS, 1 = serial), mirroring the semantics
-	// of the experiment harness's run-level Workers knob. Scoring is
-	// sharded deterministically, so every worker count selects the
-	// same configurations and yields bit-identical results; Workers
-	// changes wall-clock time only.
-	Workers int
 	// EvalWorkers bounds concurrent measurements inside the learner's
 	// evaluator engine, which New builds from it (0 = GOMAXPROCS,
 	// 1 = serial); results are bit-identical for every value.
@@ -190,9 +183,6 @@ func (o Options) validate(poolLen int, plan SamplingPlan) error {
 	}
 	if n := plan.AcquireObservations(o); n < 1 {
 		return fmt.Errorf("core: plan %q needs >= 1 observations per acquisition, got %d", plan.Name(), n)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: Workers %d < 0", o.Workers)
 	}
 	if o.EvalWorkers < 0 {
 		return fmt.Errorf("core: EvalWorkers %d < 0", o.EvalWorkers)
@@ -875,7 +865,6 @@ func (l *Learner) seedModel(idxs []int, obs []evaluator.Observation) error {
 	m, err := l.builder.New(model.Params{
 		Dim:         len(l.pool.Features(idxs[0])),
 		SeedTargets: all,
-		Workers:     l.opts.Workers,
 		RNG:         l.r.Split(l.builder.Name()),
 	})
 	if err != nil {

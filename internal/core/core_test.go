@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -851,47 +854,83 @@ func TestALCOutperformsRandomOnHeteroskedastic(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterminism is the core-level analogue of the experiment
-// harness's TestRunCurvesParallelDeterminism: sharded candidate scoring
-// must not change results. Workers=1 and Workers=8 must produce
-// bit-identical learning curves and select the same configurations.
-func TestWorkersDeterminism(t *testing.T) {
+// runFingerprint renders a finished run at full float precision: the
+// summary, every curve point, and an FNV-1a digest of the per-item
+// observation counts in item order.
+func runFingerprint(res *Result, counts map[int]int) []string {
+	out := []string{fmt.Sprintf("cost=%.17g final=%.17g acq=%d obs=%d uniq=%d rev=%d preq=%.17g stop=%v",
+		res.Cost, res.FinalError, res.Acquired, res.Observations,
+		res.Unique, res.Revisits, res.PrequentialError, res.StoppedBy)}
+	for _, p := range res.Curve {
+		out = append(out, fmt.Sprintf("curve acq=%d cost=%.17g err=%.17g", p.Acquired, p.Cost, p.Error))
+	}
+	items := make([]int, 0, len(counts))
+	for k := range counts {
+		items = append(items, k)
+	}
+	sort.Ints(items)
+	h := fnv.New64a()
+	for _, k := range items {
+		fmt.Fprintf(h, "%d:%d;", k, counts[k])
+	}
+	return append(out, fmt.Sprintf("selections=%016x", h.Sum64()))
+}
+
+// scorerRun runs the small step-function learner under one scoring
+// heuristic and returns its fingerprint.
+func scorerRun(t *testing.T, sc Acquisition) []string {
+	pool := gridPool(300)
+	src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 10)
+	opts := smallOpts()
+	opts.Scorer = sc
+	l, err := New(opts, pool, src, testEval(stepFn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runFingerprint(res, l.ObservationCounts())
+}
+
+// scorerTrajectoryGolden holds scorerRun's fingerprints, recorded at
+// one scoring worker before the forest became serial.
+var scorerTrajectoryGolden = map[string][]string{
+	"alc": {
+		"cost=278.20071722755642 final=0.0094494092312526548 acq=120 obs=148 uniq=105 rev=15 preq=0.047062515575722837 stop=budget",
+		"curve acq=20 cost=96.617222885069168 err=0.34215097487758228",
+		"curve acq=40 cost=129.4026913109135 err=0.014270006672652838",
+		"curve acq=60 cost=166.252577191424 err=0.012919881703279018",
+		"curve acq=80 cost=203.00370814490219 err=0.010742681206399459",
+		"curve acq=100 cost=239.38787714670127 err=0.011434702578089519",
+		"curve acq=120 cost=278.20071722755642 err=0.0094494092312526548",
+		"selections=1e3eb876f94cc219",
+	},
+	"alm": {
+		"cost=318.85012802998477 final=0.0067045001788100401 acq=120 obs=148 uniq=70 rev=50 preq=0.051766616008737512 stop=budget",
+		"curve acq=20 cost=96.872534458494755 err=0.1950802282878564",
+		"curve acq=40 cost=144.90754348607194 err=0.023041460176377069",
+		"curve acq=60 cost=187.13000133858318 err=0.017600792110409887",
+		"curve acq=80 cost=233.83270666802659 err=0.0067168586777296407",
+		"curve acq=100 cost=276.38988519543994 err=0.0056057180227373866",
+		"curve acq=120 cost=318.85012802998477 err=0.0067045001788100401",
+		"selections=1eeb12b8e54b6146",
+	},
+}
+
+// TestScorerTrajectoryGolden pins whole learning runs under both
+// built-in scoring heuristics (curve, summary and the selected
+// configurations) against fingerprints recorded from the sharded
+// scoring path at one worker before the serial forest replaced it.
+func TestScorerTrajectoryGolden(t *testing.T) {
 	for _, sc := range []Acquisition{ALC, ALM} {
-		run := func(workers int) (*Result, map[int]int) {
-			pool := gridPool(300)
-			src := newFuncSource(pool, stepFn, constSigma(0.05), 0.05, 10)
-			opts := smallOpts()
-			opts.Scorer = sc
-			opts.Workers = workers
-			l, _ := New(opts, pool, src, testEval(stepFn))
-			res, err := l.Run(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, l.ObservationCounts()
+		want, ok := scorerTrajectoryGolden[sc.Name()]
+		if !ok {
+			t.Fatalf("no golden for %s", sc.Name())
 		}
-		a, aCounts := run(1)
-		b, bCounts := run(8)
-		if a.Acquired != b.Acquired || a.Observations != b.Observations ||
-			a.Unique != b.Unique || a.Revisits != b.Revisits || a.Cost != b.Cost {
-			t.Fatalf("%s: summary diverged: %+v vs %+v", sc.Name(), a, b)
-		}
-		if len(a.Curve) != len(b.Curve) {
-			t.Fatalf("%s: curve lengths differ: %d vs %d", sc.Name(), len(a.Curve), len(b.Curve))
-		}
-		for i := range a.Curve {
-			if a.Curve[i] != b.Curve[i] {
-				t.Fatalf("%s: curves diverged at point %d: %+v vs %+v",
-					sc.Name(), i, a.Curve[i], b.Curve[i])
-			}
-		}
-		if len(aCounts) != len(bCounts) {
-			t.Fatalf("%s: selected configuration sets differ", sc.Name())
-		}
-		for k, v := range aCounts {
-			if bCounts[k] != v {
-				t.Fatalf("%s: config %d observed %d vs %d times", sc.Name(), k, v, bCounts[k])
-			}
+		if got := scorerRun(t, sc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s diverged from the golden:\ngot  %q\nwant %q", sc.Name(), got, want)
 		}
 	}
 }

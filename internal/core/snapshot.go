@@ -38,8 +38,8 @@ const (
 // cost ledger, and the backend model. The contract is the acceptance
 // bar of the determinism pin: restore into a freshly constructed
 // learner (same options, pool and evaluator wiring) in any process,
-// at any worker count, and the remaining rounds are byte-identical to
-// never having stopped.
+// at any evaluator worker count, and the remaining rounds are
+// byte-identical to never having stopped.
 //
 // The learner must be between rounds or parked on a BeginRound; the
 // backend must implement model.Snapshotter once seeded.
@@ -162,9 +162,9 @@ func (l *Learner) Snapshot(w io.Writer) error {
 // Restore loads a Snapshot into this learner, which must be freshly
 // constructed (nothing seeded, nothing acquired) over the same pool
 // shape and option guards the snapshot records — mismatches fail with
-// ErrSnapshotMismatch rather than diverging silently. Worker counts
-// (Options.Workers, the evaluator's workers) are deliberately NOT
-// guarded: restoring onto different parallelism is supported and
+// ErrSnapshotMismatch rather than diverging silently. The evaluator's
+// worker count (Options.EvalWorkers) is deliberately NOT guarded:
+// restoring onto different parallelism is supported and
 // bit-identical. After Restore the learner continues exactly where
 // the snapshot was taken, including a round parked by BeginRound.
 func (l *Learner) Restore(r io.Reader) error {
@@ -372,9 +372,8 @@ func (l *Learner) Restore(r io.Reader) error {
 		mpay = pay[len(pay)-md.Remaining():]
 		var err error
 		mdl, err = mr.Restore(model.Params{
-			Dim:     len(l.pool.Features(0)),
-			Workers: l.opts.Workers,
-			RNG:     l.r.Split(l.builder.Name()),
+			Dim: len(l.pool.Features(0)),
+			RNG: l.r.Split(l.builder.Name()),
 		}, mpay)
 		if err != nil {
 			return err

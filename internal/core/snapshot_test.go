@@ -186,9 +186,8 @@ func TestSnapshotParkedRound(t *testing.T) {
 	requireSameRun(t, restored.Result(), want)
 }
 
-// TestSnapshotRestoreAcrossWorkerCounts pins the satellite contract:
-// snapshot under one worker count, restore under another (both the
-// scoring workers and the evaluator's measurement workers), and the
+// TestSnapshotRestoreAcrossWorkerCounts: snapshot under one count of
+// the evaluator's measurement workers, restore under another, and the
 // completed run is bit-identical every way.
 func TestSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
 	opts := smallOpts()
@@ -209,9 +208,7 @@ func TestSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
 
 	var want *Result
 	for _, w := range []int{1, 4, 8} {
-		wopts := opts
-		wopts.Workers = w
-		restored := snapLearner(t, wopts, pool, w)
+		restored := snapLearner(t, opts, pool, w)
 		if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

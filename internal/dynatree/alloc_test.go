@@ -160,7 +160,7 @@ func TestProposeSplitRangedZeroAllocs(t *testing.T) {
 // TestDescendRecordZeroAllocs pins the fused-descent recorder: once a
 // slot's chain scratch has seen its tree's depth, recording a
 // root→leaf descent must not allocate (it runs once per particle per
-// observation inside the sharded weight pass).
+// observation inside the weight pass).
 func TestDescendRecordZeroAllocs(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Particles = 8

@@ -29,9 +29,6 @@ func TestBatchMatchesSinglePoint(t *testing.T) {
 	for _, lm := range []LeafModel{ConstantLeaf, LinearLeaf} {
 		cfg := smallConfig()
 		cfg.LeafModel = lm
-		// Explicit multi-worker sharding so the race detector sees the
-		// linear-leaf warm path even on single-core machines.
-		cfg.Workers = 8
 		f, xs := trainForest(t, cfg, 80)
 		qs := xs[:40]
 
@@ -51,73 +48,6 @@ func TestBatchMatchesSinglePoint(t *testing.T) {
 				t.Fatalf("leafmodel %d: PredictMeanFastBatch[%d] = %v, PredictMeanFast = %v",
 					lm, i, fasts[i], got)
 			}
-		}
-	}
-}
-
-// TestBatchScoringWorkerDeterminism asserts the tentpole contract:
-// Workers=1 and Workers=8 yield bit-identical scores from every batched
-// scoring entry point.
-func TestBatchScoringWorkerDeterminism(t *testing.T) {
-	build := func(workers int) (*Forest, [][]float64) {
-		cfg := smallConfig()
-		cfg.Workers = workers
-		return trainForest(t, cfg, 120)
-	}
-	f1, xs := build(1)
-	f8, _ := build(8)
-
-	cands := xs[:60]
-	refs := xs[60:]
-
-	a1 := f1.ALCScores(cands, refs)
-	a8 := f8.ALCScores(cands, refs)
-	for i := range a1 {
-		if a1[i] != a8[i] {
-			t.Fatalf("ALCScores[%d]: workers=1 %v != workers=8 %v", i, a1[i], a8[i])
-		}
-	}
-
-	m1 := f1.ALMBatch(cands)
-	m8 := f8.ALMBatch(cands)
-	for i := range m1 {
-		if m1[i] != m8[i] {
-			t.Fatalf("ALMBatch[%d]: workers=1 %v != workers=8 %v", i, m1[i], m8[i])
-		}
-	}
-
-	p1, v1 := f1.PredictBatch(cands)
-	p8, v8 := f8.PredictBatch(cands)
-	for i := range p1 {
-		if p1[i] != p8[i] || v1[i] != v8[i] {
-			t.Fatalf("PredictBatch[%d]: workers=1 (%v, %v) != workers=8 (%v, %v)",
-				i, p1[i], v1[i], p8[i], v8[i])
-		}
-	}
-
-	if av1, av8 := f1.AvgVariance(refs), f8.AvgVariance(refs); av1 != av8 {
-		t.Fatalf("AvgVariance: workers=1 %v != workers=8 %v", av1, av8)
-	}
-}
-
-// TestUpdateWorkerDeterminism asserts that the sharded particle
-// reweighting inside Update does not change the trained model: two
-// forests trained on the same stream with different worker counts make
-// bit-identical predictions.
-func TestUpdateWorkerDeterminism(t *testing.T) {
-	build := func(workers int) (*Forest, [][]float64) {
-		cfg := smallConfig()
-		cfg.Workers = workers
-		return trainForest(t, cfg, 150)
-	}
-	f1, xs := build(1)
-	f8, _ := build(8)
-	for _, x := range xs[:50] {
-		m1, v1 := f1.Predict(x)
-		m8, v8 := f8.Predict(x)
-		if m1 != m8 || v1 != v8 {
-			t.Fatalf("Predict(%v): workers=1 (%v, %v) != workers=8 (%v, %v)",
-				x, m1, v1, m8, v8)
 		}
 	}
 }

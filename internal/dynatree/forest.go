@@ -3,8 +3,6 @@ package dynatree
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 
 	"alic/internal/rng"
 	"alic/internal/stats"
@@ -32,15 +30,6 @@ type Config struct {
 	// the two models of the R dynaTree package. ALM, ALC and
 	// prediction all honour the configured model.
 	LeafModel LeafModel
-	// Workers bounds the goroutines used by the batched scoring entry
-	// points (PredictBatch, ALMBatch, ALCScores, AvgVariance, the
-	// *Indexed bound-pool variants) and the particle-reweighting
-	// step of Update. 0 means GOMAXPROCS; 1 runs everything inline.
-	// Scoring is read-only and consumes no randomness, and all
-	// cross-shard reductions happen in index order, so results are
-	// bit-identical for every worker count — Workers changes
-	// wall-clock time only.
-	Workers int
 }
 
 // DefaultConfig returns the configuration used by the experiments:
@@ -100,9 +89,6 @@ func (c Config) validate() error {
 	if c.MinLeafForSplit < 2 {
 		return fmt.Errorf("dynatree: MinLeafForSplit must be >= 2, got %d", c.MinLeafForSplit)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("dynatree: Workers must be >= 0, got %d", c.Workers)
-	}
 	return nil
 }
 
@@ -110,13 +96,9 @@ func (c Config) validate() error {
 // flat copy-on-write node arena: particles are root ids into one
 // shared struct-of-arrays node store, resampling duplicates particles
 // by sharing structure, and updates clone only the root-to-leaf path
-// they rewrite. It is not safe for concurrent mutation. The batched
-// and indexed scoring entry points (PredictBatch, ALMBatch,
-// PredictMeanFastBatch, ALCScores, AvgVariance, ALMIndexed,
-// ALCIndexed, PredictMeanFastIndexed) pre-warm any lazily-cached
-// linear-leaf posteriors and are then read-only, sharding safely
-// across the package's scoring pool; with linear leaves, prefer them
-// over the single-point entry points when calling concurrently.
+// they rewrite. It is not safe for concurrent use: predictions fill
+// lazily-cached linear-leaf posteriors, and the scoring entry points
+// reuse forest-owned scratch.
 type Forest struct {
 	cfg    Config
 	prior  nigPrior
@@ -140,10 +122,9 @@ type Forest struct {
 	pool [][]float64 // candidate rows bound by BindPool; nil when unbound
 
 	// tabs memoises the integer-keyed transcendental terms of the NIG
-	// closed forms, shared by both leaf priors; extended serially in
-	// Update before the sharded weight pass reads it. splitTab /
-	// logSplitTab / log1mSplitTab memoise the per-depth CGM prior and
-	// its logs (propagate is serial, so these grow lazily).
+	// closed forms, shared by both leaf priors; extended in Update
+	// before the weight pass reads it. splitTab / logSplitTab /
+	// log1mSplitTab memoise the per-depth CGM prior and its logs.
 	tabs          *nigTables
 	splitTab      []float64
 	logSplitTab   []float64
@@ -157,7 +138,6 @@ type Forest struct {
 	srcBuf    []int32
 	logwBuf   []float64
 	movesBuf  []int
-	linBuf    []*linSuff
 	growL     childScratch
 	growR     childScratch
 	augBuf    []float64
@@ -167,19 +147,15 @@ type Forest struct {
 	// the root→leaf descent chain the weight pass records for slot i;
 	// chainPerm maps post-resample slots to the pre-resample slot whose
 	// chain (and tree) they inherited, nil for identity. prop holds the
-	// parallel move-weight phase's per-slot results; headBuf the
-	// dup-group owner of each slot. xArena interns feature copies so
-	// Update allocates no per-observation xcopy; shardXa is per-shard
-	// linear-leaf scratch handed out by waShard.
+	// move-weight phase's per-slot results; headBuf the dup-group owner
+	// of each slot. xArena interns feature copies so Update allocates no
+	// per-observation xcopy.
 	chains    [][]int32
 	chainPerm []int32
 	prop      []propState
 	headBuf   []int32
 	isScore   []bool
-	predBuf   []float64
 	xArena    []float64
-	shardXa   [][]float64
-	waShard   atomic.Int32
 
 	// Compaction scratch: the previous generation's arena backing and
 	// the live-node numbering, recycled so steady-state compactions
@@ -197,8 +173,8 @@ type Forest struct {
 }
 
 // propState is the read-only move-weight computation for one particle
-// slot, produced by the sharded phase of propagateAll and consumed by
-// the serial commit phase. Slots that inherited the same tree from the
+// slot, produced by the first phase of propagateAll and consumed by
+// the commit phase. Slots that inherited the same tree from the
 // resample share one propState (constant leaves only: linear payloads
 // are freshly-built per-slot objects that must not alias across slots).
 type propState struct {
@@ -324,14 +300,9 @@ func (f *Forest) scoringParticles() []int32 { return f.scoreSlots }
 // N returns the number of observations absorbed so far.
 func (f *Forest) N() int { return len(f.points) }
 
-// workers resolves the configured scoring-worker count; parallelFor
-// maps 0 to GOMAXPROCS.
-func (f *Forest) workers() int { return f.cfg.Workers }
-
 // pSplit is the CGM split prior at the given depth, memoised per
 // depth together with the log terms propagate folds into every move
 // weight (table entries are the direct expressions' exact bits).
-// Lazy growth is safe because every caller runs serially.
 func (f *Forest) pSplit(depth int) float64 {
 	f.ensureSplitTab(depth)
 	return f.splitTab[depth]
@@ -435,8 +406,7 @@ func (f *Forest) Update(x []float64, y float64) {
 	}
 	idx := f.appendPoint(x, y)
 	// Cover every leaf count the weight pass, move proposals and prune
-	// merges can reach this update (serial: the sharded passes below
-	// only read the tables).
+	// merges can reach this update.
 	f.tabs.extend(len(f.points) + 1)
 	f.updateObs(idx, f.points[idx].x, y, false)
 }
@@ -495,8 +465,8 @@ func (f *Forest) appendPoint(x []float64, y float64) int {
 	return len(f.points) - 1
 }
 
-// updateObs runs one observation through the update pipeline: sharded
-// weight pass over the fused root→leaf descents, systematic resample,
+// updateObs runs one observation through the update pipeline: weight
+// pass over the fused root→leaf descents, systematic resample,
 // then the two-phase propagate. x must be the interned f.points[idx].x
 // (propagation references it beyond this call via the point index).
 // When wantPred is true it returns the scoring-subsample predictive
@@ -506,52 +476,31 @@ func (f *Forest) updateObs(idx int, x []float64, y float64, wantPred bool) float
 	pred := math.NaN()
 	f.ensurePropScratch()
 	// Step 1: importance weights = posterior predictive density at the
-	// new observation. Each particle's weight is independent and —
-	// after pre-warming any lazily-cached linear-leaf posteriors, which
-	// copy-on-write particles may share — read-only, so the loop shards
-	// across the scoring pool. The descent is recorded per slot and
-	// reused by propagate (fused descent: one walk, not two).
+	// new observation. The descent is recorded per slot and reused by
+	// propagate (fused descent: one walk, not two). The scoring slots
+	// ascend, so the fused prediction sums in PredictMeanFast's order.
 	if idx >= 1 { // with a single point all weights are equal
-		f.warmLin()
-		linear := f.cfg.LeafModel == LinearLeaf
-		if linear {
-			f.ensureShardXa()
+		sum := 0.0
+		for i := range f.roots {
+			leaf := f.descendRecord(i, x)
+			f.logW[i] = f.leafLogPredDensity(leaf, x, y, f.augBuf)
+			if wantPred && f.isScore[i] {
+				loc, _ := f.leafPredict(leaf, x, f.augBuf)
+				sum += loc
+			}
 		}
-		f.waShard.Store(0)
-		parallelFor(f.workers(), len(f.roots), func(start, end int) {
-			var xa []float64
-			if linear {
-				if si := int(f.waShard.Add(1)) - 1; si < len(f.shardXa) {
-					xa = f.shardXa[si]
-				} else {
-					xa = make([]float64, linScratchLen(f.dim))
-				}
-			}
-			for i := start; i < end; i++ {
-				leaf := f.descendRecord(i, x)
-				f.logW[i] = f.leafLogPredDensity(leaf, x, y, xa)
-				if wantPred && f.isScore[i] {
-					loc, _ := f.leafPredict(leaf, x, xa)
-					f.predBuf[i] = loc
-				}
-			}
-		})
 		if wantPred {
-			sum := 0.0
-			for _, s := range f.scoreSlots {
-				sum += f.predBuf[s]
-			}
 			pred = sum / float64(len(f.scoreSlots))
 		}
 		f.chainPerm = f.resample()
 	} else {
 		if wantPred {
-			pred = f.predictMeanSlots(f.scoreSlots, x, f.augBuf)
+			pred = f.PredictMeanFast(x)
 		}
-		// No weight pass to fuse with: record the descents serially so
-		// propagate's sharded phase never walks a tree itself. Before
-		// the first observation every tree is a single root leaf, so
-		// this is O(particles).
+		// No weight pass to fuse with: record the descents here so
+		// propagate never walks a tree itself. Before the first
+		// observation every tree is a single root leaf, so this is
+		// O(particles).
 		for i := range f.roots {
 			f.descendRecord(i, x)
 		}
@@ -567,8 +516,7 @@ func (f *Forest) updateObs(idx int, x []float64, y float64, wantPred bool) float
 
 // descendRecord descends slot i's tree to the leaf containing x,
 // recording the root→leaf chain (leaf last) in f.chains[i], and
-// returns the leaf. Safe to call from disjoint shards: every write is
-// slot-indexed. Steady-state allocation-free: the chain appends into
+// returns the leaf. Steady-state allocation-free: the chain appends into
 // the slot's retained scratch, which stops growing once it has seen
 // the cloud's deepest tree.
 //
@@ -605,26 +553,9 @@ func (f *Forest) ensurePropScratch() {
 		f.prop[i].splitHi = make([]float64, f.dim)
 	}
 	f.headBuf = make([]int32, n)
-	f.predBuf = make([]float64, n)
 	f.isScore = make([]bool, n)
 	for _, s := range f.scoreSlots {
 		f.isScore[s] = true
-	}
-}
-
-// ensureShardXa sizes the per-shard linear-leaf scratch handed out to
-// weight-pass shards (one slice per possible shard, so the sharded
-// pass allocates nothing in steady state).
-func (f *Forest) ensureShardXa() {
-	w := f.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(f.roots) {
-		w = len(f.roots)
-	}
-	for len(f.shardXa) < w {
-		f.shardXa = append(f.shardXa, make([]float64, linScratchLen(f.dim)))
 	}
 }
 
@@ -716,18 +647,16 @@ const (
 )
 
 // propagateAll applies one stochastic stay/prune/grow move per
-// particle for observation idx, in two phases. Phase A (sharded
-// across the workpool) computes every slot's move weights read-only —
-// leaf statistics with the point folded in, prune merges, grow
-// eligibility and cached split ranges — into per-slot propState
-// scratch; it consumes no randomness and every write is slot-indexed,
-// so results are bit-identical at every worker count. Phase B walks
-// the slots serially in order, drawing the grow proposal and the move
-// choice from the single rng stream and committing arena mutations —
-// exactly the draw sequence and float-operation order of the old
-// serial loop, because move weights never depended on earlier slots'
-// commits (a slot's tree nodes are never mutated in place by another
-// slot: in-place writes require exclusive ownership).
+// particle for observation idx, in two phases. Phase A computes every
+// slot's move weights read-only — leaf statistics with the point
+// folded in, prune merges, grow eligibility and cached split ranges —
+// into per-slot propState scratch; it consumes no randomness. Phase B
+// walks the slots in order, drawing the grow proposal and the move
+// choice from the single rng stream and committing arena mutations.
+// Move weights never depend on earlier slots' commits (a slot's tree
+// nodes are never mutated in place by another slot: in-place writes
+// require exclusive ownership), which is what lets phase A run
+// first.
 //
 // Slots that inherited the same tree from the resample are contiguous
 // (the source permutation is non-decreasing) and share one phase-A
@@ -737,8 +666,8 @@ func (f *Forest) propagateAll(idx int, x []float64, y float64) {
 	ar := &f.ar
 	n := len(f.roots)
 	perm := f.chainPerm
-	// Every depth the sharded phase can read must be memoised first:
-	// chain ends bound leaf depth, parents and siblings are shallower,
+	// Every depth phase A can read must be memoised first: chain ends
+	// bound leaf depth, parents and siblings are shallower,
 	// grow children one deeper.
 	maxD := 0
 	for i := 0; i < n; i++ {
@@ -763,26 +692,24 @@ func (f *Forest) propagateAll(idx int, x []float64, y float64) {
 		}
 	}
 
-	// Phase A: read-only move weights, sharded.
-	parallelFor(f.workers(), n, func(start, end int) {
-		for i := start; i < end; i++ {
-			if int(head[i]) == i {
-				f.propPrepare(i, x, y)
-			}
+	// Phase A: read-only move weights.
+	for i := 0; i < n; i++ {
+		if int(head[i]) == i {
+			f.propPrepare(i, x, y)
 		}
-	})
+	}
 
-	// Phase B: serial draws and commits, in slot order.
+	// Phase B: draws and commits, in slot order.
 	f.nextStayMemo(ar.len())
 	for i := 0; i < n; i++ {
 		f.propCommit(i, int(head[i]), idx, x, y)
 	}
 }
 
-// propPrepare computes slot i's move weights into f.prop[i]. Read-only
-// against the arena (shared linear-leaf posteriors are pre-warmed by
-// warmLin, so nodeML's lazy ensure never writes a shared object) and
-// rng-free; all writes are slot-indexed scratch.
+// propPrepare computes slot i's move weights into f.prop[i]. It draws
+// no randomness and leaves the arena's trees and statistics as they
+// are (it may fill lazily-cached linear-leaf posteriors); its other
+// writes are slot-indexed scratch.
 func (f *Forest) propPrepare(i int, x []float64, y float64) {
 	ar := &f.ar
 	p := &f.prop[i]
@@ -1246,7 +1173,21 @@ func sampleLog(logw []float64, r *rng.Stream) int {
 // Predict returns the posterior-predictive mean and variance at x,
 // aggregated over particles by the law of total variance.
 func (f *Forest) Predict(x []float64) (mean, variance float64) {
-	return f.predictWith(x, f.augBuf)
+	n := len(f.roots)
+	sumM, sumV, sumM2 := 0.0, 0.0, 0.0
+	for _, root := range f.roots {
+		leaf := f.leafOf(root, x)
+		loc, v := f.leafPredict(leaf, x, f.augBuf)
+		sumM += loc
+		sumM2 += loc * loc
+		sumV += v
+	}
+	mean = sumM / float64(n)
+	variance = sumV/float64(n) + sumM2/float64(n) - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	return mean, variance
 }
 
 // PredictMean returns only the posterior-predictive mean at x.
@@ -1268,19 +1209,13 @@ func (f *Forest) PredictMean(x []float64) float64 {
 //
 //alic:noalloc
 func (f *Forest) PredictMeanFast(x []float64) float64 {
-	return f.predictMeanSlots(f.scoreSlots, x, f.augBuf)
-}
-
-// predictMeanSlots averages the leaf predictions of x over the given
-// particle slots.
-func (f *Forest) predictMeanSlots(slots []int32, x, xa []float64) float64 {
 	sum := 0.0
-	for _, slot := range slots {
+	for _, slot := range f.scoreSlots {
 		leaf := f.leafOf(f.roots[slot], x)
-		loc, _ := f.leafPredict(leaf, x, xa)
+		loc, _ := f.leafPredict(leaf, x, f.augBuf)
 		sum += loc
 	}
-	return sum / float64(len(slots))
+	return sum / float64(len(f.scoreSlots))
 }
 
 // Stats reports diagnostic aggregates over the particle cloud.

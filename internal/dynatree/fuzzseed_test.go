@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"alic/internal/rng"
 	"alic/internal/snapshot/snapshottest"
 )
 
@@ -17,15 +18,17 @@ var updateSeeds = flag.Bool("update-seeds", false,
 // must hold, by file name: the hostile payloads, verbatim encodings of
 // the seed forests in the layout of earlier builds (forest formats 2
 // and 1, which this build still reads), a format-1 payload whose
-// bounds blocks are scrambled, and one canonical Snapshot.
+// bounds blocks are scrambled, and one canonical Snapshot in format 2
+// and in the current format 3.
 func fuzzSeeds(tb testing.TB) map[string][]byte {
 	seeds := hostileSnapshots(tb)
-	seeds["valid-constant"] = verbatimSnapshot(seedForest(tb, ConstantLeaf))
-	seeds["valid-linear"] = verbatimSnapshot(seedForest(tb, LinearLeaf))
+	seeds["valid-constant"] = asFormat2(verbatimSnapshot(seedForest(tb, ConstantLeaf)))
+	seeds["valid-linear"] = asFormat2(verbatimSnapshot(seedForest(tb, LinearLeaf)))
 	seeds["valid-constant-v1"] = verbatimSnapshotV1(seedForest(tb, ConstantLeaf))
 	seeds["valid-linear-v1"] = verbatimSnapshotV1(seedForest(tb, LinearLeaf))
 	seeds["scrambled-bounds-v1"] = scrambledSnapshotV1(tb, seedForest(tb, ConstantLeaf))
-	seeds["canonical-constant"] = seedForest(tb, ConstantLeaf).Snapshot()
+	seeds["canonical-constant"] = asFormat2(seedForest(tb, ConstantLeaf).Snapshot())
+	seeds["canonical-constant-v3"] = seedForest(tb, ConstantLeaf).Snapshot()
 	return seeds
 }
 
@@ -67,5 +70,57 @@ func TestFuzzForestRestoreSeeds(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("seed %s differs from its generator (rerun with -update-seeds)", e.Name())
 		}
+	}
+}
+
+// TestSnapshotRestoresOlderFormats pins the readers of formats 1 and
+// 2, which carried a scoring worker count: each committed valid seed
+// in those formats, written by an earlier build, restores to the
+// forest the current payload of its seed forest restores to, and the
+// two stay bit-identical in snapshot bytes and predictions over the
+// updates that follow.
+func TestSnapshotRestoresOlderFormats(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzForestRestore")
+	for name, leaf := range map[string]LeafModel{
+		"valid-constant":     ConstantLeaf,
+		"valid-linear":       LinearLeaf,
+		"valid-constant-v1":  ConstantLeaf,
+		"valid-linear-v1":    LinearLeaf,
+		"canonical-constant": ConstantLeaf,
+	} {
+		t.Run(name, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := snapshottest.CorpusPayload(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := Restore(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := Restore(verbatimSnapshot(seedForest(t, leaf)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(73)
+			probe := []float64{0.3, 0.6}
+			for k := 0; k < 30; k++ {
+				if !bytes.Equal(old.Snapshot(), cur.Snapshot()) {
+					t.Fatalf("after %d updates the snapshots differ", k)
+				}
+				om, ov := old.Predict(probe)
+				cm, cv := cur.Predict(probe)
+				if om != cm || ov != cv {
+					t.Fatalf("after %d updates: predict (%v,%v) != (%v,%v)", k, om, ov, cm, cv)
+				}
+				x := []float64{r.Float64(), r.Float64()}
+				y := 4*x[0] - x[1] + r.NormMS(0, 0.05)
+				old.Update(x, y)
+				cur.Update(x, y)
+			}
+		})
 	}
 }

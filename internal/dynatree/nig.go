@@ -51,8 +51,8 @@ var log2Pi = math.Log(2 * math.Pi)
 // observations+1 distinct values per session. Entries hold exactly
 // the bits the direct call would produce (the keys are computed with
 // the same expressions), so substituting them cannot change any
-// score or weight; the tables are extended serially (Forest.Update,
-// New) and read concurrently by the sharded weight pass. The same
+// score or weight; the tables are extended in Forest.Update and New,
+// before the weight pass reads them. The same
 // tables serve the constant and the linear prior — both share a0 and
 // kappa0 by construction.
 type nigTables struct {

@@ -234,15 +234,13 @@ func TestPredictMeanFastZeroAllocs(t *testing.T) {
 }
 
 // TestIndexedScoringAllocsBounded pins the O(1)-allocations-per-round
-// contract of the indexed scoring kernels (Workers=1 keeps the
-// parallelFor dispatch out of the count; the bound covers the result
+// contract of the indexed scoring kernels (the bound covers the result
 // slice plus a fixed number of scratch headers, regardless of pool or
 // particle count).
 func TestIndexedScoringAllocsBounded(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Particles = 40
 	cfg.ScoreParticles = 10
-	cfg.Workers = 1
 	f, _ := New(cfg, 2, rng.New(46))
 	rows := poolRows(80, 2, 47)
 	ids := allIDs(len(rows))
@@ -263,40 +261,6 @@ func TestIndexedScoringAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestIndexedWorkerDeterminism: indexed scoring must stay
-// bit-identical across worker counts, like every other batched entry
-// point.
-func TestIndexedWorkerDeterminism(t *testing.T) {
-	build := func(workers int) (*Forest, [][]float64, []int) {
-		cfg := smallConfig()
-		cfg.Particles = 40
-		cfg.ScoreParticles = 15
-		cfg.Workers = workers
-		f, _ := New(cfg, 2, rng.New(52))
-		rows := poolRows(70, 2, 53)
-		f.BindPool(rows)
-		r := rng.New(54)
-		for i := 0; i < 90; i++ {
-			id := r.Intn(len(rows))
-			f.Update(rows[id], rows[id][0]+2*rows[id][1]+r.NormMS(0, 0.05))
-		}
-		return f, rows, allIDs(len(rows))
-	}
-	f1, _, ids := build(1)
-	f8, _, _ := build(8)
-	for name, pair := range map[string][2][]float64{
-		"ALMIndexed":             {f1.ALMIndexed(ids), f8.ALMIndexed(ids)},
-		"ALCIndexed":             {f1.ALCIndexed(ids, ids), f8.ALCIndexed(ids, ids)},
-		"PredictMeanFastIndexed": {f1.PredictMeanFastIndexed(ids), f8.PredictMeanFastIndexed(ids)},
-	} {
-		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
-				t.Fatalf("%s[%d]: workers=1 %v != workers=8 %v", name, i, pair[0][i], pair[1][i])
-			}
-		}
-	}
-}
-
 // TestALCScratchGrowsGeometrically pins the scoring scratch against a
 // candidate set that grows every round, as revisits grow it in a
 // learning session: the leaf matrices and descent buffers must grow
@@ -306,7 +270,6 @@ func TestALCScratchGrowsGeometrically(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Particles = 40
 	cfg.ScoreParticles = 10
-	cfg.Workers = 1
 	f, _ := New(cfg, 2, rng.New(56))
 	rows := poolRows(400, 2, 57)
 	r := rng.New(58)

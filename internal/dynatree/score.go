@@ -2,8 +2,6 @@ package dynatree
 
 import (
 	"math"
-	"runtime"
-	"sync/atomic"
 
 	"alic/internal/linalg"
 )
@@ -24,12 +22,9 @@ type scoreScratch struct {
 	candLeaf []int32 // K x nCands leaf ids
 	candRows [][]float64
 	refRows  [][]float64
-	partials []float64
 
-	// descent holds one (idx, tmp) partition-descent pair per ALCScores
-	// shard; shard hands each shard its pair.
+	// descent holds ALCScores' (idx, tmp) partition-descent pair.
 	descent []int32
-	shard   atomic.Int32
 
 	// routeSrc[k] is the first scoring slot holding slot k's root, and
 	// routeUniq lists those first slots: the ones ALCScores descends.
@@ -96,108 +91,35 @@ func matrix(buf *[]int32, rows, cols int) []int32 {
 	return *buf
 }
 
-func resizeF(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// warmLin pre-computes the lazily-cached posterior (Cholesky factor,
-// posterior mean) of every dirty linear leaf in the arena, so the
-// sharded scoring passes that follow are genuinely read-only. Arena
-// nodes never share a linSuff (every mutation path installs a freshly
-// built one), so the dirty list shards race-free across the pool.
-// Constant leaves keep no cache; the call is a no-op for them.
-func (f *Forest) warmLin() {
-	if f.cfg.LeafModel != LinearLeaf {
-		return
-	}
-	dirty := f.linBuf[:0]
-	for id := 0; id < f.ar.len(); id++ {
-		if f.ar.left[id] < 0 && f.ar.lin[id] != nil && f.ar.lin[id].dirty {
-			dirty = append(dirty, f.ar.lin[id])
-		}
-	}
-	f.linBuf = dirty[:0]
-	parallelFor(f.workers(), len(dirty), func(start, end int) {
-		for i := start; i < end; i++ {
-			f.lprior.ensure(dirty[i])
-		}
-	})
-}
-
 // PredictBatch returns the posterior-predictive mean and variance at
-// every row of xs, sharding the rows across the scoring pool. Each
-// entry is bit-identical to the corresponding Predict call.
+// every row of xs. Each entry is bit-identical to the corresponding
+// Predict call.
 func (f *Forest) PredictBatch(xs [][]float64) (means, variances []float64) {
-	f.warmLin()
 	means = make([]float64, len(xs))
 	variances = make([]float64, len(xs))
-	parallelFor(f.workers(), len(xs), func(start, end int) {
-		xa := f.shardLinScratch()
-		for i := start; i < end; i++ {
-			means[i], variances[i] = f.predictWith(xs[i], xa)
-		}
-	})
+	for i, x := range xs {
+		means[i], variances[i] = f.Predict(x)
+	}
 	return means, variances
 }
 
-// predictWith is Predict with caller-owned linear scratch.
-func (f *Forest) predictWith(x, xa []float64) (mean, variance float64) {
-	n := len(f.roots)
-	sumM, sumV, sumM2 := 0.0, 0.0, 0.0
-	for _, root := range f.roots {
-		leaf := f.leafOf(root, x)
-		loc, v := f.leafPredict(leaf, x, xa)
-		sumM += loc
-		sumM2 += loc * loc
-		sumV += v
-	}
-	mean = sumM / float64(n)
-	variance = sumV/float64(n) + sumM2/float64(n) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return mean, variance
-}
-
-// shardLinScratch returns a fresh per-shard linear-leaf scratch
-// buffer (nil with constant leaves, which need none).
-func (f *Forest) shardLinScratch() []float64 {
-	if f.cfg.LeafModel != LinearLeaf {
-		return nil
-	}
-	return make([]float64, linScratchLen(f.dim))
-}
-
-// PredictMeanFastBatch is the batched, parallel counterpart of
-// PredictMeanFast: entry i is bit-identical to PredictMeanFast(xs[i]).
+// PredictMeanFastBatch is the batched counterpart of PredictMeanFast:
+// entry i is bit-identical to PredictMeanFast(xs[i]).
 func (f *Forest) PredictMeanFastBatch(xs [][]float64) []float64 {
-	f.warmLin()
 	out := make([]float64, len(xs))
-	parallelFor(f.workers(), len(xs), func(start, end int) {
-		xa := f.shardLinScratch()
-		for i := start; i < end; i++ {
-			out[i] = f.predictMeanSlots(f.scoreSlots, xs[i], xa)
-		}
-	})
+	for i, x := range xs {
+		out[i] = f.PredictMeanFast(x)
+	}
 	return out
 }
 
 // ALM returns MacKay's active-learning score at x: the posterior
 // predictive variance. Higher is more informative.
 func (f *Forest) ALM(x []float64) float64 {
-	return f.almSlots(x, f.augBuf)
-}
-
-// almSlots computes the ALM score of x over the scoring particles.
-func (f *Forest) almSlots(x, xa []float64) float64 {
 	sumM, sumV, sumM2 := 0.0, 0.0, 0.0
 	for _, slot := range f.scoreSlots {
 		leaf := f.leafOf(f.roots[slot], x)
-		loc, v := f.leafPredict(leaf, x, xa)
+		loc, v := f.leafPredict(leaf, x, f.augBuf)
 		sumM += loc
 		sumM2 += loc * loc
 		sumV += v
@@ -216,18 +138,13 @@ func almFinish(sumM, sumV, sumM2, n float64) float64 {
 	return variance
 }
 
-// ALMBatch scores every row of xs with the ALM heuristic, sharding the
-// candidates across the scoring pool. Entry i is bit-identical to
-// ALM(xs[i]) for every worker count.
+// ALMBatch scores every row of xs with the ALM heuristic. Entry i is
+// bit-identical to ALM(xs[i]).
 func (f *Forest) ALMBatch(xs [][]float64) []float64 {
-	f.warmLin()
 	scores := make([]float64, len(xs))
-	parallelFor(f.workers(), len(xs), func(start, end int) {
-		xa := f.shardLinScratch()
-		for i := start; i < end; i++ {
-			scores[i] = f.almSlots(xs[i], xa)
-		}
-	})
+	for i, x := range xs {
+		scores[i] = f.ALM(x)
+	}
 	return scores
 }
 
@@ -252,7 +169,6 @@ func (f *Forest) ALCScores(cands, refs [][]float64) []float64 {
 	if len(refs) == 0 || len(cands) == 0 {
 		return make([]float64, len(cands))
 	}
-	f.warmLin()
 	K := len(f.scoreSlots)
 	same := sameSlice(cands, refs)
 	refLeaf := matrix(&f.sc.refLeaf, K, len(refs))
@@ -261,10 +177,6 @@ func (f *Forest) ALCScores(cands, refs [][]float64) []float64 {
 		candLeaf = matrix(&f.sc.candLeaf, K, len(cands))
 	}
 	n := max(len(refs), len(cands))
-	workers := f.workers()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Scoring slots that hold the same tree route every row to the same
 	// leaves, so only the first slot of each distinct root descends;
 	// the repeats copy its rows afterwards. The matrices, and so every
@@ -282,29 +194,23 @@ func (f *Forest) ALCScores(cands, refs [][]float64) []float64 {
 		src[k] = sc.cowner[root]
 	}
 	sc.routeUniq = uniq
-	workers = min(workers, len(uniq))
-	descent := matrix(&sc.descent, workers, 2*n)
-	sc.shard.Store(0)
-	parallelFor(workers, len(uniq), func(start, end int) {
-		s := int(sc.shard.Add(1)) - 1
-		idx := descent[2*s*n : (2*s+1)*n]
-		tmp := descent[(2*s+1)*n : (2*s+2)*n]
-		for _, k32 := range uniq[start:end] {
-			k := int(k32)
-			root := f.roots[f.scoreSlots[k]]
-			for j := range refs {
-				idx[j] = int32(j)
-			}
-			f.leafOfBatch(root, refs, idx[:len(refs)], tmp, refLeaf[k*len(refs):(k+1)*len(refs)])
-			if same {
-				continue
-			}
-			for i := range cands {
-				idx[i] = int32(i)
-			}
-			f.leafOfBatch(root, cands, idx[:len(cands)], tmp, candLeaf[k*len(cands):(k+1)*len(cands)])
+	descent := matrix(&sc.descent, 2, n)
+	idx, tmp := descent[:n], descent[n:]
+	for _, k32 := range uniq {
+		k := int(k32)
+		root := f.roots[f.scoreSlots[k]]
+		for j := range refs {
+			idx[j] = int32(j)
 		}
-	})
+		f.leafOfBatch(root, refs, idx[:len(refs)], tmp, refLeaf[k*len(refs):(k+1)*len(refs)])
+		if same {
+			continue
+		}
+		for i := range cands {
+			idx[i] = int32(i)
+		}
+		f.leafOfBatch(root, cands, idx[:len(cands)], tmp, candLeaf[k*len(cands):(k+1)*len(cands)])
+	}
 	for k, j := range src {
 		if int(j) == k {
 			continue
@@ -333,13 +239,13 @@ func (f *Forest) alcFromMatrices(candLeaf, refLeaf []int32, cands, refs [][]floa
 	sc.next(f.ar.len())
 	gen := sc.gen
 
-	// Pass 1 (serial over the cached leaf matrix): per-particle
-	// contributions to the current average variance over refs, plus
-	// the per-leaf reference counts of the closed form. A leaf shared
-	// by several particles routes exactly the same references in each
-	// (node regions are invariants of the id), so the first particle
-	// to claim a leaf fixes its count for all of them.
-	partials := resizeF(&sc.partials, K)
+	// Pass 1 (over the cached leaf matrix): per-particle contributions
+	// to the current average variance over refs, summed in slot order,
+	// plus the per-leaf reference counts of the closed form. A leaf
+	// shared by several particles routes exactly the same references
+	// in each (node regions are invariants of the id), so the first
+	// particle to claim a leaf fixes its count for all of them.
+	total := 0.0
 	for k := 0; k < K; k++ {
 		row := refLeaf[k*nRefs : (k+1)*nRefs]
 		sum := 0.0
@@ -356,10 +262,10 @@ func (f *Forest) alcFromMatrices(candLeaf, refLeaf []int32, cands, refs [][]floa
 			}
 			sum += sc.vval[leaf]
 		}
-		partials[k] = sum
+		total += sum
 	}
 	nParts := float64(K)
-	baseAvgVar := reduceInOrder(partials) / (nParts * float64(nRefs))
+	baseAvgVar := total / (nParts * float64(nRefs))
 
 	// Per-leaf expected variance reduction, shared by every candidate
 	// routed there.
@@ -375,25 +281,23 @@ func (f *Forest) alcFromMatrices(candLeaf, refLeaf []int32, cands, refs [][]floa
 		sc.dval[leaf] = d
 	}
 
-	// Pass 2 (parallel over candidates): each candidate's expected
-	// variance reduction folds over the particles in slot order.
+	// Pass 2: each candidate's expected variance reduction folds over
+	// the particles in slot order.
 	//alic:allow noalloc result slice, one make per scoring round, returned to the caller
 	scores := make([]float64, nCands)
-	parallelFor(f.workers(), nCands, func(start, end int) {
-		for ci := start; ci < end; ci++ {
-			reduction := 0.0
-			for k := 0; k < K; k++ {
-				leaf := candLeaf[k*nCands+ci]
-				if sc.cmark[leaf] != gen {
-					continue // no references share this leaf
-				}
-				if d := sc.dval[leaf]; d > 0 {
-					reduction += d * float64(sc.ccount[leaf])
-				}
+	for ci := range scores {
+		reduction := 0.0
+		for k := 0; k < K; k++ {
+			leaf := candLeaf[k*nCands+ci]
+			if sc.cmark[leaf] != gen {
+				continue // no references share this leaf
 			}
-			scores[ci] = baseAvgVar - reduction/(nParts*float64(nRefs))
+			if d := sc.dval[leaf]; d > 0 {
+				reduction += d * float64(sc.ccount[leaf])
+			}
 		}
-	})
+		scores[ci] = baseAvgVar - reduction/(nParts*float64(nRefs))
+	}
 	return scores
 }
 
@@ -415,11 +319,11 @@ func (f *Forest) alcLinearFromMatrices(candLeaf, refLeaf []int32, cands, refs []
 	sc.next(f.ar.len())
 	gen := sc.gen
 
-	// Pass 1 (serial): per-particle base-variance partials and claimed
-	// per-leaf reference counts (leaf regions are id-invariants, so any
-	// particle's references are THE references; the first particle to
-	// claim a leaf owns its list).
-	partials := resizeF(&sc.partials, K)
+	// Pass 1: per-particle base-variance sums, folded in slot order, and
+	// claimed per-leaf reference counts (leaf regions are id-invariants,
+	// so any particle's references are THE references; the first
+	// particle to claim a leaf owns its list).
+	baseTotal := 0.0
 	for k := 0; k < K; k++ {
 		row := refLeaf[k*nRefs : (k+1)*nRefs]
 		sum := 0.0
@@ -435,10 +339,10 @@ func (f *Forest) alcLinearFromMatrices(candLeaf, refLeaf []int32, cands, refs []
 				sc.ccount[leaf]++
 			}
 		}
-		partials[k] = sum
+		baseTotal += sum
 	}
 	nParts := float64(K)
-	baseAvgVar := reduceInOrder(partials) / (nParts * float64(nRefs))
+	baseAvgVar := baseTotal / (nParts * float64(nRefs))
 
 	// Materialise the owners' reference lists into one flat buffer:
 	// prefix-sum the claimed counts into segment cursors, then replay
@@ -460,24 +364,21 @@ func (f *Forest) alcLinearFromMatrices(candLeaf, refLeaf []int32, cands, refs []
 		}
 	}
 
-	// Pass 2 (parallel over candidates). After the fill, lstart[leaf]
-	// sits one past the leaf's segment.
+	// Pass 2, over candidates. After the fill, lstart[leaf] sits one
+	// past the leaf's segment.
 	scores := make([]float64, nCands)
-	parallelFor(f.workers(), nCands, func(start, end int) {
-		scratch := make([]float64, linScratchLen(f.dim))
-		for ci := start; ci < end; ci++ {
-			reduction := 0.0
-			for k := 0; k < K; k++ {
-				leaf := candLeaf[k*nCands+ci]
-				if sc.cmark[leaf] != gen {
-					continue // no references share this leaf
-				}
-				refIdx := lrefs[sc.lstart[leaf]-sc.ccount[leaf] : sc.lstart[leaf]]
-				reduction += f.linLeafReduction(leaf, cands[ci], refs, refIdx, scratch)
+	for ci := range scores {
+		reduction := 0.0
+		for k := 0; k < K; k++ {
+			leaf := candLeaf[k*nCands+ci]
+			if sc.cmark[leaf] != gen {
+				continue // no references share this leaf
 			}
-			scores[ci] = baseAvgVar - reduction/(nParts*float64(nRefs))
+			refIdx := lrefs[sc.lstart[leaf]-sc.ccount[leaf] : sc.lstart[leaf]]
+			reduction += f.linLeafReduction(leaf, cands[ci], refs, refIdx, f.augBuf)
 		}
-	})
+		scores[ci] = baseAvgVar - reduction/(nParts*float64(nRefs))
+	}
 	return scores
 }
 
@@ -535,34 +436,29 @@ func (f *Forest) linLeafReduction(leaf int32, cand []float64, refs [][]float64, 
 }
 
 // AvgVariance returns the current average posterior-predictive variance
-// over the reference set, using the scoring subsample. The fold over
-// particles shards across the scoring pool with an in-order reduction,
-// so the result is bit-identical for every worker count. Linear leaves
-// use the linear model's reference-dependent predictive variance,
-// matching what ALCScores now optimises.
+// over the reference set, using the scoring subsample: per-particle
+// sums folded in slot order. Linear leaves use the linear model's
+// reference-dependent predictive variance, matching what ALCScores
+// optimises.
 func (f *Forest) AvgVariance(refs [][]float64) float64 {
 	if len(refs) == 0 {
 		return 0
 	}
-	f.warmLin()
 	K := len(f.scoreSlots)
-	partials := resizeF(&f.sc.partials, K)
 	linear := f.cfg.LeafModel == LinearLeaf
-	parallelFor(f.workers(), K, func(start, end int) {
-		xa := f.shardLinScratch()
-		for k := start; k < end; k++ {
-			root := f.roots[f.scoreSlots[k]]
-			sum := 0.0
-			for _, r := range refs {
-				leaf := f.leafOf(root, r)
-				if linear {
-					sum += f.lprior.predVariance(f.ar.lin[leaf], r, xa)
-				} else {
-					sum += f.prior.predVariance(f.ar.s[leaf])
-				}
+	total := 0.0
+	for _, slot := range f.scoreSlots {
+		root := f.roots[slot]
+		sum := 0.0
+		for _, r := range refs {
+			leaf := f.leafOf(root, r)
+			if linear {
+				sum += f.lprior.predVariance(f.ar.lin[leaf], r, f.augBuf)
+			} else {
+				sum += f.prior.predVariance(f.ar.s[leaf])
 			}
-			partials[k] = sum
 		}
-	})
-	return reduceInOrder(partials) / (float64(K) * float64(len(refs)))
+		total += sum
+	}
+	return total / (float64(K) * float64(len(refs)))
 }

@@ -8,9 +8,10 @@ import (
 // forestFormat versions the forest payload inside the container
 // section; bump it when the field layout below changes shape. Format 2
 // dropped the per-node feature bounds blocks that ended format 1's
-// payload: Restore derives every leaf's bounds from its points. This
-// build reads both.
-const forestFormat = 2
+// payload: Restore derives every leaf's bounds from its points.
+// Format 3 dropped the scoring worker count that followed the leaf
+// model in formats 1 and 2. This build reads all three.
+const forestFormat = 3
 
 // derivedBudget is how many bytes of dim-wide state Restore lets a
 // payload of payloadLen bytes size without carrying it (derivedPerDim
@@ -34,7 +35,7 @@ func derivedPerDim(leaves, particles int) int {
 // configuration, training points, the live particle trees and the rng
 // stream position — into a payload restorable with Restore. Leaves'
 // feature bounds are not written: they are a function of each leaf's
-// points, which Restore rescans (forestFormat 2). Only the
+// points, which Restore rescans (since forestFormat 2). Only the
 // nodes reachable from the roots are written, numbered in canonical
 // order (liveOrder) with exact shared flags and the live node count as
 // lastLive, so the bytes depend only on the live state: dead path
@@ -72,7 +73,6 @@ func (f *Forest) encode(lo *liveOrder, lastLive int) []byte {
 	e.F64(f.cfg.B0)
 	e.Int(f.cfg.MinLeafForSplit)
 	e.Int(int(f.cfg.LeafModel))
-	e.Int(f.cfg.Workers)
 
 	e.Int(f.dim)
 
@@ -170,8 +170,8 @@ func Restore(payload []byte) (*Forest, error) {
 	const sec = "dynatree.forest"
 	d := snapshot.NewDecoder(sec, payload)
 	format := d.Int()
-	if d.Err() == nil && format != 1 && format != forestFormat {
-		return nil, snapshot.Corruptf(sec, "forest format %d, this build reads 1 and %d", format, forestFormat)
+	if d.Err() == nil && (format < 1 || format > forestFormat) {
+		return nil, snapshot.Corruptf(sec, "forest format %d, this build reads 1 to %d", format, forestFormat)
 	}
 
 	var cfg Config
@@ -185,7 +185,9 @@ func Restore(payload []byte) (*Forest, error) {
 	cfg.B0 = d.F64()
 	cfg.MinLeafForSplit = d.Int()
 	cfg.LeafModel = LeafModel(d.Int())
-	cfg.Workers = d.Int()
+	if format < 3 {
+		d.Int() // the retired scoring worker count
+	}
 
 	dim := d.Int()
 	npts := d.Int()
@@ -403,15 +405,4 @@ func Restore(payload []byte) (*Forest, error) {
 	f.scoreSlots = scoreSlotsFor(cfg.Particles, cfg.ScoreParticles)
 	f.reserveArena()
 	return f, nil
-}
-
-// SetWorkers overrides the scoring/update worker bound after
-// construction or restore. Worker count changes wall-clock time only
-// — results are bit-identical at every value — so a snapshot taken on
-// one host restores safely onto any core count.
-func (f *Forest) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	f.cfg.Workers = n
 }

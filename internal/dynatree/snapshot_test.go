@@ -179,34 +179,6 @@ func TestSnapshotRoundTripIndexed(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreAcrossWorkerCounts pins that SetWorkers after
-// restore keeps results bit-identical (the satellite cross-worker
-// contract at the forest layer).
-func TestSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
-	f, xs, ys := snapTrainForest(t, ConstantLeaf, 60)
-	snap := f.Snapshot()
-	var ref []float64
-	probe := []float64{0.3, 2.2, 7.7}
-	for _, w := range []int{1, 4, 8} {
-		g, err := Restore(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.SetWorkers(w)
-		for k := range xs {
-			g.Update(xs[k], ys[k])
-		}
-		m, v := g.Predict(probe)
-		if ref == nil {
-			ref = []float64{m, v}
-			continue
-		}
-		if m != ref[0] || v != ref[1] {
-			t.Fatalf("workers=%d diverged: (%v,%v) != (%v,%v)", w, m, v, ref[0], ref[1])
-		}
-	}
-}
-
 // TestRestoreCorrupt sweeps single-byte corruption over a forest
 // payload: Restore must fail with ErrCorruptSnapshot or succeed —
 // never panic. (The container layer's CRC is bypassed deliberately:
@@ -272,13 +244,29 @@ func verbatimSnapshot(f *Forest) []byte {
 	return f.encode(&lo, f.lastLive)
 }
 
+// format3WorkersAt is the offset, in a format-3 payload, at which
+// formats 1 and 2 carried the scoring worker count: after the format
+// and the eleven configuration fields up to the leaf model.
+const format3WorkersAt = 88
+
+// asFormat2 rewrites a format-3 payload in forest format 2, the layout
+// earlier builds wrote: the same fields with a zero worker count after
+// the leaf model.
+func asFormat2(payload []byte) []byte {
+	out := make([]byte, 0, len(payload)+8)
+	out = binary.LittleEndian.AppendUint64(out, 2) // the format field
+	out = append(out, payload[8:format3WorkersAt]...)
+	out = binary.LittleEndian.AppendUint64(out, 0) // the worker count
+	return append(out, payload[format3WorkersAt:]...)
+}
+
 // verbatimSnapshotV1 is verbatimSnapshot in forest format 1, the
 // layout earlier builds wrote: the format-2 fields, then every node's
 // lower and upper feature bounds, dim floats each, as two
 // length-prefixed blocks. Interior nodes get an empty block
 // (+Inf/-Inf); no build ever read theirs.
 func verbatimSnapshotV1(f *Forest) []byte {
-	payload := verbatimSnapshot(f)
+	payload := asFormat2(verbatimSnapshot(f))
 	binary.LittleEndian.PutUint64(payload, 1) // the format field
 	e := snapshot.NewEncoder(16 + 16*f.ar.len()*f.dim)
 	for _, side := range []struct {
@@ -362,17 +350,21 @@ func TestSnapshotIgnoresFormat1Bounds(t *testing.T) {
 // beyond the arena, which sized an arena reservation of terabytes; two
 // roots aliasing one unflagged node, whose leaves then took every
 // point once per alias; and a leaf listing a point twice. Three more
-// name a large dimension in a payload with no points: format 2 carries
+// name a large dimension in a payload with no points: format 2 (like
+// format 3) carries
 // nothing dim-wide for it, yet Restore reserves the bounds slabs and
 // the first update sizes split scratch per particle, all dim floats
 // wide. large-dim-one-leaf has one particle and a dim of 2^20, for
 // which those reservations come to about 26 GB although it passes a
 // guard that counts only one block per leaf and particle; leaf-bound-dim
 // has 64 root leaves and the largest dim the guard admits for no
-// leaves, so only the guard that counts its leaves rejects it.
+// leaves, so only the guard that counts its leaves rejects it. Every
+// payload is in format 2, the layout its committed fuzz seed was
+// recorded in; format 3 decodes every field after the header the same
+// way.
 func hostileSnapshots(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	valid := verbatimSnapshot(seedForest(tb, ConstantLeaf))
+	valid := asFormat2(verbatimSnapshot(seedForest(tb, ConstantLeaf)))
 	mutate := func(edit func(g *Forest, root, child int32)) []byte {
 		g, err := Restore(valid)
 		if err != nil {
@@ -381,7 +373,7 @@ func hostileSnapshots(tb testing.TB) map[string][]byte {
 		for _, root := range g.roots {
 			if child := g.ar.left[root]; child >= 0 {
 				edit(g, root, child)
-				return verbatimSnapshot(g)
+				return asFormat2(verbatimSnapshot(g))
 			}
 		}
 		tb.Fatal("no particle has grown a split")
@@ -389,7 +381,7 @@ func hostileSnapshots(tb testing.TB) map[string][]byte {
 	}
 	withDim := func(payload []byte, dim uint64) []byte {
 		payload = append([]byte(nil), payload...)
-		binary.LittleEndian.PutUint64(payload[96:], dim) // the dim field
+		binary.LittleEndian.PutUint64(payload[format3WorkersAt+8:], dim) // the format-2 dim field
 		return payload
 	}
 	fresh := func(particles int) []byte {
@@ -399,7 +391,7 @@ func hostileSnapshots(tb testing.TB) map[string][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return f.Snapshot()
+		return asFormat2(f.Snapshot())
 	}
 	return map[string][]byte{
 		"huge-dim":           withDim(valid, 1<<40),
@@ -531,7 +523,8 @@ func TestSnapshotDimGuardCoversDerivedState(t *testing.T) {
 // The seed corpus in testdata/fuzz holds valid constant- and
 // linear-leaf payloads in the verbatim layout of earlier builds, in
 // forest formats 2 and 1, a format-1 payload with scrambled bounds, a
-// canonical constant-leaf Snapshot, and one payload of each kind
+// canonical constant-leaf Snapshot in formats 2 and 3, and one payload
+// of each kind
 // hostileSnapshots builds; TestFuzzForestRestoreSeeds keeps each equal
 // to its generator.
 func FuzzForestRestore(f *testing.F) {
@@ -546,7 +539,6 @@ func FuzzForestRestore(f *testing.F) {
 		if fault := leafBoundsFault(g); fault != "" {
 			t.Fatalf("restored forest: %s", fault)
 		}
-		g.SetWorkers(1)
 		x := make([]float64, g.dim)
 		y := make([]float64, g.dim)
 		for i := range x {

@@ -3,6 +3,7 @@ package dynatree
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"unsafe"
@@ -87,63 +88,153 @@ func TestUpdateRoundValidatesBatchWide(t *testing.T) {
 	f.Update([]float64{0.7}, 2) // still usable
 }
 
-// TestUpdateWorkerCountInvariance pins the parallel update path at the
-// forest level: full training trajectories — periodic predictive
-// probes folded into one fingerprint — must be bit-identical at
-// workers 1, 4 and 8 for a grow-heavy cloud, a prune-prone cloud and
-// a single-particle cloud, in both leaf models.
-func TestUpdateWorkerCountInvariance(t *testing.T) {
-	shapes := []struct {
-		name      string
-		mutate    func(*Config)
-		dim, obs  int
-		noiseSpan float64
-	}{
-		// High split prior and a permissive leaf floor: trees grow deep.
-		{"grow-heavy", func(c *Config) { c.Alpha = 0.99; c.Beta = 0.5; c.MinLeafForSplit = 2; c.Particles = 24 }, 2, 120, 0.05},
-		// Low split prior over near-constant data: grown structure keeps
-		// getting proposed away, so prune commits are frequent.
-		{"prune-prone", func(c *Config) { c.Alpha = 0.4; c.Beta = 3; c.MinLeafForSplit = 2; c.Particles = 24 }, 2, 120, 1.0},
-		// Degenerate cloud: resampling and dup-sharing corner cases.
-		{"single-particle", func(c *Config) { c.Particles = 1 }, 1, 80, 0.1},
+// trajectoryShapes are the update-trajectory workloads pinned by
+// TestUpdateTrajectoryGolden.
+var trajectoryShapes = []struct {
+	name      string
+	mutate    func(*Config)
+	dim, obs  int
+	noiseSpan float64
+}{
+	// High split prior and a permissive leaf floor: trees grow deep.
+	{"grow-heavy", func(c *Config) { c.Alpha = 0.99; c.Beta = 0.5; c.MinLeafForSplit = 2; c.Particles = 24 }, 2, 120, 0.05},
+	// Low split prior over near-constant data: grown structure keeps
+	// getting proposed away, so prune commits are frequent.
+	{"prune-prone", func(c *Config) { c.Alpha = 0.4; c.Beta = 3; c.MinLeafForSplit = 2; c.Particles = 24 }, 2, 120, 1.0},
+	// Degenerate cloud: resampling and dup-sharing corner cases.
+	{"single-particle", func(c *Config) { c.Particles = 1 }, 1, 80, 0.1},
+}
+
+// updateTrajectory trains a forest of the given shape and returns its
+// periodic predictive probes, one "mean/variance" entry every ten
+// updates, at full float precision.
+func updateTrajectory(t *testing.T, model LeafModel, mutate func(*Config), dim, obs int, noiseSpan float64) []string {
+	cfg := smallConfig()
+	cfg.LeafModel = model
+	mutate(&cfg)
+	f, err := New(cfg, dim, rng.New(51))
+	if err != nil {
+		t.Fatal(err)
 	}
+	r := rng.New(52)
+	x := make([]float64, dim)
+	probe := make([]float64, dim)
+	var fp []string
+	for i := 0; i < obs; i++ {
+		for j := range x {
+			x[j] = r.Float64()
+		}
+		y := x[0] + r.NormMS(0, noiseSpan)
+		f.Update(x, y)
+		if i%10 == 9 {
+			for j := range probe {
+				probe[j] = 0.3 + 0.05*float64(j)
+			}
+			m, v := f.Predict(probe)
+			fp = append(fp, fmt.Sprintf("%.17g/%.17g", m, v))
+		}
+	}
+	return fp
+}
+
+// updateTrajectoryGolden holds the probes updateTrajectory returned
+// for each leaf model and shape, recorded at one worker before the
+// forest became serial.
+var updateTrajectoryGolden = map[string][]string{
+	"constant/grow-heavy": {
+		"0.48164410076088643/0.61651166150706027",
+		"0.50979132782093661/0.34163846029777556",
+		"0.39253708316377395/0.30349256703316152",
+		"0.26012013530596484/0.2267756516381291",
+		"0.19284546914988154/0.1770637147897591",
+		"0.20828086032820256/0.13843368624838295",
+		"0.20773133808358937/0.13024293371645213",
+		"0.1859772370576441/0.13109375222873632",
+		"0.18640261122474952/0.11619827442800817",
+		"0.19427183898713588/0.10618329822696149",
+		"0.21060093174552511/0.097901924321846731",
+		"0.22492847294628626/0.089814721422410648",
+	},
+	"constant/prune-prone": {
+		"0.58434529750458275/0.63691418626896867",
+		"0.34910306671736541/0.55320627914865683",
+		"0.29903967773292472/0.71992742129676768",
+		"0.29994107454303559/0.81755020880575213",
+		"0.30862077521297315/0.84868122182033978",
+		"0.30970696890395094/0.76308538359871192",
+		"0.2739480984478691/0.80958274188356316",
+		"0.27657436521046819/0.83166635846083736",
+		"0.2909215893988088/0.99226030396958664",
+		"0.35698899018392094/0.89801113405711352",
+		"0.46883112645382291/0.74597259866456112",
+		"0.38484858005593892/0.8564438652277464",
+	},
+	"constant/single-particle": {
+		"0.46147522377257977/0.36008402786936666",
+		"0.39994483323029184/0.24948689272205699",
+		"0.34395321216011354/0.18590344756213101",
+		"0.29045493224162133/0.17546825548206776",
+		"0.20624337753166427/0.18272820851151769",
+		"0.20271034088879916/0.14630315070414568",
+		"0.1970887301599617/0.12352184227712346",
+		"0.19243539222449751/0.11321578196686993",
+	},
+	"linear/grow-heavy": {
+		"0.35350707556696664/0.50251951792283789",
+		"0.31110245831627586/0.19658911410219249",
+		"0.29899113474497802/0.13059397403452419",
+		"0.29181729725826328/0.0995206745702234",
+		"0.29718510434749512/0.080663337258133919",
+		"0.29549679749263408/0.067513509117390652",
+		"0.2928467308622637/0.058502050590673038",
+		"0.295461385874139/0.051757927332606951",
+		"0.29848508666953694/0.04642093547300459",
+		"0.2990691840866449/0.041965686952531528",
+		"0.29975674716451595/0.038312764675768135",
+		"0.30068901417144056/0.03557165632252754",
+	},
+	"linear/prune-prone": {
+		"0.44434191590872474/0.74359988966830015",
+		"0.16652617888713847/0.55180319737861083",
+		"0.058245332771767751/0.64950885138610115",
+		"0.01339557870855617/0.72983857939941621",
+		"0.16323307023136283/0.80583806155847171",
+		"0.15993955325688267/0.71686949190875759",
+		"0.12985194196751473/0.76080640263317012",
+		"0.16891286706293226/0.81964828991578453",
+		"0.22747583460983922/0.85808892307750273",
+		"0.24627537755989817/0.80938744522742501",
+		"0.30647784044295007/0.74828775462030139",
+		"0.30218147048886845/0.71252325091410962",
+	},
+	"linear/single-particle": {
+		"0.33269128679508131/0.3549243597527309",
+		"0.31496070416874494/0.19663134378852565",
+		"0.30364428324967707/0.13725331888295694",
+		"0.29665257724805927/0.10345748778873971",
+		"0.29575738838122018/0.084776878929046479",
+		"0.29069178376527849/0.072395552302429875",
+		"0.28383333251111359/0.063803115755915879",
+		"0.28490902289690512/0.058221906107823768",
+	},
+}
+
+// TestUpdateTrajectoryGolden pins full training trajectories of a
+// grow-heavy cloud, a prune-prone cloud and a single-particle cloud,
+// in both leaf models, against fingerprints recorded from the sharded
+// update path at one worker before the serial forest replaced it.
+func TestUpdateTrajectoryGolden(t *testing.T) {
 	for _, model := range []LeafModel{ConstantLeaf, LinearLeaf} {
-		for _, sh := range shapes {
-			t.Run(fmt.Sprintf("%s/%s", model, sh.name), func(t *testing.T) {
-				run := func(workers int) string {
-					cfg := smallConfig()
-					cfg.LeafModel = model
-					sh.mutate(&cfg)
-					cfg.Workers = workers
-					f, err := New(cfg, sh.dim, rng.New(51))
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := rng.New(52)
-					x := make([]float64, sh.dim)
-					probe := make([]float64, sh.dim)
-					fp := ""
-					for i := 0; i < sh.obs; i++ {
-						for j := range x {
-							x[j] = r.Float64()
-						}
-						y := x[0] + r.NormMS(0, sh.noiseSpan)
-						f.Update(x, y)
-						if i%10 == 9 {
-							for j := range probe {
-								probe[j] = 0.3 + 0.05*float64(j)
-							}
-							m, v := f.Predict(probe)
-							fp += fmt.Sprintf("%.17g/%.17g;", m, v)
-						}
-					}
-					return fp
+		for _, sh := range trajectoryShapes {
+			name := fmt.Sprintf("%s/%s", model, sh.name)
+			t.Run(name, func(t *testing.T) {
+				want, ok := updateTrajectoryGolden[name]
+				if !ok {
+					t.Fatalf("no golden for %s", name)
 				}
-				base := run(1)
-				for _, w := range []int{4, 8} {
-					if got := run(w); got != base {
-						t.Fatalf("workers=%d trajectory diverged from workers=1:\n%s\nvs\n%s", w, got, base)
-					}
+				got := updateTrajectory(t, model, sh.mutate, sh.dim, sh.obs, sh.noiseSpan)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trajectory diverged from the golden:\ngot  %q\nwant %q", got, want)
 				}
 			})
 		}
@@ -207,33 +298,29 @@ func TestLeafOfBatchMatchesLeafOf(t *testing.T) {
 // two distinct live nodes share a point-list backing array: copies
 // keep their original's spare capacity, so a stay appends in place,
 // which is sound only while the original is gone by the end of the
-// observation (see appendFrom). Both leaf models, at one and four
-// workers.
+// observation (see appendFrom). Both leaf models.
 func TestCopyOnWriteSoundness(t *testing.T) {
 	for _, model := range []LeafModel{ConstantLeaf, LinearLeaf} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", model, workers), func(t *testing.T) {
-				cfg := smallConfig()
-				cfg.Particles = 80
-				cfg.LeafModel = model
-				cfg.Workers = workers
-				f, err := New(cfg, 2, rng.New(61))
-				if err != nil {
-					t.Fatal(err)
+		t.Run(model.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Particles = 80
+			cfg.LeafModel = model
+			f, err := New(cfg, 2, rng.New(61))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := rng.New(62)
+			for i := 0; i < 150; i++ {
+				x := []float64{gen.Float64(), gen.Float64()}
+				f.Update(x, 3*x[0]-2*x[1]*x[1]+gen.NormMS(0, 0.05))
+				if id := f.ar.unsharedAlias(f.roots); id >= 0 {
+					t.Fatalf("update %d: node %d is referenced more than once but not marked shared", i, id)
 				}
-				gen := rng.New(62)
-				for i := 0; i < 150; i++ {
-					x := []float64{gen.Float64(), gen.Float64()}
-					f.Update(x, 3*x[0]-2*x[1]*x[1]+gen.NormMS(0, 0.05))
-					if id := f.ar.unsharedAlias(f.roots); id >= 0 {
-						t.Fatalf("update %d: node %d is referenced more than once but not marked shared", i, id)
-					}
-					if a, b := sharedPointList(f); a >= 0 {
-						t.Fatalf("update %d: live nodes %d and %d share a point-list backing array", i, a, b)
-					}
+				if a, b := sharedPointList(f); a >= 0 {
+					t.Fatalf("update %d: live nodes %d and %d share a point-list backing array", i, a, b)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

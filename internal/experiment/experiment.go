@@ -58,11 +58,8 @@ type Settings struct {
 	// Workers bounds the number of concurrent learning runs
 	// (0 = GOMAXPROCS). Runs are independent and deterministic per
 	// (strategy, repetition), so parallelism does not change results.
-	// The same value is threaded into each learner's candidate-scoring
-	// pool (core.Options.Workers), whose sharding is likewise
-	// bit-deterministic; the scoring pool is shared process-wide and
-	// capped at GOMAXPROCS, so the two levels of parallelism cannot
-	// oversubscribe the machine.
+	// Each run scores and measures on its own goroutine, so the runs
+	// are the harness's only level of parallelism.
 	Workers int
 }
 
@@ -151,7 +148,6 @@ func (s Settings) learnerOptions(strat Strategy, rep int) core.Options {
 		Tree:      tree,
 		EvalEvery: s.EvalEvery,
 		Seed:      s.Seed + uint64(rep)*1000003,
-		Workers:   s.Workers,
 		// Runs execute concurrently, so each measures serially.
 		EvalWorkers: 1,
 	}
@@ -248,12 +244,9 @@ func RunCurves(sp space.Space, s Settings, progress func(string)) (*BenchmarkCur
 	eval := ds.TestRMSE()
 
 	// Every (strategy, repetition) run is independent and seeded
-	// deterministically, so they execute concurrently — sharded over
-	// the same process-wide bounded pool the evaluator engines and the
-	// candidate scorers use (workpool caps total workers at GOMAXPROCS
-	// with an inline fallback, so the three layers of parallelism
-	// cannot oversubscribe the machine or deadlock under nesting).
-	// Each run drives measurement through its own evaluator engine
+	// deterministically, so they execute concurrently, on up to Workers
+	// goroutines. Each run drives measurement through its own evaluator
+	// engine
 	// over the shared dataset source: values and §4.3 cost accounting
 	// are pure in (config, ordinal), so runs share the corpus without
 	// any cross-run state.

@@ -51,7 +51,7 @@ func Table1(spaces []space.Space, s Settings, progress func(string)) (*Table1Res
 	for _, sp := range spaces {
 		bc, err := RunCurves(sp, s, progress)
 		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", sp.Name(), err)
+			return nil, fmt.Errorf("%s: %w", sp.Name(), err)
 		}
 		res.Curves = append(res.Curves, bc)
 		baseline := bc.Curves[AllObservations]

@@ -39,10 +39,5 @@ func (b DynatreeBuilder) New(p Params) (Model, error) {
 		cfg = dynatree.DefaultConfig()
 	}
 	cfg.CalibratePrior(p.SeedTargets)
-	// The learner-level knob wins when set; an explicit Config.Workers
-	// survives a zero (defaulted) Params.Workers.
-	if p.Workers != 0 {
-		cfg.Workers = p.Workers
-	}
 	return dynatree.New(cfg, p.Dim, p.RNG)
 }

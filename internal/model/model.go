@@ -131,10 +131,6 @@ type Params struct {
 	// SeedTargets are the observations gathered during seeding, for
 	// empirical-Bayes prior calibration.
 	SeedTargets []float64
-	// Workers bounds the backend's scoring parallelism (0 = all cores,
-	// 1 = serial). Backends must produce bit-identical results for
-	// every value.
-	Workers int
 	// RNG is the backend's private deterministic randomness stream.
 	RNG *rng.Stream
 }

@@ -31,7 +31,7 @@ func trainBackend(t *testing.T, b Builder, n int) (Model, [][]float64) {
 	t.Helper()
 	r := rng.New(3)
 	seed := []float64{1, 1.2, 0.8, 1.1}
-	m, err := b.New(Params{Dim: 2, SeedTargets: seed, Workers: 1, RNG: r.Split(b.Name())})
+	m, err := b.New(Params{Dim: 2, SeedTargets: seed, RNG: r.Split(b.Name())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,3 +231,62 @@ func TestFuzzRestoreSessionSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestFuzzRestoreSessionSeedsReplay: the committed valid-* seeds are
+// checkpoints written by an earlier build, whose learner sections hold
+// forest format 2. Each restores and finishes exactly as the session
+// it was taken from: the finished simulated session reports the
+// result a fresh run of its spec reports, and the parked remote
+// session, fed the same posts, ends where an uninterrupted twin ends.
+func TestFuzzRestoreSessionSeedsReplay(t *testing.T) {
+	seed := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRestoreSession", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := snapshottest.CorpusPayload(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	finish := func(s *Session) *SessionResult {
+		for {
+			sug := awaitRound(t, s)
+			if len(sug.Suggestions) == 0 {
+				break
+			}
+			completeRound(t, s, sug)
+		}
+		waitDone(t, s, time.Minute)
+		return sessionResult(t, s)
+	}
+
+	srv := NewServer(Options{})
+	defer srv.Close()
+	sim, err := srv.RestoreSession(seed("valid-simulated"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := srv.CreateSession(tinySpec("fuzz", "simulated-fresh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, fresh, time.Minute)
+	requireSameSessionResult(t, "simulated seed", sessionResult(t, sim), sessionResult(t, fresh))
+
+	restored, err := srv.RestoreSession(seed("valid-remote"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinSrv := NewServer(Options{})
+	defer twinSrv.Close()
+	spec := tinySpec("fuzz", "remote")
+	spec.Source = SourceRemote
+	twin, err := twinSrv.CreateSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeRound(t, twin, awaitRound(t, twin))
+	requireSameSessionResult(t, "remote seed", finish(restored), finish(twin))
+}

@@ -2,9 +2,8 @@
 // per-kernel — in one process: the multi-tenant tuning service of
 // ROADMAP item 1. Each session is a step-wise core.Learner; a fair
 // weighted round-robin scheduler interleaves single steps across every
-// ready session, so thousands of tenants share the process-wide
-// scoring workpool and a bounded set of scheduler workers instead of
-// a goroutine-per-learner free-for-all.
+// ready session, so thousands of tenants share a bounded set of
+// scheduler workers instead of a goroutine-per-learner free-for-all.
 //
 // Two observation feeds exist per session: "simulated" measures the
 // §4.5 dataset oracle in-process, and "remote" publishes per-round
@@ -424,8 +423,7 @@ func (srv *Server) buildSession(spec SessionSpec) (*Session, error) {
 	opts.EvalEvery = 0
 	opts.Seed = spec.Seed
 	opts.StopCost = spec.CostBudget
-	opts.Workers = 1 // sessions are small; parallelism comes from the fleet
-	opts.EvalWorkers = 1
+	opts.EvalWorkers = 1 // sessions are small; parallelism comes from the fleet
 	opts.Space = spec.Space
 	opts.Tree.Particles = spec.Particles
 	opts.Tree.ScoreParticles = spec.Particles / 4

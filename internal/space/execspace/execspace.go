@@ -17,7 +17,7 @@
 // the configuration (compile time is the §4.3 compile charge, paid
 // once per configuration) and then runs the produced binary once,
 // reporting wall-clock seconds. ALIC_EXEC_TIMEOUT bounds each step
-// (Go duration syntax, default 30s).
+// (Go duration syntax, positive, default 30s).
 package execspace
 
 import (
@@ -158,13 +158,9 @@ func (s *Space) Measurer(seed uint64) (space.Measurer, error) {
 	if _, err := os.Stat(src); err != nil {
 		return nil, fmt.Errorf("exec space source: %w", err)
 	}
-	timeout := 30 * time.Second
-	if v := os.Getenv("ALIC_EXEC_TIMEOUT"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, fmt.Errorf("exec space: bad ALIC_EXEC_TIMEOUT: %w", err)
-		}
-		timeout = d
+	timeout, err := parseTimeout(os.Getenv("ALIC_EXEC_TIMEOUT"))
+	if err != nil {
+		return nil, err
 	}
 	dir, err := os.MkdirTemp("", "alic-exec-")
 	if err != nil {
@@ -172,6 +168,28 @@ func (s *Space) Measurer(seed uint64) (space.Measurer, error) {
 	}
 	return &measurer{sp: s, cc: cc, src: src, dir: dir, timeout: timeout,
 		built: make(map[uint64]*build)}, nil
+}
+
+// defaultTimeout bounds each compile and run when ALIC_EXEC_TIMEOUT is
+// unset.
+const defaultTimeout = 30 * time.Second
+
+// parseTimeout reads an ALIC_EXEC_TIMEOUT value: empty means
+// defaultTimeout, and anything else must be a positive Go duration (a
+// zero or negative bound would time out every compile and run at
+// once).
+func parseTimeout(v string) (time.Duration, error) {
+	if v == "" {
+		return defaultTimeout, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, fmt.Errorf("exec space: bad ALIC_EXEC_TIMEOUT: %w", err)
+	}
+	if d <= 0 {
+		return 0, fmt.Errorf("exec space: ALIC_EXEC_TIMEOUT must be positive, got %v", d)
+	}
+	return d, nil
 }
 
 // binName is the scratch-directory name of one configuration's binary.

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"alic/internal/space"
 )
@@ -158,4 +160,79 @@ chmod +x "$out"
 	if _, err := bad.CompileCost(cfg); err == nil {
 		t.Fatal("missing compiler reported a compile cost")
 	}
+}
+
+// TestNonPositiveTimeoutRejected: a zero or negative ALIC_EXEC_TIMEOUT
+// would time out every compile and run at once, so opening a measurer
+// refuses it before anything runs.
+func TestNonPositiveTimeoutRejected(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "k.c")
+	if err := os.WriteFile(src, []byte("int main(void){return 0;}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("ALIC_EXEC_CC", "cc")
+	t.Setenv("ALIC_EXEC_SRC", src)
+	for _, v := range []string{"0s", "0", "-1s", "-0.5ms"} {
+		t.Setenv("ALIC_EXEC_TIMEOUT", v)
+		if m, err := New().Measurer(1); err == nil {
+			if c, ok := m.(interface{ Close() error }); ok {
+				c.Close()
+			}
+			t.Fatalf("ALIC_EXEC_TIMEOUT=%q accepted", v)
+		}
+	}
+}
+
+// FuzzExecSpaceInputs covers the space's two untrusted inputs: the
+// ALIC_EXEC_TIMEOUT string and the configuration the flag encoding
+// reads. A timeout parses to the default when empty and otherwise to
+// exactly its positive Go duration, or fails; a configuration encodes
+// iff it is in range, and its flags decode back to it. The seed corpus
+// is in testdata/fuzz/FuzzExecSpaceInputs.
+func FuzzExecSpaceInputs(f *testing.F) {
+	sp := New()
+	f.Fuzz(func(t *testing.T, timeout string, opt, unroll, vectorize, fastmath, omitfp int) {
+		d, err := parseTimeout(timeout)
+		switch want, perr := time.ParseDuration(timeout); {
+		case timeout == "":
+			if err != nil || d != defaultTimeout {
+				t.Fatalf("empty timeout: (%v, %v), want the default %v", d, err, defaultTimeout)
+			}
+		case perr != nil || want <= 0:
+			if err == nil {
+				t.Fatalf("timeout %q accepted as %v", timeout, d)
+			}
+		case err != nil || d != want:
+			t.Fatalf("timeout %q: (%v, %v), want %v", timeout, d, err, want)
+		}
+
+		cfg := space.Config{opt, unroll, vectorize, fastmath, omitfp}
+		flags, err := sp.Flags(cfg)
+		if (err == nil) != (sp.Check(cfg) == nil) {
+			t.Fatalf("Flags(%v) err %v disagrees with Check", cfg, err)
+		}
+		if err != nil {
+			return
+		}
+		got := space.Config{0, 1, 1, 1, 1}
+		for i, o := range optFlags {
+			if flags[0] == o {
+				got[0] = i + 1
+			}
+		}
+		for _, fl := range flags[1:] {
+			found := false
+			for i, b := range binFlags {
+				if fl == b.flag && got[i+1] == 1 {
+					got[i+1], found = 2, true
+				}
+			}
+			if !found {
+				t.Fatalf("Flags(%v) = %v: unknown or repeated flag %q", cfg, flags, fl)
+			}
+		}
+		if !slices.Equal(got, cfg) {
+			t.Fatalf("Flags(%v) = %v decodes to %v", cfg, flags, got)
+		}
+	})
 }

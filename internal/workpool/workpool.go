@@ -1,12 +1,13 @@
-// Package workpool provides the process-wide deterministic scoring
-// pool shared by every model backend. Candidate scoring (ALM/ALC over
-// hundreds of candidates every acquisition) is embarrassingly
-// parallel: every score is a read-only computation written to its own
-// index. A single shared pool keeps nested parallelism (e.g. the
-// experiment harness running many learners, each scoring concurrently)
-// from oversubscribing the machine: total pool workers never exceed
-// GOMAXPROCS, and submissions that find no idle worker run inline on
-// the caller.
+// Package workpool provides the deterministic parallel loops behind
+// the parallelism that pays in this system: concurrent measurements
+// (the evaluator engine's batches) and concurrent learning runs (the
+// experiment harness). ParallelFor shards CPU-bound index ranges over
+// one process-wide pool, so nested use (the harness running many
+// learners, each measuring a batch) never oversubscribes the machine:
+// total pool workers never exceed GOMAXPROCS, and submissions that
+// find no idle worker run inline on the caller. DynamicFor pulls
+// indices on dedicated goroutines, for work whose durations vary or
+// that waits on latency rather than CPU.
 //
 //alic:deterministic
 package workpool
@@ -65,8 +66,7 @@ func (p *pool) submit(task func()) {
 // locations disjoint across shards (no shared accumulators). Shard
 // boundaries never reorder arithmetic *within* an index, so any
 // per-index result is bit-identical for every worker count; reductions
-// across indices must be performed by the caller in index order (see
-// ReduceInOrder).
+// across indices must be performed by the caller in index order.
 func ParallelFor(workers, n int, body func(start, end int)) {
 	if n <= 0 {
 		return
@@ -139,15 +139,4 @@ func DynamicFor(workers, n int, body func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ReduceInOrder sums per-index partial results in ascending index
-// order, so the floating-point accumulation order is independent of
-// how ParallelFor sharded the work.
-func ReduceInOrder(partials []float64) float64 {
-	total := 0.0
-	for _, v := range partials {
-		total += v
-	}
-	return total
 }

@@ -42,12 +42,3 @@ func TestNestedParallelFor(t *testing.T) {
 		t.Fatalf("nested total %d, want %d", total, outer*inner)
 	}
 }
-
-func TestReduceInOrder(t *testing.T) {
-	if got := ReduceInOrder([]float64{1, 2, 3.5}); got != 6.5 {
-		t.Fatalf("ReduceInOrder = %v", got)
-	}
-	if got := ReduceInOrder(nil); got != 0 {
-		t.Fatalf("ReduceInOrder(nil) = %v", got)
-	}
-}
