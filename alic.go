@@ -231,7 +231,10 @@ type (
 	StopReason = core.StopReason
 	// CurvePoint is one (acquisitions, cost, error) learning-curve sample.
 	CurvePoint = core.CurvePoint
-	// Session is a cost-accounted simulated profiling session.
+	// Session is a profiling session's measurement history: which
+	// noise ordinals of each configuration have been taken, so later
+	// measurements continue them. It charges no cost; Tune reports
+	// its verification cost in TunerResult.VerifyCost.
 	Session = measure.Session
 	// Dataset is a §4.5-style corpus for one kernel.
 	Dataset = dataset.Dataset
@@ -653,6 +656,10 @@ func ResumeLearner(ds *Dataset, opts LearnerOptions, r io.Reader) (*Learner, err
 // Tune performs model-driven configuration search (§4.1): rank random
 // configurations with a trained model, verify the best few by
 // profiling, and report the winner with its speedup over -O2.
+// Concurrent Tune calls may share one Session: each reserves its
+// verification ordinals on it in one step, so no two calls measure the
+// same (configuration, ordinal) and only the first to reserve a
+// configuration pays its compile.
 func Tune(m Model, sess *Session, ds *Dataset, opts TunerOptions) (*TunerResult, error) {
 	if ds == nil {
 		return nil, ErrNilDataset

@@ -8,22 +8,25 @@
 //
 // # Architecture
 //
-//	core.Learner ──ObserveBatch──▶ Engine
-//	                                 │ ordinal + cost ledger
+//	core.Learner ─┐
+//	tuner.Search ─┴─ObserveBatch──▶ Engine
+//	                                 │ ordinal + the §4.3 cost ledger
 //	                                 ▼
 //	                               Source (pure Measure(i, ord))
 //	                                 ├─ DatasetSource  (§4.5 corpus)
-//	                                 ├─ SessionSource  (measure.Session)
+//	                                 ├─ SessionSource  (ordinals reserved on a measure.Session)
 //	                                 └─ SpaceSource    (space.Measurer)
 //
 // A Source is the measurement primitive: a concurrency-safe function
 // of (pool item, observation ordinal). The Engine owns everything
 // stateful — it assigns each scheduled observation a global sequence
 // number and a per-item ordinal at scheduling time, and it keeps the
-// cost ledger. Because the simulated profiling environment draws
-// observation (i, ord) from its own noise stream, the values an
-// engine produces are a pure function of the scheduling order, never
-// of the completion order or the worker count.
+// cost ledger, the only one in the library: a measure.Session records
+// which ordinals have been taken but charges nothing. Because the
+// simulated profiling environment draws observation (i, ord) from its
+// own noise stream, the values an engine produces are a pure function
+// of the scheduling order, never of the completion order or the
+// worker count.
 //
 // # Determinism contract
 //
@@ -38,7 +41,9 @@
 // observed runtime, plus the item's compile time exactly once. The
 // compile charge is decided when an observation is *scheduled*, so
 // repeated observations of a configuration — within a batch or across
-// batches — pay run time only.
+// batches — pay run time only. Model-update overhead is excluded, as
+// in the paper: it is small and near-constant across the compared
+// approaches.
 package evaluator
 
 import "errors"

@@ -278,10 +278,13 @@ func TestSessionSourceContinuesSessionHistory(t *testing.T) {
 	r := rng.New(29)
 	warm := k.RandomConfig(r)
 	cold := k.RandomConfig(r)
-	// Two serial observations put warm into the session's history; an
-	// engine-driven sequence must continue at ordinal 2 and charge no
+	// A two-observation reservation puts warm into the session's
+	// history; a later source must continue at ordinal 2 and charge no
 	// compile for it.
-	want, err := sess.ObserveN(warm, 2)
+	if _, err := sess.Reserve([]space.Config{warm}, 2); err != nil {
+		t.Fatal(err)
+	}
+	first, err := sess.At(warm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +292,7 @@ func TestSessionSourceContinuesSessionHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSessionSource(sess, []space.Config{warm, cold})
+	src, err := NewSessionSource(sess, []space.Config{warm, cold}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +300,7 @@ func TestSessionSourceContinuesSessionHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Value != next || s.Value == want[0] {
+	if s.Value != next || s.Value == first {
 		t.Fatalf("warm config restarted its noise stream: got %v", s.Value)
 	}
 	if s.Compile != 0 {
@@ -310,11 +313,77 @@ func TestSessionSourceContinuesSessionHistory(t *testing.T) {
 	if cs.Compile <= 0 {
 		t.Fatal("fresh config carried no compile charge")
 	}
-	if _, err := NewSessionSource(sess, []space.Config{warm, warm}); err == nil {
+	// Ordinal 1 of warm is session ordinal 3, which the next
+	// reservation owns.
+	for _, ord := range []int{1, -1} {
+		if _, err := src.Measure(0, ord); err == nil {
+			t.Fatalf("ordinal %d outside the reservation accepted", ord)
+		}
+	}
+	if _, err := NewSessionSource(sess, []space.Config{warm, warm}, 1); err == nil {
 		t.Fatal("duplicate configurations accepted")
 	}
-	if _, err := NewSessionSource(nil, []space.Config{warm}); err == nil {
+	if _, err := NewSessionSource(nil, []space.Config{warm}, 1); err == nil {
 		t.Fatal("nil session accepted")
+	}
+	if _, err := NewSessionSource(sess, []space.Config{warm}, 0); err == nil {
+		t.Fatal("empty reservation accepted")
+	}
+}
+
+// TestSessionSourcesOnOneConfigReserveDisjointOrdinals builds two
+// sources over the same configuration on one session before either
+// measures anything: they must read disjoint noise ordinals, and only
+// the first may charge the compile.
+func TestSessionSourcesOnOneConfigReserveDisjointOrdinals(t *testing.T) {
+	k, err := space.ByName("mvt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := measure.NewSession(k, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := k.BaselineConfig()
+	const n = 3
+	a, err := NewSessionSource(sess, []space.Config{cfg}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSessionSource(sess, []space.Config{cfg}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ord := 0; ord < n; ord++ {
+		sa, err := a.Measure(0, ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := b.Measure(0, ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantA, err := sess.At(cfg, ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantB, err := sess.At(cfg, n+ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sa.Value != wantA || sb.Value != wantB {
+			t.Fatalf("ordinal %d: sources read %v and %v, want session ordinals %d and %d (%v, %v)",
+				ord, sa.Value, sb.Value, ord, n+ord, wantA, wantB)
+		}
+		if sb.Compile != 0 {
+			t.Fatalf("second source charged compile %v at ordinal %d", sb.Compile, ord)
+		}
+		if (sa.Compile > 0) != (ord == 0) {
+			t.Fatalf("first source charged compile %v at ordinal %d", sa.Compile, ord)
+		}
+	}
+	if sess.Runs() != 2*n || sess.Compiles() != 1 {
+		t.Fatalf("session history runs=%d compiles=%d, want %d and 1", sess.Runs(), sess.Compiles(), 2*n)
 	}
 }
 

@@ -46,70 +46,59 @@ func (s *DatasetSource) Measure(i, ord int) (Sample, error) {
 }
 
 // SessionSource measures a fixed set of configurations through a
-// profiling session: item i is cfgs[i], and observation (i, ord)
-// draws the session's deterministic noise stream at the ordinal the
-// session had reached when the source was built, plus ord — so an
-// engine-driven measurement sequence continues a session's serial
-// history exactly. Compile cost rides on ordinal zero unless the
-// session had already compiled the configuration. Measurement is pure
-// (the session's own counters and cost are not touched); the engine
+// profiling session: item i is cfgs[i], and observation (i, ord) draws
+// the session's deterministic noise stream at ordinal first[i]+ord,
+// where first[i] is the start of the block of n ordinals the source
+// reserved on the session when it was built. Sources built on one
+// session therefore never share an ordinal, and an engine-driven
+// sequence continues the session's history instead of replaying it.
+// Compile cost rides on ordinal zero of an item whose reservation
+// starts the configuration's history. Measurement is pure; the engine
 // ledger owns the accounting.
 type SessionSource struct {
-	sess *measure.Session
-	cfgs []space.Config
-	base []int     // session observation count at construction
-	ct   []float64 // compile cost to charge at ordinal zero (0 if compiled)
+	sess  *measure.Session
+	cfgs  []space.Config
+	first []int // first reserved session ordinal of each item
+	n     int   // ordinals reserved per item
 }
 
 // NewSessionSource adapts a session and a candidate set to the Source
-// interface. The configurations must be distinct (the engine keys its
-// ordinal streams by item index, so duplicates would replay the same
-// noise draws and double-charge compilation).
-func NewSessionSource(sess *measure.Session, cfgs []space.Config) (*SessionSource, error) {
+// interface, reserving n observations of every configuration on the
+// session in one step. The configurations must be distinct, as
+// Session.Reserve requires.
+func NewSessionSource(sess *measure.Session, cfgs []space.Config, n int) (*SessionSource, error) {
 	if sess == nil {
 		return nil, fmt.Errorf("evaluator: nil session")
 	}
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("evaluator: empty configuration set")
 	}
-	sp := sess.Space()
-	src := &SessionSource{
-		sess: sess,
-		cfgs: cfgs,
-		base: make([]int, len(cfgs)),
-		ct:   make([]float64, len(cfgs)),
+	first, err := sess.Reserve(cfgs, n)
+	if err != nil {
+		return nil, err
 	}
-	seen := make(map[uint64]bool, len(cfgs))
-	for i, cfg := range cfgs {
-		key := sp.Key(cfg)
-		if seen[key] {
-			return nil, fmt.Errorf("evaluator: duplicate configuration at item %d", i)
-		}
-		seen[key] = true
-		src.base[i] = sess.Observations(cfg)
-		if !sess.Compiled(cfg) {
-			ct, err := sess.CompileCost(cfg)
-			if err != nil {
-				return nil, err
-			}
-			src.ct[i] = ct
-		}
-	}
-	return src, nil
+	return &SessionSource{sess: sess, cfgs: cfgs, first: first, n: n}, nil
 }
 
-// Measure implements Source over the candidate set.
+// Measure implements Source over the candidate set. Ordinals outside
+// [0, n) would read history other reservations own, so they are
+// rejected.
 func (s *SessionSource) Measure(i, ord int) (Sample, error) {
 	if i >= len(s.cfgs) {
 		return Sample{}, fmt.Errorf("evaluator: item %d outside candidate set of %d", i, len(s.cfgs))
 	}
-	y, err := s.sess.At(s.cfgs[i], s.base[i]+ord)
+	if ord < 0 || ord >= s.n {
+		return Sample{}, fmt.Errorf("evaluator: ordinal %d outside the %d reserved for item %d", ord, s.n, i)
+	}
+	y, err := s.sess.At(s.cfgs[i], s.first[i]+ord)
 	if err != nil {
 		return Sample{}, err
 	}
 	out := Sample{Value: y}
-	if ord == 0 {
-		out.Compile = s.ct[i]
+	if ord == 0 && s.first[i] == 0 {
+		if out.Compile, err = s.sess.CompileCost(s.cfgs[i]); err != nil {
+			return Sample{}, err
+		}
 	}
 	return out, nil
 }

@@ -3,12 +3,13 @@
 // executing the resulting binary to obtain one (noisy) runtime
 // observation.
 //
-// A Session tracks the cumulative evaluation cost exactly as §4.3 of
-// the paper defines it — the sum of the compile time of every distinct
-// configuration compiled plus the wall-clock runtime of every profiling
-// run. Model-update overhead is excluded (it is small and near-constant
-// across the compared approaches). A configuration compiled once and
-// revisited later pays its compile time only once.
+// A Session keeps a space's measurement history: how many observations
+// of each configuration have been taken, so a later measurement
+// continues that configuration's noise stream instead of replaying it.
+// It charges no cost. The §4.3 cost — compile time once per distinct
+// configuration plus the runtime of every profiling run — is folded by
+// the evaluator engine (internal/evaluator), which measures a session
+// through an evaluator.SessionSource.
 package measure
 
 import (
@@ -19,23 +20,16 @@ import (
 )
 
 // Session is a profiling session for one search space. It is safe
-// for concurrent use: compile charges and observation ordinals are
-// reserved under a lock, so parallel observers of overlapping
-// configurations charge each compile exactly once and draw distinct
-// noise-stream ordinals. Note that the noise draw a concurrent
-// Observe returns depends on which ordinal the caller wins; for
-// measurements that must be deterministic regardless of completion
-// order, address the ordinal explicitly with At (the evaluator
-// engine's path).
+// for concurrent use: Reserve hands out observation ordinals under a
+// lock, so concurrent callers over overlapping configurations get
+// disjoint ordinals, and exactly one of them owns each configuration's
+// first ordinal (and with it the compile).
 type Session struct {
 	sp   space.Space
 	meas space.Measurer
 
 	mu       sync.Mutex
-	compiled map[uint64]bool
 	obsCount map[uint64]int
-
-	cost     float64
 	runs     int
 	compiles int
 }
@@ -54,12 +48,7 @@ func NewSession(sp space.Space, seed uint64) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{
-		sp:       sp,
-		meas:     meas,
-		compiled: make(map[uint64]bool),
-		obsCount: make(map[uint64]int),
-	}, nil
+	return &Session{sp: sp, meas: meas, obsCount: make(map[uint64]int)}, nil
 }
 
 // Space returns the session's search space.
@@ -71,19 +60,15 @@ func (s *Session) TrueMean(cfg space.Config) (float64, error) {
 	return s.meas.TrueMean(cfg)
 }
 
-// CompileCost returns the one-time compile cost of cfg without
-// charging it to the session ledger.
+// CompileCost returns the one-time compile cost of cfg.
 func (s *Session) CompileCost(cfg space.Config) (float64, error) {
 	return s.meas.CompileCost(cfg)
 }
 
-// At returns observation obsIdx of cfg — the value the obsIdx-th
-// serial Observe of cfg returns — without charging cost or advancing
-// the session's counters. On simulated spaces each (cfg, obsIdx) pair
-// addresses its own deterministic noise draw, so At is pure, safe for
-// any concurrency, and independent of evaluation order: it is the
-// measurement primitive behind the evaluator engine's session adapter,
-// which owns the cost accounting instead.
+// At returns observation obsIdx of cfg without touching the session's
+// history. On simulated spaces each (cfg, obsIdx) pair addresses its
+// own deterministic noise draw, so At is pure, safe for any
+// concurrency, and independent of evaluation order.
 func (s *Session) At(cfg space.Config, obsIdx int) (float64, error) {
 	if obsIdx < 0 {
 		return 0, fmt.Errorf("measure: At with negative observation index %d", obsIdx)
@@ -91,128 +76,54 @@ func (s *Session) At(cfg space.Config, obsIdx int) (float64, error) {
 	return s.meas.Observe(cfg, obsIdx)
 }
 
-// Observe compiles cfg if needed, runs it once, and returns the
-// observed runtime. Compile time (first observation only) and the
-// observed runtime are added to the session cost.
-func (s *Session) Observe(cfg space.Config) (float64, error) {
-	key := s.sp.Key(cfg)
-
-	// Reserve the compile charge and the observation ordinal under the
-	// lock: exactly one concurrent observer wins the compile, and each
-	// draws a distinct ordinal of the config's noise stream.
-	s.mu.Lock()
-	first := !s.compiled[key]
-	if first {
-		s.compiled[key] = true
-	}
-	idx := s.obsCount[key]
-	s.obsCount[key] = idx + 1
-	s.mu.Unlock()
-
-	rollback := func() {
-		s.mu.Lock()
-		if first {
-			delete(s.compiled, key)
-		}
-		s.obsCount[key]--
-		s.mu.Unlock()
-	}
-
-	var ct float64
-	if first {
-		var err error
-		ct, err = s.meas.CompileCost(cfg)
-		if err != nil {
-			rollback()
-			return 0, err
-		}
-	}
-	y, err := s.meas.Observe(cfg, idx)
-	if err != nil {
-		rollback()
-		return 0, err
-	}
-
-	s.mu.Lock()
-	if first {
-		s.compiles++
-		s.cost += ct
-	}
-	s.runs++
-	s.cost += y
-	s.mu.Unlock()
-	return y, nil
-}
-
-// ObserveN takes n observations of cfg and returns them.
-func (s *Session) ObserveN(cfg space.Config, n int) ([]float64, error) {
+// Reserve appends n observations of every configuration in cfgs to the
+// session's history in one locked step, and returns each
+// configuration's first reserved ordinal: cfgs[i] owns ordinals
+// first[i] .. first[i]+n-1, which no other reservation receives. A
+// configuration whose first ordinal is 0 is compiled by this
+// reservation. The configurations must be distinct and valid in the
+// space; otherwise nothing is reserved. Reserved ordinals count as
+// runs whether or not the caller goes on to measure them, so a failed
+// measurement is never replayed by a later reservation.
+func (s *Session) Reserve(cfgs []space.Config, n int) ([]int, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("measure: ObserveN with n=%d", n)
+		return nil, fmt.Errorf("measure: Reserve with n=%d", n)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		y, err := s.Observe(cfg)
-		if err != nil {
+	keys := make([]uint64, len(cfgs))
+	seen := make(map[uint64]bool, len(cfgs))
+	for i, cfg := range cfgs {
+		if err := s.sp.Check(cfg); err != nil {
 			return nil, err
 		}
-		out[i] = y
+		keys[i] = s.sp.Key(cfg)
+		if seen[keys[i]] {
+			return nil, fmt.Errorf("measure: duplicate configuration at item %d", i)
+		}
+		seen[keys[i]] = true
 	}
-	return out, nil
-}
-
-// RecordExternal folds n measurements of cfg taken outside the
-// session's own Observe path — e.g. by an evaluator engine driving At
-// with its own cost ledger — back into the session's history: cfg's
-// observation ordinal advances by n (so later observers continue the
-// noise stream instead of replaying it), the configuration is marked
-// compiled, and cost (the caller's compile + run charges for these
-// measurements) lands in the session total. Safe for concurrent use.
-func (s *Session) RecordExternal(cfg space.Config, n int, cost float64) {
-	if n < 1 {
-		return
-	}
-	key := s.sp.Key(cfg)
-	s.mu.Lock()
-	if !s.compiled[key] {
-		s.compiled[key] = true
-		s.compiles++
-	}
-	s.obsCount[key] += n
-	s.runs += n
-	s.cost += cost
-	s.mu.Unlock()
-}
-
-// Observations returns how many times cfg has been profiled.
-func (s *Session) Observations(cfg space.Config) int {
+	first := make([]int, len(cfgs))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.obsCount[s.sp.Key(cfg)]
+	for i, key := range keys {
+		first[i] = s.obsCount[key]
+		if first[i] == 0 {
+			s.compiles++
+		}
+		s.obsCount[key] += n
+		s.runs += n
+	}
+	return first, nil
 }
 
-// Compiled reports whether cfg's binary has been built (and its
-// compile time charged) in this session.
-func (s *Session) Compiled(cfg space.Config) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compiled[s.sp.Key(cfg)]
-}
-
-// Cost returns the cumulative evaluation cost in simulated seconds.
-func (s *Session) Cost() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cost
-}
-
-// Runs returns the total number of profiling runs executed.
+// Runs returns the total number of profiling runs reserved.
 func (s *Session) Runs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.runs
 }
 
-// Compiles returns the number of distinct configurations compiled.
+// Compiles returns the number of distinct configurations reserved,
+// each compiled once.
 func (s *Session) Compiles() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

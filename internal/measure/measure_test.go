@@ -40,39 +40,35 @@ func TestNewSessionValidation(t *testing.T) {
 	}
 }
 
-func TestObserveAccountsCompileOnce(t *testing.T) {
+func TestReserveChargesCompileOnce(t *testing.T) {
 	s := session(t, "mvt", 3)
 	cfg := s.Space().BaselineConfig()
-	ct, err := s.CompileCost(cfg)
+
+	first, err := s.Reserve([]space.Config{cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if first[0] != 0 || s.Compiles() != 1 || s.Runs() != 1 {
+		t.Fatalf("first=%v compiles=%d runs=%d after first reservation", first, s.Compiles(), s.Runs())
+	}
 
-	y1, err := s.Observe(cfg)
+	// A second reservation of the same config continues its history
+	// and does not compile it again.
+	first, err = s.Reserve([]space.Config{cfg}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Compiles() != 1 || s.Runs() != 1 {
-		t.Fatalf("compiles=%d runs=%d after first observation", s.Compiles(), s.Runs())
+	if first[0] != 1 {
+		t.Fatalf("revisit starts at ordinal %d, want 1", first[0])
 	}
-	wantCost := ct + y1
-	if math.Abs(s.Cost()-wantCost) > 1e-12 {
-		t.Fatalf("cost %v, want compile+runtime %v", s.Cost(), wantCost)
-	}
-
-	// Second observation of the same config: no recompile.
-	y2, _ := s.Observe(cfg)
 	if s.Compiles() != 1 {
 		t.Fatal("revisit recompiled the binary")
 	}
-	if s.Runs() != 2 {
-		t.Fatalf("runs=%d after two observations", s.Runs())
+	if s.Runs() != 3 {
+		t.Fatalf("runs=%d after three reserved observations", s.Runs())
 	}
-	if math.Abs(s.Cost()-(wantCost+y2)) > 1e-12 {
-		t.Fatalf("cost %v after revisit, want %v", s.Cost(), wantCost+y2)
-	}
-	if s.Observations(cfg) != 2 {
-		t.Fatalf("observation count %d, want 2", s.Observations(cfg))
+	if _, err := s.Reserve([]space.Config{cfg}, 0); err == nil {
+		t.Fatal("Reserve(n=0) accepted")
 	}
 }
 
@@ -81,11 +77,12 @@ func TestDistinctConfigsEachCompile(t *testing.T) {
 	a := s.Space().BaselineConfig()
 	b := s.Space().BaselineConfig()
 	b[0] = 5
-	if _, err := s.Observe(a); err != nil {
+	first, err := s.Reserve([]space.Config{a, b}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Observe(b); err != nil {
-		t.Fatal(err)
+	if first[0] != 0 || first[1] != 0 {
+		t.Fatalf("distinct configs start at ordinals %v, want [0 0]", first)
 	}
 	if s.Compiles() != 2 {
 		t.Fatalf("compiles=%d, want 2", s.Compiles())
@@ -101,7 +98,7 @@ func TestObservationsAverageToTrueMean(t *testing.T) {
 	}
 	var w stats.Welford
 	for i := 0; i < 300; i++ {
-		y, err := s.Observe(cfg)
+		y, err := s.At(cfg, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,150 +117,142 @@ func TestSessionsReproducible(t *testing.T) {
 	b := session(t, "gemver", 7)
 	cfg := a.Space().BaselineConfig()
 	for i := 0; i < 10; i++ {
-		ya, _ := a.Observe(cfg)
-		yb, _ := b.Observe(cfg)
+		ya, _ := a.At(cfg, i)
+		yb, _ := b.At(cfg, i)
 		if ya != yb {
 			t.Fatalf("same seed diverged at observation %d", i)
 		}
 	}
 	c := session(t, "gemver", 8)
-	yc, _ := c.Observe(cfg)
-	ya, _ := a.Observe(cfg)
+	yc, _ := c.At(cfg, 0)
+	ya, _ := a.At(cfg, 0)
 	if yc == ya {
 		t.Fatal("different seeds produced identical observation")
 	}
 }
 
-func TestObserveN(t *testing.T) {
-	s := session(t, "mm", 9)
-	cfg := s.Space().BaselineConfig()
-	ys, err := s.ObserveN(cfg, 35)
+func TestAtRejectsBadConfig(t *testing.T) {
+	s := session(t, "mm", 10)
+	good := s.Space().BaselineConfig()
+	if _, err := s.At(space.Config{1}, 0); err == nil {
+		t.Fatal("short config accepted")
+	}
+	// A reservation with a bad or repeated config reserves nothing.
+	if _, err := s.Reserve([]space.Config{good, {1}}, 1); err == nil {
+		t.Fatal("Reserve accepted a short config")
+	}
+	if _, err := s.Reserve([]space.Config{good, good}, 1); err == nil {
+		t.Fatal("Reserve accepted a repeated config")
+	}
+	if s.Runs() != 0 || s.Compiles() != 0 {
+		t.Fatalf("failed reservation advanced history: runs=%d compiles=%d", s.Runs(), s.Compiles())
+	}
+	first, err := s.Reserve([]space.Config{good}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ys) != 35 || s.Runs() != 35 || s.Compiles() != 1 {
-		t.Fatalf("ObserveN bookkeeping wrong: len=%d runs=%d compiles=%d",
-			len(ys), s.Runs(), s.Compiles())
-	}
-	if _, err := s.ObserveN(cfg, 0); err == nil {
-		t.Fatal("ObserveN(0) accepted")
+	if first[0] != 0 {
+		t.Fatalf("failed reservation consumed ordinals: next starts at %d", first[0])
 	}
 }
 
-func TestObserveRejectsBadConfig(t *testing.T) {
-	s := session(t, "mm", 10)
-	if _, err := s.Observe(space.Config{1}); err == nil {
-		t.Fatal("short config accepted")
-	}
-	if s.Cost() != 0 {
-		t.Fatal("failed observation charged cost")
-	}
-}
-
-func TestCostMonotonic(t *testing.T) {
-	s := session(t, "atax", 11)
-	prev := 0.0
-	cfg := s.Space().BaselineConfig()
-	max0 := s.Space().Params()[0].Max
-	for i := 0; i < 20; i++ {
-		cfg[0] = (i % max0) + 1
-		if _, err := s.Observe(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if s.Cost() <= prev {
-			t.Fatalf("cost did not increase at step %d", i)
-		}
-		prev = s.Cost()
-	}
-}
-
-// TestConcurrentObserveStress pins the session's concurrency
-// contract: many goroutines observing an overlapping configuration
-// set must charge each compile exactly once, count every run, and
-// accumulate exactly the cost a serial session accumulates for the
-// same observation multiset (the sum order differs, so the comparison
-// allows float reassociation slack only).
-func TestConcurrentObserveStress(t *testing.T) {
+// TestConcurrentReserveStress pins the session's concurrency
+// contract: goroutines reserving overlapping configuration sets must
+// receive disjoint ordinal blocks that tile each config's history
+// from 0, count every run, and count each compile exactly once — one
+// reservation per config starts at ordinal 0.
+func TestConcurrentReserveStress(t *testing.T) {
 	s := session(t, "gemver", 12)
 	sp := s.Space()
 	r := rng.New(41)
-	const nConfigs, goroutines, perG = 6, 8, 40
+	const nConfigs, goroutines, perG, n = 6, 8, 40, 3
 	cfgs := make([]space.Config, nConfigs)
 	for i := range cfgs {
 		cfgs[i] = sp.RandomConfig(r)
 	}
 
+	// got[g][j] is the first ordinal goroutine g received for its j-th
+	// reservation, of cfgs[(g+j)%nConfigs] and cfgs[(g+j+1)%nConfigs].
+	got := make([][][]int, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
-				if _, err := s.Observe(cfgs[(g+j)%nConfigs]); err != nil {
+				pair := []space.Config{cfgs[(g+j)%nConfigs], cfgs[(g+j+1)%nConfigs]}
+				first, err := s.Reserve(pair, n)
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				got[g] = append(got[g], first)
 			}
 		}(g)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
-	const totalRuns = goroutines * perG
+	const totalRuns = goroutines * perG * 2 * n
 	if s.Runs() != totalRuns {
 		t.Fatalf("runs = %d, want %d", s.Runs(), totalRuns)
 	}
 	if s.Compiles() != nConfigs {
 		t.Fatalf("compiles = %d, want exactly %d (no double-charging)", s.Compiles(), nConfigs)
 	}
-	perCfg := make(map[int]int, nConfigs)
-	for g := 0; g < goroutines; g++ {
-		for j := 0; j < perG; j++ {
-			perCfg[(g+j)%nConfigs]++
+	starts := make([]map[int]bool, nConfigs)
+	for i := range starts {
+		starts[i] = make(map[int]bool)
+	}
+	for g := range got {
+		for j, first := range got[g] {
+			for k, ord := range first {
+				c := (g + j + k) % nConfigs
+				if ord%n != 0 || starts[c][ord] {
+					t.Fatalf("config %d: block at ordinal %d overlaps another reservation", c, ord)
+				}
+				starts[c][ord] = true
+			}
 		}
 	}
-	// Serial replay of the same multiset: every config took its first
-	// perCfg observations, so the charge multiset is identical.
-	serial := session(t, "gemver", 12)
-	for i, cfg := range cfgs {
-		if got := s.Observations(cfg); got != perCfg[i] {
-			t.Fatalf("config %d observed %d times, want %d", i, got, perCfg[i])
+	for c, blocks := range starts {
+		for b := 0; b < len(blocks); b++ {
+			if !blocks[b*n] {
+				t.Fatalf("config %d: %d blocks reserved but none starts at ordinal %d", c, len(blocks), b*n)
+			}
 		}
-		if _, err := serial.ObserveN(cfg, perCfg[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if diff := math.Abs(s.Cost() - serial.Cost()); diff > 1e-9*serial.Cost() {
-		t.Fatalf("concurrent cost %v vs serial %v (diff %v): accounting not exact", s.Cost(), serial.Cost(), diff)
 	}
 }
 
 // TestAtMatchesSerialObserve pins the pure observation primitive: At
-// (cfg, i) returns exactly what the i-th serial Observe returned,
-// without touching cost or counters.
+// (cfg, i) returns exactly what the space's measurer returns for
+// observation i, without advancing the session's history.
 func TestAtMatchesSerialObserve(t *testing.T) {
 	s := session(t, "atax", 13)
 	cfg := s.Space().BaselineConfig()
-	want, err := s.ObserveN(cfg, 5)
+	meas, err := s.Space().Measurer(13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costBefore, runsBefore := s.Cost(), s.Runs()
-	for i, w := range want {
+	for i := 0; i < 5; i++ {
+		want, err := meas.Observe(cfg, i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		y, err := s.At(cfg, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if y != w {
-			t.Fatalf("At(cfg, %d) = %v, want the serial draw %v", i, y, w)
+		if y != want {
+			t.Fatalf("At(cfg, %d) = %v, want the measurer's draw %v", i, y, want)
 		}
 	}
-	if s.Cost() != costBefore || s.Runs() != runsBefore {
-		t.Fatal("At charged cost or advanced counters")
+	if s.Runs() != 0 || s.Compiles() != 0 {
+		t.Fatal("At advanced the session's history")
 	}
 	if _, err := s.At(cfg, -1); err == nil {
 		t.Fatal("negative observation index accepted")
-	}
-	if !s.Compiled(cfg) {
-		t.Fatal("Compiled lost track of an observed config")
 	}
 }

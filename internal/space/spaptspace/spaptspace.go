@@ -91,8 +91,9 @@ func (s *Space) BaselineConfig() space.Config { return s.k.BaselineConfig() }
 func (s *Space) Noise() noise.Model { return s.k.Noise }
 
 // Measurer implements space.Space: observations sample the kernel's
-// noise model around the analytic cost-model runtime, exactly as
-// measure.Session and dataset generation always have.
+// noise model around the analytic cost-model runtime. Profiling
+// sessions, dataset generation and the experiment harness all measure
+// through it.
 func (s *Space) Measurer(seed uint64) (space.Measurer, error) {
 	sampler, err := noise.NewSampler(s.k.Noise, s.k.Dim(), seed)
 	if err != nil {

@@ -115,7 +115,10 @@ func Search(m model.Predictor, sess *measure.Session, norm Normalizer, opts Opti
 	// Verify the top slice plus the -O2 baseline through one engine:
 	// every item takes VerifyObs observations, measured with up to
 	// Workers goroutines; the engine's ledger is the verification
-	// cost. The candidate set is already key-deduplicated; the
+	// cost. The source reserves those observations on the session in
+	// one step, so a later or concurrent Search on the same session
+	// continues each config's noise stream and never re-charges its
+	// compile. The candidate set is already key-deduplicated; the
 	// baseline joins it as an extra item unless the model happened to
 	// rank it into the top set, in which case its verified mean
 	// doubles as the baseline measurement.
@@ -136,7 +139,7 @@ func Search(m model.Predictor, sess *measure.Session, norm Normalizer, opts Opti
 		baseItem = len(cfgs)
 		cfgs = append(cfgs, base)
 	}
-	src, err := evaluator.NewSessionSource(sess, cfgs)
+	src, err := evaluator.NewSessionSource(sess, cfgs, opts.VerifyObs)
 	if err != nil {
 		return nil, err
 	}
@@ -152,19 +155,10 @@ func Search(m model.Predictor, sess *measure.Session, norm Normalizer, opts Opti
 	means := make([]float64, len(cfgs))
 	for item := range cfgs {
 		var w stats.Welford
-		var charged float64
 		for _, o := range obs[item*opts.VerifyObs : (item+1)*opts.VerifyObs] {
 			w.Add(o.Value)
-			charged += o.Compile
-			charged += o.Value
 		}
 		means[item] = w.Mean()
-		// Commit the engine-driven measurements back into the session's
-		// history, so a later Search (or Observe) on the same session
-		// continues each config's noise stream instead of replaying it,
-		// compiles are never re-charged, and sess.Cost() keeps covering
-		// verification spend as it always did.
-		sess.RecordExternal(cfgs[item], opts.VerifyObs, charged)
 	}
 	for i := range top {
 		top[i].Measured = means[i]
